@@ -509,17 +509,13 @@ def enumerate_chambers(g: int, n: int) -> ChamberCensus:
     return ChamberCensus(g, n, orbits)
 
 
-def _ratio(num: int, den: int) -> Fraction:
-    return Fraction(num, den)
-
-
 def make_minimal(g: int, n: int) -> WeightDatum:
     """The datum (eps, ..., eps) with eps = 1/(2n), inside the lowest chamber."""
     if g < 1:
         raise DomainError("minimal weights require g >= 1")
     if n < 1:
         raise DomainError("need n >= 1")
-    eps = _ratio(1, 2 * n)
+    eps = Fraction(1, 2 * n)
     return WeightDatum(g, (eps,) * n)
 
 
@@ -529,7 +525,7 @@ def make_F(g: int, n: int) -> WeightDatum:
         raise DomainError("F weights require g >= 1")
     if n < 1:
         raise DomainError("need n >= 1")
-    val = _ratio(1, n) + _ratio(1, 2 * n * n)
+    val = Fraction(1, n) + Fraction(1, 2 * n * n)
     return WeightDatum(g, (val,) * n)
 
 
@@ -539,7 +535,7 @@ def make_floor(g: int, n: int, l: int) -> WeightDatum:
         raise DomainError("floor weights require g >= 1")
     if not (2 <= l <= n):
         raise DomainError("floor level must satisfy 2 <= l <= n")
-    val = _ratio(1, l) + _ratio(1, 2 * l * n)
+    val = Fraction(1, l) + Fraction(1, 2 * l * n)
     return WeightDatum(g, (val,) * n)
 
 
@@ -549,7 +545,7 @@ def make_heavy_light(g: int, n: int, m: int) -> WeightDatum:
         raise DomainError("need 0 <= m <= n")
     if g == 0 and m < 2:
         raise DomainError("genus 0 heavy/light weights require m >= 2")
-    eps = _ratio(1, 2 * n)
+    eps = Fraction(1, 2 * n)
     return WeightDatum(g, (Fraction(1),) * m + (eps,) * (n - m))
 
 

@@ -85,9 +85,8 @@ class ChainComplex:
 
 
 def _boundary_entries(basis_high: tuple[CanonicalGraph, ...],
-                      row_of: dict[str, int],
-                      contract_loops: bool,
-                      sign_flip: bool = False) -> dict[tuple[int, int], Fraction]:
+                      row_of: dict[str, int], contract_loops: bool,
+                      relative: bool) -> dict[tuple[int, int], Fraction]:
     entries: dict[tuple[int, int], Fraction] = {}
     for col, cg in enumerate(basis_high):
         graph = cg.graph
@@ -100,9 +99,12 @@ def _boundary_entries(basis_high: tuple[CanonicalGraph, ...],
                 continue
             row = row_of.get(target.encoding)
             if row is None:
-                continue  # component deleted (relative complex)
-            coeff = Fraction((-1) ** (i + 1 + (1 if sign_flip else 0))
-                             * edge_map_sign(emap))
+                if relative:
+                    continue  # component deleted
+                raise AssertionError(
+                    f"contraction target {target.encoding} is missing from "
+                    "the basis: the stable graph enumeration is incomplete")
+            coeff = Fraction((-1) ** (i + 1) * edge_map_sign(emap))
             key = (row, col)
             entries[key] = entries.get(key, Fraction(0)) + coeff
     return entries
@@ -110,7 +112,7 @@ def _boundary_entries(basis_high: tuple[CanonicalGraph, ...],
 
 def _assemble(kind: str, g: int, a: WeightDatum, degrees: list[int],
               bases: list[tuple[CanonicalGraph, ...]],
-              contract_loops: bool, sign_flip: bool = False) -> ChainComplex:
+              contract_loops: bool) -> ChainComplex:
     boundaries = []
     for i, k in enumerate(degrees):
         rows = len(bases[i - 1]) if i > 0 else 0
@@ -118,19 +120,18 @@ def _assemble(kind: str, g: int, a: WeightDatum, degrees: list[int],
             boundaries.append(RationalMatrix.zero(0, len(bases[0])))
             continue
         row_of = {cg.encoding: r for r, cg in enumerate(bases[i - 1])}
-        entries = _boundary_entries(bases[i], row_of, contract_loops, sign_flip)
+        entries = _boundary_entries(bases[i], row_of, contract_loops,
+                                    relative=kind == RELATIVE)
         boundaries.append(RationalMatrix(rows, len(bases[i]), entries))
     return ChainComplex(kind, g, a, tuple(degrees),
                         tuple(bases), tuple(boundaries))
 
 
-def build_graph_complex(g: int, a: WeightDatum,
-                        sign_flip: bool = False) -> ChainComplex:
+def build_graph_complex(g: int, a: WeightDatum) -> ChainComplex:
     """The graph complex of (g, a): pure stable graphs, loop terms dropped."""
     degrees = list(degree_range(g, a.n, GRAPH_COMPLEX))
     bases = [generator_basis(g, a, k, GRAPH_COMPLEX) for k in degrees]
-    return _assemble(GRAPH, g, a, degrees, bases,
-                     contract_loops=False, sign_flip=sign_flip)
+    return _assemble(GRAPH, g, a, degrees, bases, contract_loops=False)
 
 
 def build_cellular_complex(g: int, a: WeightDatum) -> ChainComplex:

@@ -22,7 +22,7 @@ from typing import Iterable, Optional
 from .chambers import (ChamberSignature, DomainError, WeightDatum,
                        compare_signatures, signature)
 from .graphs import (CanonicalGraph, MarkedGraph, canonicalize, decode_graph,
-                     genus, is_stable)
+                     genus, is_connected, is_stable)
 
 CACHE_ENV_VAR = "TROPGC_CACHE"
 DEFAULT_CACHE_DIR = ".tropgc-cache"
@@ -66,26 +66,6 @@ def _classical_stable_vertexwise(weights, degrees, leg_counts) -> bool:
     return True
 
 
-def _connected(num_vertices: int, edges) -> bool:
-    if num_vertices == 1:
-        return True
-    parent = list(range(num_vertices))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    merged = 0
-    for u, v in edges:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-            merged += 1
-    return merged == num_vertices - 1
-
-
 def _weight_distributions(total: int, slots: int):
     if slots == 1:
         yield (total,)
@@ -108,7 +88,7 @@ def _raw_enumerate_classical(g: int, n: int, m: int, pure_only: bool) -> tuple[C
         slots = [(u, v) for u in range(nv) for v in range(u, nv)]
         unmarked: set[MarkedGraph] = set()
         for combo in combinations_with_replacement(slots, m):
-            if nv > 1 and not _connected(nv, combo):
+            if nv > 1 and not is_connected(nv, combo):
                 continue
             degrees = [0] * nv
             for u, v in combo:

@@ -1,9 +1,9 @@
-"""Weighted marked multigraphs with half-edge structure.
+"""Weighted marked multigraphs and their canonical forms.
 
 A MarkedGraph stores vertex weights, an ordered list of edges (unordered
 endpoint pairs; loops allowed; the list order is the graph's edge order),
-and a placement of markings 1..n on vertices (each marking is a leg, a
-half-edge fixed by the involution). Connectivity is required.
+and a placement of markings 1..n on vertices (each marking is a leg).
+Connectivity is required.
 
 Canonical labeling works by brute-force minimization over vertex
 relabelings that respect the (weight, edge degree, marking multiset) color
@@ -24,6 +24,27 @@ from .chambers import DomainError, WeightDatum
 
 Edge = tuple[int, int]
 Permutation = tuple[int, ...]
+
+
+def is_connected(num_vertices: int, edges) -> bool:
+    """Whether the edges join all vertices 0..num_vertices-1, by union-find."""
+    if num_vertices == 1:
+        return True
+    parent = list(range(num_vertices))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    merged = 0
+    for u, v in edges:
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[ru] = rv
+            merged += 1
+    return merged == num_vertices - 1
 
 
 @dataclass(frozen=True)
@@ -50,25 +71,8 @@ class MarkedGraph:
         for v in self.legs:
             if not (0 <= v < nv):
                 raise ValueError(f"leg vertex {v} out of range")
-        if not self._connected():
+        if not is_connected(nv, self.edges):
             raise ValueError("graph must be connected")
-
-    def _connected(self) -> bool:
-        nv = len(self.weights)
-        if nv == 1:
-            return True
-        adj: list[set[int]] = [set() for _ in range(nv)]
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        seen = {0}
-        stack = [0]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == nv
 
     @property
     def num_vertices(self) -> int:
@@ -88,30 +92,6 @@ class MarkedGraph:
 
     def markings_at(self, v: int) -> tuple[int, ...]:
         return tuple(i + 1 for i, lv in enumerate(self.legs) if lv == v)
-
-    # Half-edge view: edge k owns half-edges 2k and 2k+1; marking i owns
-    # half-edge 2|E| + i - 1, a fixed point of the involution.
-    def half_edges(self) -> tuple[int, ...]:
-        return tuple(range(2 * self.num_edges + self.num_legs))
-
-    def involution(self) -> dict[int, int]:
-        inv = {}
-        for k in range(self.num_edges):
-            inv[2 * k] = 2 * k + 1
-            inv[2 * k + 1] = 2 * k
-        for i in range(self.num_legs):
-            h = 2 * self.num_edges + i
-            inv[h] = h
-        return inv
-
-    def endpoint(self) -> dict[int, int]:
-        end = {}
-        for k, (u, v) in enumerate(self.edges):
-            end[2 * k] = u
-            end[2 * k + 1] = v
-        for i, v in enumerate(self.legs):
-            end[2 * self.num_edges + i] = v
-        return end
 
     def is_loop(self, e: int) -> bool:
         u, v = self.edges[e]

@@ -1,11 +1,12 @@
 """Exact sparse linear algebra over the rationals.
 
 All entries are fractions.Fraction values and every operation is exact; no
-floating point appears anywhere. Ranks and kernels are computed by
-fraction-free elimination: rows are cleared to integers up front and row
-updates use the Bareiss-style cross-multiplication rule followed by content
-(gcd) removal, so intermediate values stay integers of modest size. Pivots
-are chosen by sparsity.
+floating point appears anywhere. Ranks are computed by fraction-free
+elimination, which also yields kernels and subspace dimensions: rows are
+cleared to integers up front and row updates use the Bareiss-style
+cross-multiplication rule followed by content (gcd) removal, so
+intermediate values stay integers of modest size. Pivots are chosen by
+sparsity.
 """
 
 from __future__ import annotations
@@ -255,29 +256,14 @@ def kernel_basis(m: RationalMatrix) -> list[Vector]:
     return basis
 
 
-def _rows_from_vectors(vectors: Iterable[Sequence]) -> tuple[list[dict[int, int]], int]:
-    vecs = [tuple(_as_fraction(x) for x in v) for v in vectors]
-    if not vecs:
-        return [], -1
-    ambient = len(vecs[0])
-    for v in vecs:
-        if len(v) != ambient:
-            raise ValueError("ambient-dimension mismatch")
-    m = RationalMatrix.from_rows(vecs)
-    return _integer_rows(m), ambient
-
-
 def subspace_dims(u: Iterable[Sequence], v: Iterable[Sequence]) -> tuple[int, int, int, int]:
     """(dim span u, dim span v, dim of the sum, dim of the intersection).
 
     The intersection dimension comes from dim(U) + dim(V) - dim(U+V); all
-    four numbers are exact.
+    four numbers are exact. Vectors of different lengths raise ValueError.
     """
-    u_rows, amb_u = _rows_from_vectors(u)
-    v_rows, amb_v = _rows_from_vectors(v)
-    if amb_u >= 0 and amb_v >= 0 and amb_u != amb_v:
-        raise ValueError("ambient-dimension mismatch")
-    dim_u = len(_eliminate([dict(r) for r in u_rows]))
-    dim_v = len(_eliminate([dict(r) for r in v_rows]))
-    dim_sum = len(_eliminate([dict(r) for r in u_rows + v_rows]))
+    u, v = list(u), list(v)
+    dim_u = rank(RationalMatrix.from_rows(u))
+    dim_v = rank(RationalMatrix.from_rows(v))
+    dim_sum = rank(RationalMatrix.from_rows(u + v))
     return (dim_u, dim_v, dim_sum, dim_u + dim_v - dim_sum)

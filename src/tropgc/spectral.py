@@ -3,19 +3,27 @@
 A chain of weight data, aligned so that consecutive signatures are nested,
 filters the graph complex of its last datum by stability level: level(x) is
 the first index p at which the generator x is stable. Every filtered piece
-F_p is a coordinate subspace of the generator basis, so all page dimensions
+F_p is a coordinate subspace of the generator basis, so every page
 
     E^r_{p,q} = {x in F_p C_{p+q} : dx in F_{p-r}} / (F_{p-1} + d F_{p+r-1})
 
-reduce to kernels and column spans of boundary submatrices. Pages stabilize
+has a dimension that is a signed sum of ranks of boundary blocks: with
+R_d(a, b) the rank of the boundary of degree d restricted to columns of
+level <= b and rows of level >= a,
+
+    dim E^r_{p,d-p} = #{level = p} - [R_d(p-r+1, p) - R_d(p-r+1, p-1)]
+                      - [R_{d+1}(p, p+r-1) - R_{d+1}(p+1, p+r-1)].
+
+The first bracket counts the level-p directions whose boundary leaves
+F_{p-r}; the second counts the boundaries of F_{p+r-1} that lie in F_p but
+not in F_{p-1}. Pages stabilize
 at r = max(p, N-p+1); the infinity table decomposes the Betti numbers of the
 base complex degree by degree.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .chambers import (DomainError, WeightDatum, apply_permutation,
@@ -24,7 +32,7 @@ from .chambers import (DomainError, WeightDatum, apply_permutation,
 from .complexes import (ChainComplex, build_graph_complex,
                         build_relative_complex, homology, moduli_label)
 from .enumeration import GRAPH_COMPLEX, check_aligned, filtration_levels
-from .linalg import RationalMatrix, kernel_basis, subspace_dims
+from .linalg import RationalMatrix, rank
 
 Permutation = tuple[int, ...]
 
@@ -72,6 +80,8 @@ class FilteredComplex:
     chain: tuple[WeightDatum, ...]
     base: ChainComplex
     levels: tuple[tuple[int, ...], ...]  # aligned with base.bases
+    _block_ranks: dict[tuple[int, int, int], int] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def num_levels(self) -> int:
@@ -80,6 +90,22 @@ class FilteredComplex:
     def level_row(self, k: int) -> tuple[int, ...]:
         i = self.base._index(k)
         return self.levels[i] if i is not None else ()
+
+    def block_rank(self, d: int, a: int, b: int) -> int:
+        """R_d(a, b): rank of boundary(d) on the columns of level <= b and
+        the rows of level >= a, memoized per (d, a, b)."""
+        a, b = max(a, 1), min(b, self.num_levels)
+        if a > b:
+            return 0  # the boundary never raises the level
+        key = (d, a, b)
+        if key not in self._block_ranks:
+            bnd = self.base.boundary(d)
+            lev_rows, lev_cols = self.level_row(d - 1), self.level_row(d)
+            block = {(i, j): v for (i, j), v in bnd.entries().items()
+                     if lev_rows[i] >= a and lev_cols[j] <= b}
+            self._block_ranks[key] = rank(
+                RationalMatrix(bnd.rows, bnd.cols, block))
+        return self._block_ranks[key]
 
 
 def build_filtered_complex(g: int, chain: Sequence[WeightDatum]
@@ -109,62 +135,17 @@ def filtered_from_raw(g: int, raw: Sequence[WeightDatum]) -> FilteredComplex:
 
 
 def page_dim(f: FilteredComplex, r: int, p: int, q: int) -> int:
-    """Dimension of E^r_{p,q}, exact over Q."""
+    """Dimension of E^r_{p,q}, exact over Q: with d = p + q and R the
+    block ranks of f, #{level = p} - [R_d(p-r+1, p) - R_d(p-r+1, p-1)]
+    - [R_{d+1}(p, p+r-1) - R_{d+1}(p+1, p+r-1)]."""
     if r < 0:
         raise DomainError("page index must be nonnegative")
-    n_levels = f.num_levels
-    if p < 1 or p > n_levels:
+    if p < 1 or p > f.num_levels:
         return 0
-    d = p + q
-    dim_d = f.base.dim(d)
-    if dim_d == 0:
-        return 0
-    lev_d = f.level_row(d)
-    cols = [j for j in range(dim_d) if lev_d[j] <= p]
-    if not cols:
-        return 0
-
-    # Z: elements of F_p whose boundary components above level p-r vanish.
-    bnd = f.base.boundary(d)
-    lev_below = f.level_row(d - 1)
-    rows = [i for i in range(bnd.rows) if lev_below[i] > p - r]
-    row_of = {i: a for a, i in enumerate(rows)}
-    col_of = {j: b for b, j in enumerate(cols)}
-    sub_entries = {(row_of[i], col_of[j]): v
-                   for (i, j), v in bnd.entries().items()
-                   if i in row_of and j in col_of}
-    sub = RationalMatrix(len(rows), len(cols), sub_entries)
-    kern = kernel_basis(sub)
-    if not kern:
-        return 0
-    zero = Fraction(0)
-    z_vecs = []
-    for vec in kern:
-        dense = [zero] * dim_d
-        for a, j in enumerate(cols):
-            dense[j] = vec[a]
-        z_vecs.append(dense)
-
-    # W: F_{p-1} plus boundaries of F_{p+r-1} in the next degree.
-    w_vecs = []
-    for j in range(dim_d):
-        if lev_d[j] <= p - 1:
-            dense = [zero] * dim_d
-            dense[j] = Fraction(1)
-            w_vecs.append(dense)
-    above = f.base.boundary(d + 1)
-    lev_above = f.level_row(d + 1)
-    if above.cols:
-        by_col: dict[int, list[Fraction]] = {}
-        for (i, j), v in above.entries().items():
-            by_col.setdefault(j, [zero] * dim_d)[i] = v
-        for j in sorted(by_col):
-            if lev_above[j] <= p + r - 1:
-                w_vecs.append(by_col[j])
-    if not w_vecs:
-        return len(kern)
-    dim_z, _, _, dim_int = subspace_dims(z_vecs, w_vecs)
-    return dim_z - dim_int
+    d, rk = p + q, f.block_rank
+    return (f.level_row(d).count(p)
+            - rk(d, p - r + 1, p) + rk(d, p - r + 1, p - 1)
+            - rk(d + 1, p, p + r - 1) + rk(d + 1, p + 1, p + r - 1))
 
 
 @dataclass

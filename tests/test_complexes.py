@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tropgc import (
+    ChainComplex,
     DomainError,
+    RationalMatrix,
     WeightDatum,
     build_cellular_complex,
     build_graph_complex,
@@ -96,10 +98,30 @@ class TestGraphHomology:
         assert all(v == 0 for v in rep.betti.values())
 
     def test_sign_convention_does_not_change_betti(self):
-        plain = homology(build_graph_complex(1, CLASSICAL3)).betti
-        flipped = homology(build_graph_complex(1, CLASSICAL3,
-                                               sign_flip=True)).betti
-        assert plain == flipped
+        plain = build_graph_complex(1, CLASSICAL3)
+        negated = tuple(
+            RationalMatrix(m.rows, m.cols,
+                           {ij: -v for ij, v in m.entries().items()})
+            for m in plain.boundaries)
+        assert negated != plain.boundaries
+        # the constructor re-checks that the negated boundaries square to zero
+        flipped = ChainComplex(plain.kind, plain.g, plain.weights,
+                               plain.degrees, plain.bases, negated)
+        assert homology(flipped).betti == homology(plain).betti
+
+    def test_truncated_cache_file_is_not_a_silent_answer(self, tmp_path,
+                                                         monkeypatch):
+        # Cutting the degree-1 cache file of (1,4) to 3 of its 53 lines used
+        # to drop every boundary term into the missing classes and report
+        # b_0 = 10, b_2 = 21 instead of b_2 = 3.
+        monkeypatch.setenv("TROPGC_CACHE", str(tmp_path))
+        assert homology(build_graph_complex(1, CLASSICAL4)).betti[2] == 3
+        [path] = tmp_path.glob("g1_n4_m3_pure_*.txt")
+        lines = path.read_text().splitlines(keepends=True)
+        assert len(lines) == 53
+        path.write_text("".join(lines[:3]))
+        with pytest.raises(AssertionError, match="missing from the basis"):
+            build_graph_complex(1, CLASSICAL4)
 
     @pytest.mark.parametrize("g,a", [
         (1, CLASSICAL2), (1, CLASSICAL3), (1, MINIMAL3), (1, NEAR_F3),

@@ -1,15 +1,23 @@
 """Exact rational linear algebra: ranks, kernels, subspace dimensions."""
 
+import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from tropgc import (
     RationalMatrix,
     WeightDatum,
     build_graph_complex,
+    compare_up_to_symmetry,
+    enumerate_chambers,
+    feasible_point,
     filtered_from_raw,
     kernel_basis,
+    make_floor,
+    make_heavy_light,
+    make_minimal,
     page_dim,
     rank,
     subspace_dims,
@@ -31,6 +39,32 @@ FIVE_CHAMBER_RAW = [
 
 def classical(g: int, n: int) -> WeightDatum:
     return WeightDatum(g, (Fraction(1),) * n)
+
+
+def census_chain(seed: int):
+    """A random chain of (1,3) chambers, each Less or Equal to the next."""
+    points = [feasible_point(s) for s in enumerate_chambers(1, 3).chambers]
+    rng = random.Random(seed)
+    cur = rng.randrange(len(points))
+    chain = [points[cur]]
+    for _ in range(rng.randint(1, 3)):
+        cur = rng.choice([j for j in range(len(points))
+                          if compare_up_to_symmetry(points[j], points[cur])
+                          .relation in ("Less", "Equal")])
+        chain.append(points[cur])
+    return 1, chain[::-1]
+
+
+CHAINS = {
+    "five-chamber": lambda: (1, FIVE_CHAMBER_RAW),
+    "heavy-light": lambda: (1, [make_heavy_light(1, 3, m) for m in (0, 1, 2)]),
+    "floor-g2": lambda: (2, [make_minimal(2, 3), make_floor(2, 3, 3),
+                             classical(2, 3)]),
+    "census-1": lambda: census_chain(1),
+    "census-2": lambda: census_chain(2),
+    "census-3": lambda: census_chain(3),
+    "census-4": lambda: census_chain(4),
+}
 
 
 class TestRank:
@@ -89,29 +123,46 @@ class TestSubspaceDims:
     def test_equal_lines(self):
         assert subspace_dims([(1, 1)], [(1, 1)]) == (1, 1, 1, 1)
 
-    def test_five_chamber_degree_one_intersection(self):
-        # In degree 1 of the five-chamber filtration the kernel of the
-        # boundary restricted to the first filtered piece meets
-        # F_0 + boundary(F_5) trivially, so the last page keeps dimension 1.
-        f = filtered_from_raw(1, FIVE_CHAMBER_RAW)
-        d1 = f.base.boundary(1)
-        levels = f.level_row(1)
-        cols = [j for j, lev in enumerate(levels) if lev <= 1]
-        sub = RationalMatrix(d1.rows, len(cols),
-                             {(i, jj): d1.entry(i, j)
-                              for jj, j in enumerate(cols)
-                              for i in range(d1.rows)
-                              if d1.entry(i, j) != 0})
-        z_vecs = []
-        for vec in kernel_basis(sub):
-            dense = [Fraction(0)] * d1.cols
-            for jj, j in enumerate(cols):
-                dense[j] = vec[jj]
-            z_vecs.append(dense)
-        w_vecs = []  # F_0 = 0 and degree 2 is empty, so nothing to add
-        dim_z, dim_w, dim_sum, dim_int = subspace_dims(z_vecs, w_vecs)
-        assert (dim_z, dim_w, dim_int) == (1, 0, 0)
-        assert page_dim(f, 5, 1, 0) == dim_z - dim_int == 1
+    def test_mismatched_ambient_dimensions_rejected(self):
+        with pytest.raises(ValueError):
+            subspace_dims([(1, 0)], [(1, 0, 0)])
+
+    @pytest.mark.parametrize("chain", sorted(CHAINS))
+    def test_every_page_matches_definition(self, chain):
+        f = filtered_from_raw(*CHAINS[chain]())
+        n_levels = f.num_levels
+        for r in range(n_levels + 2):
+            for d in f.base.degrees:
+                for p in range(1, n_levels + 1):
+                    assert page_dim(f, r, p, d - p) == \
+                        page_dim_by_definition(f, r, p, d), (r, p, d)
+
+
+def page_dim_by_definition(f, r: int, p: int, d: int) -> int:
+    """dim Z - dim(Z ∩ W) for Z = {x in F_p C_d : dx in F_{p-r}} and
+    W = F_{p-1} + d F_{p+r-1}, from kernels and spans of dense vectors."""
+    lev = f.level_row(d)
+    lev_below = f.level_row(d - 1)
+    cols = [j for j, lv in enumerate(lev) if lv <= p]
+    col_of = {j: b for b, j in enumerate(cols)}
+    bnd = f.base.boundary(d)
+    block = RationalMatrix(bnd.rows, len(cols),
+                           {(i, col_of[j]): v
+                            for (i, j), v in bnd.entries().items()
+                            if j in col_of and lev_below[i] > p - r})
+    z_vecs = []
+    for vec in kernel_basis(block):
+        dense = [Fraction(0)] * len(lev)
+        for b, j in enumerate(cols):
+            dense[j] = vec[b]
+        z_vecs.append(dense)
+    w_vecs = [[Fraction(int(i == j)) for i in range(len(lev))]
+              for j, lv in enumerate(lev) if lv <= p - 1]
+    above = f.base.boundary(d + 1)
+    w_vecs += [list(above.column(j))
+               for j, lv in enumerate(f.level_row(d + 1)) if lv <= p + r - 1]
+    dim_z, _, _, dim_int = subspace_dims(z_vecs, w_vecs)
+    return dim_z - dim_int
 
 
 small_fraction = st.builds(
