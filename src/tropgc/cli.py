@@ -2,7 +2,10 @@
 
 Every command writes exactly one JSON document to stdout (keys sorted, so
 identical invocations are byte-identical); --pretty adds an indented copy on
-stderr. Exit codes: 0 success, 1 domain error, 2 usage or parse error.
+stderr. Exit codes: 0 success, 1 domain error, 2 usage or parse error,
+3 internal error (a failed consistency check, such as a boundary that does
+not square to zero or a contraction target missing from the basis; nothing
+is written to stdout).
 """
 
 from __future__ import annotations
@@ -163,6 +166,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
+    except AssertionError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
     _emit(payload, args.pretty)
     return 0
 

@@ -152,47 +152,29 @@ def split_AB(c: ChainComplex) -> tuple[ChainComplex, ChainComplex]:
     """
     if c.kind != CELLULAR_KIND:
         raise DomainError("only a cellular complex splits this way")
-
-    def is_a(cg: CanonicalGraph) -> bool:
-        return is_pure(cg.graph) and not has_loops(cg.graph)
-
-    a_bases, b_bases, a_mats, b_mats = [], [], [], []
-    prev_split: Optional[tuple[list[int], list[int]]] = None
-    for i, k in enumerate(c.degrees):
-        basis = c.bases[i]
-        a_idx = [j for j, cg in enumerate(basis) if is_a(cg)]
-        b_idx = [j for j, cg in enumerate(basis) if not is_a(cg)]
-        a_bases.append(tuple(basis[j] for j in a_idx))
-        b_bases.append(tuple(basis[j] for j in b_idx))
-        if i == 0:
-            a_mats.append(RationalMatrix.zero(0, len(a_idx)))
-            b_mats.append(RationalMatrix.zero(0, len(b_idx)))
-        else:
-            pa, pb = prev_split
-            row_a = {j: r for r, j in enumerate(pa)}
-            row_b = {j: r for r, j in enumerate(pb)}
-            col_a = {j: r for r, j in enumerate(a_idx)}
-            col_b = {j: r for r, j in enumerate(b_idx)}
-            ent_a, ent_b = {}, {}
+    in_a = [[is_pure(cg.graph) and not has_loops(cg.graph) for cg in basis]
+            for basis in c.bases]
+    parts = []
+    for kind, keep in ((A_PART, True), (B_PART, False)):
+        kept = [[j for j, a in enumerate(flags) if a == keep]
+                for flags in in_a]
+        bases, mats = [], []
+        for i, idx in enumerate(kept):
+            col_of = {j: b for b, j in enumerate(idx)}
+            row_of = {j: b for b, j in enumerate(kept[i - 1])} if i else {}
+            entries = {}
             for (row, col), v in c.boundaries[i].entries().items():
-                if col in col_a:
-                    if row not in row_a:
+                if col in col_of:
+                    if row not in row_of:
                         raise AssertionError(
-                            "loopless pure part is not boundary-closed")
-                    ent_a[(row_a[row], col_a[col])] = v
-                else:
-                    if row not in row_b:
-                        raise AssertionError(
-                            "loop-or-weight part is not boundary-closed")
-                    ent_b[(row_b[row], col_b[col])] = v
-            a_mats.append(RationalMatrix(len(pa), len(a_idx), ent_a))
-            b_mats.append(RationalMatrix(len(pb), len(b_idx), ent_b))
-        prev_split = (a_idx, b_idx)
-    a_part = ChainComplex(A_PART, c.g, c.weights, c.degrees,
-                          tuple(a_bases), tuple(a_mats))
-    b_part = ChainComplex(B_PART, c.g, c.weights, c.degrees,
-                          tuple(b_bases), tuple(b_mats))
-    return a_part, b_part
+                            f"{kind} of the cellular complex is not "
+                            "boundary-closed")
+                    entries[(row_of[row], col_of[col])] = v
+            bases.append(tuple(c.bases[i][j] for j in idx))
+            mats.append(RationalMatrix(len(row_of), len(idx), entries))
+        parts.append(ChainComplex(kind, c.g, c.weights, c.degrees,
+                                  tuple(bases), tuple(mats)))
+    return parts[0], parts[1]
 
 
 def build_relative_complex(g: int, upper: WeightDatum,

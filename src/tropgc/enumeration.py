@@ -6,7 +6,8 @@ other weight datum filters that list through is_stable. This is sound
 because entrywise-smaller weight data have nested stable-graph sets, and it
 lets chamber-equal data share one cache entry: cache files are keyed by
 (g, n, edge count, purity, signature hash) and store one canonical graph
-encoding per line.
+encoding per line, after a header line with the line count and a SHA-256 of
+the body, so a truncated or damaged file is recomputed, not believed.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import os
 import tempfile
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
@@ -122,14 +124,27 @@ def _cache_path(g: int, n: int, m: int, pure_only: bool, sig_hash: str) -> str:
                         f"g{g}_n{n}_m{m}_{kind}_{sig_hash}.txt")
 
 
+def _cache_header(body: bytes) -> bytes:
+    """First line of a cache file: format version, line count and the
+    SHA-256 of everything after it."""
+    count, digest = body.count(b"\n"), hashlib.sha256(body).hexdigest()
+    return f"tropgc-cache 1 {count} {digest}".encode()
+
+
 def _cache_load(path: str) -> Optional[tuple[CanonicalGraph, ...]]:
+    """Classes stored at path; None, with a warning, when the file's header
+    is missing or does not match its body, so the caller recomputes."""
     try:
-        with open(path, "r", encoding="ascii") as fh:
-            lines = [line.strip() for line in fh if line.strip()]
+        with open(path, "rb") as fh:
+            header, _, body = fh.read().partition(b"\n")
     except FileNotFoundError:
         return None
+    if header != _cache_header(body):
+        warnings.warn(f"ignoring cache file {path}: its header is missing or "
+                      "does not match its contents; recomputing", stacklevel=2)
+        return None
     classes = []
-    for line in lines:
+    for line in body.decode("ascii").splitlines():
         graph = decode_graph(line)
         cg, _ = canonicalize(graph)
         if cg.encoding != line:
@@ -140,12 +155,12 @@ def _cache_load(path: str) -> Optional[tuple[CanonicalGraph, ...]]:
 
 def _cache_store(path: str, classes: Iterable[CanonicalGraph]) -> None:
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    payload = "".join(cg.encoding + "\n" for cg in classes)
+    body = "".join(cg.encoding + "\n" for cg in classes).encode("ascii")
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
                                suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="ascii") as fh:
-            fh.write(payload)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(_cache_header(body) + b"\n" + body)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -158,7 +173,8 @@ def enumerate_stable_graphs(g: int, a: WeightDatum, m: int,
     """All isomorphism classes of (g, a)-stable graphs with m edges.
 
     Results are complete, duplicate free, sorted by canonical encoding, and
-    cached on disk (directory from TROPGC_CACHE, default ./.tropgc-cache).
+    cached on disk (directory from TROPGC_CACHE, default ./.tropgc-cache);
+    a cache file whose header does not match its body is recomputed.
     """
     if a.g != g:
         raise DomainError(f"weight datum has genus {a.g}, expected {g}")

@@ -1,19 +1,22 @@
 """Exact sparse linear algebra over the rationals.
 
 All entries are fractions.Fraction values and every operation is exact; no
-floating point appears anywhere. Ranks are computed by fraction-free
-elimination, which also yields kernels and subspace dimensions: rows are
-cleared to integers up front and row updates use the Bareiss-style
-cross-multiplication rule followed by content (gcd) removal, so
-intermediate values stay integers of modest size. Pivots are chosen by
-sparsity.
+floating point appears anywhere. There is one elimination, column_pivots: a
+fraction-free, left-to-right column reduction that clears each column to a
+primitive integer vector and reduces it against earlier pivot columns until
+its lowest row is new. The rank is the number of pivots. By the pairing
+lemma of persistence (Cohen-Steiner, Edelsbrunner and Morozov, "Vines and
+vineyards", 2006), with columns and rows ordered by a filtration, the rank
+of every lower-left block is the number of pivots inside it. Kernels come
+from the reduction of m stacked over the identity, and subspace dimensions
+from ranks.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 Vector = tuple[Fraction, ...]
 
@@ -123,137 +126,79 @@ class RationalMatrix:
         return f"RationalMatrix({self.rows}x{self.cols}, {len(self._entries)} nonzero)"
 
 
-def _integer_rows(m: RationalMatrix) -> list[dict[int, int]]:
-    """Rows of m as sparse integer dicts, each scaled by a positive rational."""
-    rows: list[dict[int, int]] = [{} for _ in range(m.rows)]
-    for (i, j), v in m.entries().items():
-        rows[i][j] = v
-    out = []
-    for row in rows:
-        if not row:
-            continue
-        denom_lcm = 1
-        for v in row.values():
-            denom_lcm = denom_lcm * v.denominator // gcd(denom_lcm, v.denominator)
-        ints = {j: int(v * denom_lcm) for j, v in row.items()}
-        content = 0
-        for v in ints.values():
-            content = gcd(content, v)
-        out.append({j: v // content for j, v in ints.items()})
-    return out
+def column_pivots(m: RationalMatrix, order: Optional[Iterable[int]] = None,
+                  row_key: Optional[Callable[[int], object]] = None
+                  ) -> dict[int, tuple[int, dict[int, int]]]:
+    """Left-to-right column reduction of m: {column: (pivot row, column)}.
 
-
-def _reduce_content(row: dict[int, int]) -> dict[int, int]:
-    g = 0
-    for v in row.values():
-        g = gcd(g, v)
-        if g == 1:
-            return row
-    if g <= 1:
-        return row
-    return {j: v // g for j, v in row.items()}
-
-
-def _eliminate(rows: list[dict[int, int]]) -> list[tuple[int, dict[int, int]]]:
-    """Forward elimination; returns (pivot column, row) pairs spanning the row space.
-
-    Pivot rows are chosen by fewest nonzeros, pivot columns by fewest
-    occurrences among the remaining rows; elimination uses the fraction-free
-    rule new = pivot_value * row - row[c] * pivot_row followed by content
-    removal, so all arithmetic stays in Z.
+    Columns are taken in `order` (default: left to right) as primitive
+    integer vectors. Each is reduced against the earlier pivot columns until
+    its lowest row, the maximum under `row_key` (default: the row index), is
+    not yet a pivot row, or until it vanishes; only pivot columns are
+    returned, with their reduced entries {row: integer}. The update
+    new = (p/g) * column - (c/g) * pivot_column, g = gcd(p, c), followed by
+    content removal keeps all arithmetic in Z.
     """
-    active = [r for r in rows if r]
-    done: list[tuple[int, dict[int, int]]] = []
-    while active:
-        col_count: dict[int, int] = {}
-        for r in active:
-            for j in r:
-                col_count[j] = col_count.get(j, 0) + 1
-        best = None
-        for idx, r in enumerate(active):
-            for j, v in r.items():
-                key = (len(r), col_count[j], abs(v), j, idx)
-                if best is None or key < best[0]:
-                    best = (key, idx, j)
-        _, idx, c = best
-        pivot_row = active.pop(idx)
-        p = pivot_row[c]
-        nxt = []
-        for r in active:
-            if c in r:
-                f = r[c]
-                new = {}
-                for j in set(r) | set(pivot_row):
-                    v = p * r.get(j, 0) - f * pivot_row.get(j, 0)
-                    if v:
-                        new[j] = v
-                if new:
-                    nxt.append(_reduce_content(new))
-            else:
-                nxt.append(r)
-        active = nxt
-        done.append((c, pivot_row))
-    return done
+    cols: dict[int, dict[int, Fraction]] = {}
+    for (i, j), v in m._entries.items():
+        cols.setdefault(j, {})[i] = v
+    by_row: dict[int, dict[int, int]] = {}
+    pivots: dict[int, tuple[int, dict[int, int]]] = {}
+    for j in range(m.cols) if order is None else order:
+        col = _primitive(cols.get(j, {}))
+        while col:
+            low = max(col, key=row_key)
+            prev = by_row.get(low)
+            if prev is None:
+                by_row[low] = col
+                pivots[j] = (low, col)
+                break
+            p, c = prev[low], col[low]
+            g = gcd(p, c)
+            p, c = p // g, c // g
+            new = {i: p * v for i, v in col.items()}
+            for i, v in prev.items():
+                w = new.get(i, 0) - c * v
+                if w:
+                    new[i] = w
+                else:
+                    del new[i]
+            col = _primitive(new)
+    return pivots
+
+
+def _primitive(col: Mapping[int, Fraction | int]) -> dict[int, int]:
+    """col scaled by a positive rational to coprime integer entries."""
+    denom = 1
+    for v in col.values():
+        denom = denom * v.denominator // gcd(denom, v.denominator)
+    content = 0
+    for v in col.values():
+        content = gcd(content, int(v * denom))
+        if content == 1:
+            break
+    return {i: int(v * denom) // content for i, v in col.items()}
 
 
 def rank(m: RationalMatrix) -> int:
-    """Exact rank of m over Q."""
-    return len(_eliminate(_integer_rows(m)))
-
-
-def _reduced_echelon(m: RationalMatrix) -> list[tuple[int, dict[int, int]]]:
-    """Echelon rows with each pivot column cleared from every other row."""
-    done = _eliminate(_integer_rows(m))
-    for k in range(len(done) - 1, -1, -1):
-        c, prow = done[k]
-        p = prow[c]
-        for t in range(k):
-            ct, r = done[t]
-            if c in r:
-                f = r[c]
-                new = {}
-                for j in set(r) | set(prow):
-                    v = p * r.get(j, 0) - f * prow.get(j, 0)
-                    if v:
-                        new[j] = v
-                done[t] = (ct, _reduce_content(new))
-    return done
-
-
-def _normalize_vector(vec: list[Fraction]) -> Vector:
-    """Scale to a primitive integer vector whose first nonzero entry is positive."""
-    denom_lcm = 1
-    for v in vec:
-        denom_lcm = denom_lcm * v.denominator // gcd(denom_lcm, v.denominator)
-    ints = [int(v * denom_lcm) for v in vec]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    if g:
-        ints = [v // g for v in ints]
-        for v in ints:
-            if v:
-                if v < 0:
-                    ints = [-x for x in ints]
-                break
-    return tuple(Fraction(v) for v in ints)
+    """Exact rank of m over Q: the number of pivots of its column reduction."""
+    return len(column_pivots(m))
 
 
 def kernel_basis(m: RationalMatrix) -> list[Vector]:
-    """Basis of the right kernel {x : m x = 0}, one vector per free column."""
-    done = _reduced_echelon(m)
-    pivot_cols = {c: row for c, row in done}
-    basis = []
-    for f in range(m.cols):
-        if f in pivot_cols:
-            continue
-        vec = [Fraction(0)] * m.cols
-        vec[f] = Fraction(1)
-        for c, row in pivot_cols.items():
-            if f in row:
-                vec[c] = Fraction(-row[f], row[c])
-        basis.append(_normalize_vector(vec))
-    return basis
+    """Basis of the right kernel {x : m x = 0} as primitive integer vectors.
+
+    The reduction of m stacked over the identity, with the identity rows
+    below every row of m, leaves one column per free column of m whose m
+    part vanishes; its identity part is a kernel vector.
+    """
+    n = m.rows
+    stacked = RationalMatrix(n + m.cols, m.cols, {
+        **m._entries, **{(n + j, j): Fraction(1) for j in range(m.cols)}})
+    return [tuple(Fraction(col.get(n + k, 0)) for k in range(m.cols))
+            for low, col in column_pivots(
+                stacked, row_key=lambda i: (i < n, i)).values()
+            if low >= n]
 
 
 def subspace_dims(u: Iterable[Sequence], v: Iterable[Sequence]) -> tuple[int, int, int, int]:

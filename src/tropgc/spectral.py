@@ -16,8 +16,11 @@ level <= b and rows of level >= a,
 
 The first bracket counts the level-p directions whose boundary leaves
 F_{p-r}; the second counts the boundaries of F_{p+r-1} that lie in F_p but
-not in F_{p-1}. Pages stabilize
-at r = max(p, N-p+1); the infinity table decomposes the Betti numbers of the
+not in F_{p-1}. Each R_d(a, b) is a count of pivots: one column reduction
+of the degree-d boundary, columns in order of level and rows keyed by
+level, has exactly R_d(a, b) pivots with column level <= b and row level
+>= a (the pairing lemma of persistence). Pages stabilize at
+r = max(p, N-p+1); the infinity table decomposes the Betti numbers of the
 base complex degree by degree.
 """
 
@@ -32,7 +35,7 @@ from .chambers import (DomainError, WeightDatum, apply_permutation,
 from .complexes import (ChainComplex, build_graph_complex,
                         build_relative_complex, homology, moduli_label)
 from .enumeration import GRAPH_COMPLEX, check_aligned, filtration_levels
-from .linalg import RationalMatrix, rank
+from .linalg import column_pivots
 
 Permutation = tuple[int, ...]
 
@@ -80,7 +83,7 @@ class FilteredComplex:
     chain: tuple[WeightDatum, ...]
     base: ChainComplex
     levels: tuple[tuple[int, ...], ...]  # aligned with base.bases
-    _block_ranks: dict[tuple[int, int, int], int] = field(
+    _pivot_levels: dict[int, list[tuple[int, int]]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -93,19 +96,19 @@ class FilteredComplex:
 
     def block_rank(self, d: int, a: int, b: int) -> int:
         """R_d(a, b): rank of boundary(d) on the columns of level <= b and
-        the rows of level >= a, memoized per (d, a, b)."""
-        a, b = max(a, 1), min(b, self.num_levels)
-        if a > b:
-            return 0  # the boundary never raises the level
-        key = (d, a, b)
-        if key not in self._block_ranks:
-            bnd = self.base.boundary(d)
+        the rows of level >= a, counted as the pivots in that block of one
+        column reduction per degree (columns by level, rows keyed by
+        (level, index)), memoized per degree."""
+        if d not in self._pivot_levels:
             lev_rows, lev_cols = self.level_row(d - 1), self.level_row(d)
-            block = {(i, j): v for (i, j), v in bnd.entries().items()
-                     if lev_rows[i] >= a and lev_cols[j] <= b}
-            self._block_ranks[key] = rank(
-                RationalMatrix(bnd.rows, bnd.cols, block))
-        return self._block_ranks[key]
+            pivots = column_pivots(
+                self.base.boundary(d),
+                order=sorted(range(len(lev_cols)), key=lev_cols.__getitem__),
+                row_key=lambda i: (lev_rows[i], i))
+            self._pivot_levels[d] = [(lev_cols[j], lev_rows[i])
+                                     for j, (i, _) in pivots.items()]
+        return sum(1 for col, row in self._pivot_levels[d]
+                   if col <= b and row >= a)
 
 
 def build_filtered_complex(g: int, chain: Sequence[WeightDatum]

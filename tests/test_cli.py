@@ -187,6 +187,17 @@ class TestSpectralCommand:
 
 
 class TestErrorHandling:
+    def test_internal_error_exits_three(self, capsys, monkeypatch):
+        def broken(_complex):
+            raise AssertionError("boundary squared is nonzero from degree 1")
+        monkeypatch.setattr("tropgc.cli.homology", broken)
+        rc, out, err = run(capsys, ["homology", "--g", "1",
+                                    "--weights", "1,1,1"])
+        assert rc == 3
+        assert out == ""
+        assert err == ("internal error: boundary squared is nonzero "
+                       "from degree 1\n")
+
     def test_bad_rational_is_usage_error(self, capsys):
         rc, _, err = run(capsys, ["chambers", "signature", "--g", "1",
                                   "--weights", "1,apple,1"])

@@ -1,6 +1,7 @@
 """Graph, cellular, and relative chain complexes and their homology."""
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +20,8 @@ from tropgc import (
     rank,
     split_AB,
 )
+from tropgc.complexes import GRAPH, _assemble
+from tropgc.enumeration import GRAPH_COMPLEX, degree_range, generator_basis
 from tropgc.graphs import MarkedGraph, canonicalize
 
 from .oracles import dense_rank, graph_betti
@@ -113,15 +116,59 @@ class TestGraphHomology:
                                                          monkeypatch):
         # Cutting the degree-1 cache file of (1,4) to 3 of its 53 lines used
         # to drop every boundary term into the missing classes and report
-        # b_0 = 10, b_2 = 21 instead of b_2 = 3.
+        # b_0 = 10, b_2 = 21 instead of b_2 = 3. The header no longer matches,
+        # so the file is recomputed.
         monkeypatch.setenv("TROPGC_CACHE", str(tmp_path))
         assert homology(build_graph_complex(1, CLASSICAL4)).betti[2] == 3
         [path] = tmp_path.glob("g1_n4_m3_pure_*.txt")
         lines = path.read_text().splitlines(keepends=True)
-        assert len(lines) == 53
+        assert len(lines) == 1 + 53
         path.write_text("".join(lines[:3]))
+        with pytest.warns(UserWarning, match="ignoring cache file"):
+            assert homology(build_graph_complex(1, CLASSICAL4)).betti[2] == 3
+        assert path.read_text().splitlines(keepends=True) == lines
+
+    @pytest.mark.parametrize("damage", ["top-degree-truncated",
+                                        "corrupted-line", "headerless"])
+    def test_damaged_cache_file_is_recomputed(self, tmp_path, monkeypatch,
+                                              damage):
+        # The top degree is the FOUND case: no contraction lands there, so a
+        # short file used to print b_1 = 18, b_2 = 0 without any error.
+        monkeypatch.setenv("TROPGC_CACHE", str(tmp_path))
+        assert homology(build_graph_complex(1, CLASSICAL4)).betti[2] == 3
+        [path] = tmp_path.glob("g1_n4_m4_pure_*.txt")
+        lines = path.read_text().splitlines(keepends=True)
+        assert len(lines) == 1 + 39
+        if damage == "top-degree-truncated":
+            damaged = lines[:3]
+        elif damage == "corrupted-line":
+            # a canonical encoding of the wrong class: only the checksum
+            # sees it
+            damaged = lines[:5] + [lines[6]] + lines[6:]
+        else:
+            damaged = lines[1:]
+        path.write_text("".join(damaged))
+        with pytest.warns(UserWarning, match="ignoring cache file"):
+            rep = homology(build_graph_complex(1, CLASSICAL4))
+        assert rep.betti == {-1: 0, 0: 0, 1: 0, 2: 3}
+        assert path.read_text().splitlines(keepends=True) == lines
+
+    def test_missing_contraction_target_is_an_error(self):
+        degrees = list(degree_range(1, 4, GRAPH_COMPLEX))
+        bases = [generator_basis(1, CLASSICAL4, k) for k in degrees]
+        bases[degrees.index(0)] = bases[degrees.index(0)][1:]
         with pytest.raises(AssertionError, match="missing from the basis"):
-            build_graph_complex(1, CLASSICAL4)
+            _assemble(GRAPH, 1, CLASSICAL4, degrees, bases,
+                      contract_loops=False)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_genus_one_closed_form(self, n):
+        # Chan-Galatius-Payne: at classical weights the genus-1 graph complex
+        # has homology only in degree n - 2, of dimension (n - 1)!/2.
+        a = WeightDatum(1, (Fraction(1),) * n)
+        rep = homology(build_graph_complex(1, a))
+        assert rep.betti == {k: factorial(n - 1) // 2 if k == n - 2 else 0
+                             for k in rep.degrees}
 
     @pytest.mark.parametrize("g,a", [
         (1, CLASSICAL2), (1, CLASSICAL3), (1, MINIMAL3), (1, NEAR_F3),

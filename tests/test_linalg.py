@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tropgc import (
+    ChainComplex,
+    FilteredComplex,
     RationalMatrix,
     WeightDatum,
     build_graph_complex,
@@ -138,6 +140,22 @@ class TestSubspaceDims:
                         page_dim_by_definition(f, r, p, d), (r, p, d)
 
 
+    @pytest.mark.parametrize("chain", sorted(CHAINS))
+    def test_block_ranks_match_dense_oracle(self, chain):
+        f = filtered_from_raw(*CHAINS[chain]())
+        n_levels = f.num_levels
+        for d in f.base.degrees:
+            bnd = f.base.boundary(d)
+            lev_rows, lev_cols = f.level_row(d - 1), f.level_row(d)
+            for a in range(1, n_levels + 1):
+                for b in range(a, n_levels + 1):
+                    block = [[bnd.entry(i, j) for j in range(bnd.cols)
+                              if lev_cols[j] <= b]
+                             for i in range(bnd.rows) if lev_rows[i] >= a]
+                    assert f.block_rank(d, a, b) == dense_rank(block), \
+                        (d, a, b)
+
+
 def page_dim_by_definition(f, r: int, p: int, d: int) -> int:
     """dim Z - dim(Z ∩ W) for Z = {x in F_p C_d : dx in F_{p-r}} and
     W = F_{p-1} + d F_{p+r-1}, from kernels and spans of dense vectors."""
@@ -198,11 +216,32 @@ class TestRandomized:
     def test_rank_nullity(self, rows):
         m = RationalMatrix.from_rows(rows)
         kern = kernel_basis(m)
-        assert len(kern) + rank(m) == m.cols
+        assert len(kern) == m.cols - dense_rank(rows)
         for vec in kern:
             for i in range(m.rows):
                 assert sum(m.entry(i, j) * vec[j]
                            for j in range(m.cols)) == 0
+
+    @settings(max_examples=120, deadline=None)
+    @given(small_matrix.flatmap(lambda rows: st.tuples(
+        st.just(rows),
+        st.lists(st.integers(1, 3), min_size=len(rows), max_size=len(rows)),
+        st.lists(st.integers(1, 3), min_size=len(rows[0]),
+                 max_size=len(rows[0])))))
+    def test_pivots_count_every_block_rank(self, case):
+        # block_rank of a one-step complex C_1 -> C_0 with these levels
+        rows, row_levels, col_levels = case
+        m = RationalMatrix.from_rows(rows)
+        base = ChainComplex("graph", 1, None, (0, 1),
+                            ((None,) * m.rows, (None,) * m.cols),
+                            (RationalMatrix.zero(0, m.rows), m))
+        f = FilteredComplex(1, (None,) * 3, base,
+                            (tuple(row_levels), tuple(col_levels)))
+        for a in range(1, 5):
+            for b in range(0, 4):
+                block = [[x for x, lv in zip(row, col_levels) if lv <= b]
+                         for row, lv in zip(rows, row_levels) if lv >= a]
+                assert f.block_rank(1, a, b) == dense_rank(block), (a, b)
 
     @settings(max_examples=60, deadline=None)
     @given(small_matrix)
