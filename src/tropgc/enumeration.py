@@ -1,13 +1,18 @@
 """Exhaustive enumeration of stable graph isomorphism classes, with caching.
 
 Raw generation happens only for the maximal (all-Plus) chamber, where
-stability is the classical condition 2w(v) - 2 + |v|_E + #legs(v) > 0; any
-other weight datum filters that list through is_stable. This is sound
-because entrywise-smaller weight data have nested stable-graph sets, and it
-lets chamber-equal data share one cache entry: cache files are keyed by
-(g, n, edge count, purity, signature hash) and store one canonical graph
-encoding per line, after a header line with the line count and a SHA-256 of
-the body, so a truncated or damaged file is recomputed, not believed.
+stability is the classical condition 2w(v) - 2 + |v|_E + #legs(v) > 0. It
+builds the classes with m edges from those with m - 1 edges by
+uncontracting one edge (split a vertex, or add a loop for a unit of
+weight), from a one-vertex base; see _raw_enumerate_classical.
+
+Any other weight datum filters the classical list through is_stable. This
+is sound because entrywise-smaller weight data have nested stable-graph
+sets, and it lets chamber-equal data share one cache entry: cache files are
+keyed by (g, n, edge count, purity, signature hash) and store one canonical
+graph encoding per line, after a header line with the line count and a
+SHA-256 of the body, so a truncated or damaged file is recomputed, not
+believed.
 """
 
 from __future__ import annotations
@@ -18,13 +23,12 @@ import tempfile
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
 from typing import Iterable, Optional
 
 from .chambers import (ChamberSignature, DomainError, WeightDatum,
                        compare_signatures, signature)
 from .graphs import (CanonicalGraph, MarkedGraph, canonicalize, decode_graph,
-                     genus, is_connected, is_stable)
+                     is_stable)
 
 CACHE_ENV_VAR = "TROPGC_CACHE"
 DEFAULT_CACHE_DIR = ".tropgc-cache"
@@ -57,65 +61,74 @@ def max_edges(g: int, n: int) -> int:
     return 3 * g - 3 + n
 
 
-def _ones(n: int) -> WeightDatum:
-    return WeightDatum(1, (Fraction(1),) * n)
+def _uncontractions(cg: CanonicalGraph) -> Iterable[MarkedGraph]:
+    """Stable graphs with one more edge than cg.graph that contract to it.
 
-
-def _classical_stable_vertexwise(weights, degrees, leg_counts) -> bool:
-    for w, d, l in zip(weights, degrees, leg_counts):
-        if 2 * w - 2 + d + l <= 0:
-            return False
-    return True
-
-
-def _weight_distributions(total: int, slots: int):
-    if slots == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _weight_distributions(total - first, slots - 1):
-            yield (first,) + rest
+    One vertex v per automorphism orbit gets a loop in exchange for a unit
+    of weight, or is split: its weight is shared in every way, and a subset
+    of its edge ends and legs, never the first, moves to a new vertex joined
+    to v, so a subset and its complement are not both tried.
+    """
+    graph = cg.graph
+    weights, edges, legs = graph.weights, graph.edges, graph.legs
+    new = graph.num_vertices
+    # items: edge end k of edge e is 2e + k; marking i is 2m + i
+    m = len(edges)
+    for v in range(graph.num_vertices):
+        if any(alpha[v] < v for alpha in cg.automorphism_generators):
+            continue  # another vertex of the orbit is split instead
+        if weights[v] > 0:
+            yield MarkedGraph(weights[:v] + (weights[v] - 1,) + weights[v + 1:],
+                              edges + ((v, v),), legs)
+        items = [2 * e + k for e, ends in enumerate(edges)
+                 for k in (0, 1) if ends[k] == v]
+        items += [2 * m + i for i, x in enumerate(legs) if x == v]
+        rest = items[1:]
+        for mask in range(1 << len(rest)):
+            moved = {item for j, item in enumerate(rest) if mask >> j & 1}
+            stay = len(items) - len(moved)
+            for w_new in range(weights[v] + 1):
+                w_old = weights[v] - w_new
+                # 2w - 2 + |v|_E + #legs(v) > 0, counting the new edge
+                if 2 * w_old + stay <= 1 or 2 * w_new + len(moved) <= 1:
+                    continue
+                split_edges = tuple(
+                    (new if 2 * e in moved else u,
+                     new if 2 * e + 1 in moved else x)
+                    for e, (u, x) in enumerate(edges)) + ((v, new),)
+                split_legs = tuple(new if 2 * m + i in moved else x
+                                   for i, x in enumerate(legs))
+                yield MarkedGraph(
+                    weights[:v] + (w_old,) + weights[v + 1:] + (w_new,),
+                    split_edges, split_legs)
 
 
 def _raw_enumerate_classical(g: int, n: int, m: int, pure_only: bool) -> tuple[CanonicalGraph, ...]:
-    """All classes stable for the weight datum (1, ..., 1), genus g, m edges."""
-    found: dict[str, CanonicalGraph] = {}
-    v_lo = max(1, m + 1 - g)
-    v_hi = m + 1
-    for nv in range(v_lo, v_hi + 1):
-        b1 = m - nv + 1
-        wsum = g - b1
-        if wsum < 0 or (pure_only and wsum != 0):
-            continue
-        slots = [(u, v) for u in range(nv) for v in range(u, nv)]
-        unmarked: set[MarkedGraph] = set()
-        for combo in combinations_with_replacement(slots, m):
-            if nv > 1 and not is_connected(nv, combo):
-                continue
-            degrees = [0] * nv
-            for u, v in combo:
-                degrees[u] += 1
-                degrees[v] += 1
-            for weights in _weight_distributions(wsum, nv):
-                needed = sum(max(0, 3 - 2 * w - d)
-                             for w, d in zip(weights, degrees))
-                if needed > n:
-                    continue
-                cg, _ = canonicalize(MarkedGraph(weights, combo, ()))
-                unmarked.add(cg.graph)
-        for skeleton in unmarked:
-            degrees = [skeleton.edge_degree(v) for v in range(skeleton.num_vertices)]
-            for legs in product(range(skeleton.num_vertices), repeat=n):
-                leg_counts = [0] * skeleton.num_vertices
-                for v in legs:
-                    leg_counts[v] += 1
-                if not _classical_stable_vertexwise(skeleton.weights, degrees,
-                                                    leg_counts):
-                    continue
-                cg, _ = canonicalize(MarkedGraph(skeleton.weights,
-                                                 skeleton.edges, legs))
-                found.setdefault(cg.encoding, cg)
-    return tuple(found[k] for k in sorted(found))
+    """All classes stable for the weight datum (1, ..., 1), genus g, m edges.
+
+    Contracting an edge keeps a graph stable, and contracting a non-loop
+    edge keeps it pure; a graph whose edges are all loops has one vertex.
+    So above the base level, the classes with m edges are the canonical
+    forms of the uncontractions of the classes with m - 1 edges, taken from
+    enumerate_stable_graphs (and its cache). The base is one vertex with
+    every leg: of weight g at m = 0 for all graphs, and for pure graphs the
+    rose of weight 0 with g loops at m = g, below which there are none. A
+    pure graph has weight 0 everywhere, so its uncontractions are pure.
+    """
+    base = g if pure_only else 0
+    if m < base:
+        return ()
+    if m == base:
+        vertex = MarkedGraph((g - m,), ((0, 0),) * m, (0,) * n)
+        return (canonicalize(vertex)[0],)
+    below = enumerate_stable_graphs(g, _classical_datum(g, n), m - 1,
+                                    pure_only)
+    found: dict[MarkedGraph, CanonicalGraph] = {}
+    for parent in below.classes:
+        for child in _uncontractions(parent):
+            cg, _ = canonicalize(child)
+            found.setdefault(cg.graph, cg)
+    return tuple(sorted(found.values(), key=lambda cg: cg.encoding))
 
 
 def _cache_path(g: int, n: int, m: int, pure_only: bool, sig_hash: str) -> str:

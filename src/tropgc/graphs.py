@@ -90,9 +90,6 @@ class MarkedGraph:
         """Number of edge half-edges at v; a loop contributes 2."""
         return sum((u == v) + (w == v) for u, w in self.edges)
 
-    def markings_at(self, v: int) -> tuple[int, ...]:
-        return tuple(i + 1 for i, lv in enumerate(self.legs) if lv == v)
-
     def is_loop(self, e: int) -> bool:
         u, v = self.edges[e]
         return u == v
@@ -179,10 +176,16 @@ class CanonicalGraph:
 
 def _color_classes(graph: MarkedGraph) -> list[list[int]]:
     """Vertices grouped by (weight, edge degree, marking multiset), sorted."""
+    degrees = [0] * graph.num_vertices
+    for u, v in graph.edges:
+        degrees[u] += 1
+        degrees[v] += 1
+    markings: list[list[int]] = [[] for _ in graph.weights]
+    for i, v in enumerate(graph.legs):
+        markings[v].append(i + 1)
     colors: dict[tuple, list[int]] = {}
-    for v in range(graph.num_vertices):
-        key = (graph.weights[v], graph.edge_degree(v), graph.markings_at(v))
-        colors.setdefault(key, []).append(v)
+    for v, w in enumerate(graph.weights):
+        colors.setdefault((w, degrees[v], tuple(markings[v])), []).append(v)
     return [colors[k] for k in sorted(colors)]
 
 

@@ -14,6 +14,7 @@ from tropgc import (
     build_cellular_complex,
     build_graph_complex,
     build_relative_complex,
+    enumerate_stable_graphs,
     homology,
     make_floor,
     moduli_label,
@@ -169,6 +170,16 @@ class TestGraphHomology:
         rep = homology(build_graph_complex(1, a))
         assert rep.betti == {k: factorial(n - 1) // 2 if k == n - 2 else 0
                              for k in rep.degrees}
+
+    def test_genus_two_four_markings(self):
+        # Class counts and Betti numbers of classical (2,4), as computed by
+        # the former enumerator over all edge multisets and leg placements.
+        a = WeightDatum(2, (Fraction(1),) * 4)
+        counts = [len(enumerate_stable_graphs(2, a, m, pure_only=True).classes)
+                  for m in range(2, 8)]
+        assert counts == [1, 42, 327, 932, 1109, 465]
+        rep = homology(build_graph_complex(2, a))
+        assert rep.betti == {k: {2: 1, 3: 3}.get(k, 0) for k in rep.degrees}
 
     @pytest.mark.parametrize("g,a", [
         (1, CLASSICAL2), (1, CLASSICAL3), (1, MINIMAL3), (1, NEAR_F3),

@@ -2,6 +2,7 @@
 
 import os
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -29,6 +30,15 @@ FIVE_CHAMBER = (
     WeightDatum(1, (Fraction(99, 100), Fraction(12, 27), Fraction(14, 27))),
     CLASSICAL3,
 )
+
+# (g, n, m) cases checked against the oracle for all and for pure graphs;
+# (3, 1) starts pure generation from a genus-3 rose and splits weight 3
+UNCONTRACTION_CASES = (
+    [(0, 5, m) for m in range(3)] + [(0, 6, m) for m in range(4)]
+    + [(1, 4, m) for m in range(4)] + [(2, 2, m) for m in range(5)]
+    + [(3, 1, m) for m in range(4)])
+
+oracle_classes = lru_cache(maxsize=None)(enumerate_classes)
 
 LOOP = MarkedGraph((0,), ((0, 0),), (0, 0, 0))
 LOOP_BRIDGE = MarkedGraph((0, 0), ((0, 0), (0, 1)), (1, 1, 1))
@@ -88,6 +98,16 @@ class TestOracleAgreement:
         got = {canonical_key(cg.graph.weights, cg.graph.edges, cg.graph.legs)
                for cg in enumerate_stable_graphs(1, CLASSICAL3, m).classes}
         want = set(enumerate_classes(1, CLASSICAL3.entries, m))
+        assert got == want
+
+    @pytest.mark.parametrize("pure", [True, False], ids=["pure", "all"])
+    @pytest.mark.parametrize("g,n,m", UNCONTRACTION_CASES)
+    def test_uncontraction_matches_oracle(self, g, n, m, pure):
+        a = WeightDatum(g, (Fraction(1),) * n)
+        got = {canonical_key(cg.graph.weights, cg.graph.edges, cg.graph.legs)
+               for cg in enumerate_stable_graphs(g, a, m, pure).classes}
+        want = {key for key in oracle_classes(g, a.entries, m)
+                if not (pure and any(key[0]))}
         assert got == want
 
     def test_non_classical_datum(self):
