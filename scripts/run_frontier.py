@@ -1,15 +1,19 @@
 """Time the frontier cases of classical pure stable-graph generation.
 
-Runs in a fresh temporary graph cache, so every case is generated cold:
-pure enumeration of (2,5), and graph-complex homology of (3,2), (2,4) and
-(1,6). Prints one line per case: the number of pure classes at each edge
-count m = g .. 3g - 3 + n, the nonzero Betti numbers (homology cases only)
-and the seconds the case took.
+Each case runs in its own child process, one child at a time, first cold
+and then warm in the same fresh temporary graph cache: pure enumeration of
+(2,5), and graph-complex homology of (3,2), (2,4) and (1,6), eight children
+in all. Prints one line per child: the number of pure classes at each edge
+count m = g .. 3g - 3 + n, the nonzero Betti numbers (homology cases only),
+the wall seconds of the case and the child's own peak resident set
+(ru_maxrss).
 
     PYTHONPATH=src python scripts/run_frontier.py
 """
 
+import multiprocessing
 import os
+import resource
 import tempfile
 import time
 from fractions import Fraction
@@ -17,31 +21,39 @@ from fractions import Fraction
 from tropgc import (WeightDatum, build_graph_complex, enumerate_stable_graphs,
                     homology, max_edges)
 
-ENUMERATE = [(2, 5)]
-HOMOLOGY = [(3, 2), (2, 4), (1, 6)]
+CASES = [(2, 5, False), (3, 2, True), (2, 4, True), (1, 6, True)]
 
 
-def run(g: int, n: int, with_homology: bool) -> str:
+def run(g: int, n: int, with_homology: bool, state: str) -> None:
+    """One case, in a child process; prints its report line."""
     a = WeightDatum(g, (Fraction(1),) * n)
     start = time.perf_counter()
     counts = [len(enumerate_stable_graphs(g, a, m, pure_only=True).classes)
               for m in range(g, max_edges(g, n) + 1)]
-    line = (f"({g},{n}) pure classes at m = {g}..{max_edges(g, n)}: "
+    line = (f"{state}: ({g},{n}) pure classes at m = {g}..{max_edges(g, n)}: "
             f"{' '.join(map(str, counts))}")
     if with_homology:
         betti = homology(build_graph_complex(g, a)).betti
         nonzero = ", ".join(f"b_{k} = {v}" for k, v in betti.items() if v)
         line += f"; {nonzero or 'all Betti numbers 0'}"
-    return line + f"; {time.perf_counter() - start:.1f} s"
+    seconds = time.perf_counter() - start
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    print(f"{line}; {seconds:.2f} s, peak RSS {peak_mb:.0f} MB", flush=True)
 
 
 def main() -> None:
+    spawn = multiprocessing.get_context("spawn")
     with tempfile.TemporaryDirectory(prefix="tropgc-frontier-") as cache:
         os.environ["TROPGC_CACHE"] = cache
-        for g, n in ENUMERATE:
-            print(run(g, n, with_homology=False), flush=True)
-        for g, n in HOMOLOGY:
-            print(run(g, n, with_homology=True), flush=True)
+        for g, n, with_homology in CASES:
+            for state in ("cold", "warm"):
+                child = spawn.Process(target=run,
+                                      args=(g, n, with_homology, state))
+                child.start()
+                child.join()
+                if child.exitcode != 0:
+                    raise SystemExit(f"({g},{n}) {state}: the child process "
+                                     f"exited with code {child.exitcode}")
 
 
 if __name__ == "__main__":

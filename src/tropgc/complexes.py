@@ -13,14 +13,14 @@ Four complexes are built here, all with exact rational boundary matrices:
 The boundary of a generator with canonical edges e_1 < ... < e_m is
 sum_i (-1)^i [G/e_i], each contraction canonicalized; the coefficient picks
 up the sign of the edge relabeling, and contractions landing on a class
-with an odd edge automorphism are dropped. The composite of two boundaries
-is asserted to vanish at build time.
+with an odd edge automorphism are dropped. Coefficients are summed as
+integers. The composite of two boundaries is asserted to vanish at build
+time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .chambers import (DomainError, WeightDatum, compare_signatures,
@@ -86,15 +86,14 @@ class ChainComplex:
 
 def _boundary_entries(basis_high: tuple[CanonicalGraph, ...],
                       row_of: dict[str, int], contract_loops: bool,
-                      relative: bool) -> dict[tuple[int, int], Fraction]:
-    entries: dict[tuple[int, int], Fraction] = {}
+                      relative: bool) -> dict[tuple[int, int], int]:
+    entries: dict[tuple[int, int], int] = {}
     for col, cg in enumerate(basis_high):
         graph = cg.graph
-        for i in range(graph.num_edges):
-            if graph.is_loop(i) and not contract_loops:
+        for i, (u, v) in enumerate(graph.edges):
+            if u == v and not contract_loops:
                 continue
-            contracted = contract_edge(graph, i)
-            target, emap = canonicalize(contracted)
+            target, emap = canonicalize(contract_edge(graph, i))
             if target.has_odd_edge_automorphism:
                 continue
             row = row_of.get(target.encoding)
@@ -104,9 +103,9 @@ def _boundary_entries(basis_high: tuple[CanonicalGraph, ...],
                 raise AssertionError(
                     f"contraction target {target.encoding} is missing from "
                     "the basis: the stable graph enumeration is incomplete")
-            coeff = Fraction((-1) ** (i + 1) * edge_map_sign(emap))
+            sign = edge_map_sign(emap)  # times (-1)^(i+1), i from 0
             key = (row, col)
-            entries[key] = entries.get(key, Fraction(0)) + coeff
+            entries[key] = entries.get(key, 0) + (sign if i % 2 else -sign)
     return entries
 
 

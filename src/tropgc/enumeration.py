@@ -12,7 +12,10 @@ sets, and it lets chamber-equal data share one cache entry: cache files are
 keyed by (g, n, edge count, purity, signature hash) and store one canonical
 graph encoding per line, after a header line with the line count and a
 SHA-256 of the body, so a truncated or damaged file is recomputed, not
-believed.
+believed. The header is checked on every load; the body of a file that
+passes is decoded and checked line by line once per process, and its
+classes are kept in memory under that header line, so identical bytes are
+never decoded twice.
 """
 
 from __future__ import annotations
@@ -144,6 +147,11 @@ def _cache_header(body: bytes) -> bytes:
     return f"tropgc-cache 1 {count} {digest}".encode()
 
 
+# Classes of every cache body decoded so far, by its checked header line
+# (count and SHA-256 of the body).
+_decoded: dict[bytes, tuple[CanonicalGraph, ...]] = {}
+
+
 def _cache_load(path: str) -> Optional[tuple[CanonicalGraph, ...]]:
     """Classes stored at path; None, with a warning, when the file's header
     is missing or does not match its body, so the caller recomputes."""
@@ -156,14 +164,19 @@ def _cache_load(path: str) -> Optional[tuple[CanonicalGraph, ...]]:
         warnings.warn(f"ignoring cache file {path}: its header is missing or "
                       "does not match its contents; recomputing", stacklevel=2)
         return None
-    classes = []
-    for line in body.decode("ascii").splitlines():
-        graph = decode_graph(line)
-        cg, _ = canonicalize(graph)
-        if cg.encoding != line:
-            raise ValueError(f"cache entry is not canonical: {line!r}")
-        classes.append(cg)
-    return tuple(classes)
+    classes = _decoded.get(header)
+    if classes is None:
+        classes = tuple(_decode_canonical(line)
+                        for line in body.decode("ascii").splitlines())
+        _decoded[header] = classes
+    return classes
+
+
+def _decode_canonical(line: str) -> CanonicalGraph:
+    cg, _ = canonicalize(decode_graph(line))
+    if cg.encoding != line:
+        raise ValueError(f"cache entry is not canonical: {line!r}")
+    return cg
 
 
 def _cache_store(path: str, classes: Iterable[CanonicalGraph]) -> None:

@@ -5,18 +5,26 @@ endpoint pairs; loops allowed; the list order is the graph's edge order),
 and a placement of markings 1..n on vertices (each marking is a leg).
 Connectivity is required.
 
+Every constructed graph, including each contraction, uncontraction and
+canonical form, is normalized and validated once, in one pass.
+
 Canonical labeling works by brute-force minimization over vertex
 relabelings that respect the (weight, edge degree, marking multiset) color
 classes; graphs here have at most a handful of vertices, so the minimum is
 exact and the full vertex automorphism group falls out as the stabilizer.
-Besides vertex automorphisms, a swap of two parallel edges (or of two loops
-at one vertex) induces an odd edge transposition, while flipping the two
-half-edges of a single loop induces the identity on edges.
+When every color class is a single vertex, which is most graphs with
+markings, the sorted colors already fix the one relabeling and the group is
+trivial, so no search runs. Besides vertex automorphisms, a swap of two
+parallel edges (or of two loops at one vertex) induces an odd edge
+transposition, while flipping the two half-edges of a single loop induces
+the identity on edges. A canonical graph's text encoding is computed at
+most once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import permutations, product
 from typing import Sequence
 
@@ -28,21 +36,15 @@ Permutation = tuple[int, ...]
 
 def is_connected(num_vertices: int, edges) -> bool:
     """Whether the edges join all vertices 0..num_vertices-1, by union-find."""
-    if num_vertices == 1:
-        return True
     parent = list(range(num_vertices))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     merged = 0
     for u, v in edges:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        if u != v:
+            parent[u] = v
             merged += 1
     return merged == num_vertices - 1
 
@@ -56,22 +58,26 @@ class MarkedGraph:
     legs: tuple[int, ...]  # legs[i] = vertex carrying marking i + 1
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", tuple(int(w) for w in self.weights))
-        object.__setattr__(self, "edges",
-                           tuple((min(u, v), max(u, v)) for u, v in self.edges))
-        object.__setattr__(self, "legs", tuple(int(v) for v in self.legs))
-        nv = len(self.weights)
+        weights = tuple(map(int, self.weights))
+        edges = tuple([(u, v) if u <= v else (v, u) for u, v in self.edges])
+        legs = tuple(map(int, self.legs))
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "legs", legs)
+        nv = len(weights)
         if nv < 1:
             raise ValueError("graph needs at least one vertex")
-        if any(w < 0 for w in self.weights):
+        if min(weights) < 0:
             raise ValueError("vertex weights must be nonnegative")
-        for u, v in self.edges:
-            if not (0 <= u < nv and 0 <= v < nv):
+        if edges:
+            lows, highs = zip(*edges)
+            if min(lows) < 0 or max(highs) >= nv:
+                u, v = next(e for e in edges if e[0] < 0 or e[1] >= nv)
                 raise ValueError(f"edge ({u},{v}) endpoint out of range")
-        for v in self.legs:
-            if not (0 <= v < nv):
-                raise ValueError(f"leg vertex {v} out of range")
-        if not is_connected(nv, self.edges):
+        if legs and (min(legs) < 0 or max(legs) >= nv):
+            v = next(x for x in legs if not 0 <= x < nv)
+            raise ValueError(f"leg vertex {v} out of range")
+        if not is_connected(nv, edges):
             raise ValueError("graph must be connected")
 
     @property
@@ -132,21 +138,16 @@ def contract_edge(graph: MarkedGraph, e: int) -> MarkedGraph:
         raise ValueError(f"no edge with index {e}")
     u, v = graph.edges[e]
     rest = graph.edges[:e] + graph.edges[e + 1:]
+    weights = list(graph.weights)
     if u == v:
-        weights = list(graph.weights)
         weights[u] += 1
         return MarkedGraph(tuple(weights), rest, graph.legs)
-    # merge v into u; vertices above v shift down
-
-    def remap(x: int) -> int:
-        if x == v:
-            return u
-        return x - 1 if x > v else x
-
-    weights = [w for i, w in enumerate(graph.weights) if i != v]
-    weights[remap(u)] += graph.weights[v]
-    new_edges = tuple((remap(x), remap(y)) for x, y in rest)
-    new_legs = tuple(remap(x) for x in graph.legs)
+    # merge v into u (u < v); vertices above v shift down
+    weights[u] += weights.pop(v)
+    remap = [x - (x > v) for x in range(graph.num_vertices)]
+    remap[v] = u
+    new_edges = tuple([(remap[x], remap[y]) for x, y in rest])
+    new_legs = tuple(map(remap.__getitem__, graph.legs))
     return MarkedGraph(tuple(weights), new_edges, new_legs)
 
 
@@ -169,7 +170,7 @@ class CanonicalGraph:
     has_odd_edge_automorphism: bool
     automorphism_generators: tuple[Permutation, ...]
 
-    @property
+    @cached_property
     def encoding(self) -> str:
         return encode_graph(self.graph)
 
@@ -223,6 +224,73 @@ def canonicalize(graph: MarkedGraph) -> tuple[CanonicalGraph, Permutation]:
         return cached
 
     classes = _color_classes(graph)
+    nv = graph.num_vertices
+    if len(classes) == nv:
+        # Singleton colors: one arrangement, and only the identity fixes it.
+        ref = [0] * nv  # old vertex -> new position
+        for new, (old,) in enumerate(classes):
+            ref[old] = new
+        generators: tuple[Permutation, ...] = ()
+    else:
+        ref, generators = _minimal_relabeling(graph, classes)
+
+    # Stable assignment of input edges to canonical slots: sort by mapped
+    # edge, breaking ties by input position.
+    mapped = []
+    for k, (u, v) in enumerate(graph.edges):
+        pu, pv = ref[u], ref[v]
+        mapped.append(((pu, pv) if pu <= pv else (pv, pu), k))
+    mapped.sort()
+    edge_map = [0] * len(mapped)
+    for slot, (_, k) in enumerate(mapped):
+        edge_map[k] = slot
+    new_weights = [0] * nv
+    for old, w in enumerate(graph.weights):
+        new_weights[ref[old]] = w
+    form = (tuple(new_weights), tuple([e for e, _ in mapped]),
+            tuple(map(ref.__getitem__, graph.legs)))
+    if form == (graph.weights, graph.edges, graph.legs):
+        canon = graph  # already canonical, and validated when it was built
+    else:
+        canon = MarkedGraph(*form)
+
+    known = _canon_cache.get(canon)
+    if known is None:
+        cg = CanonicalGraph(canon, _has_odd_edge_automorphism(canon.edges,
+                                                              generators),
+                            generators)
+        _canon_cache[canon] = (cg, tuple(range(len(edge_map))))
+    else:
+        cg = known[0]  # the same form, reached from another input
+    result = (cg, tuple(edge_map))
+    _canon_cache[graph] = result
+    return result
+
+
+def _has_odd_edge_automorphism(edges: tuple[Edge, ...],
+                               generators: tuple[Permutation, ...]) -> bool:
+    """Whether some automorphism of a canonical graph with these edges and
+    vertex automorphisms permutes its edges oddly."""
+    if len(set(edges)) < len(edges):
+        # swapping two parallel edges (or two loops at one vertex) is an
+        # odd transposition of the edge set
+        return True
+    index = {edge: i for i, edge in enumerate(edges)}
+    for alpha in generators:
+        induced = []
+        for u, v in edges:
+            au, av = alpha[u], alpha[v]
+            induced.append(index[(au, av) if au <= av else (av, au)])
+        if _permutation_parity(induced) < 0:
+            return True
+    return False
+
+
+def _minimal_relabeling(graph: MarkedGraph, classes: list[list[int]]
+                        ) -> tuple[Permutation, tuple[Permutation, ...]]:
+    """Brute force over the arrangements of the color classes: the first
+    relabeling (old vertex -> new position) reaching the least (edges, legs)
+    key, and the vertex automorphisms of that form, identity excluded."""
     starts = []
     pos = 0
     for cls in classes:
@@ -248,13 +316,8 @@ def canonicalize(graph: MarkedGraph) -> tuple[CanonicalGraph, Permutation]:
         elif key == best_key:
             best_perms.append(tuple(relabel))
 
-    new_weights = [0] * nv
-    ref = best_perms[0]
-    for old in range(nv):
-        new_weights[ref[old]] = graph.weights[old]
-    canon = MarkedGraph(tuple(new_weights), best_key[0], best_key[1])
-
     # Stabilizer of the canonical form = vertex automorphism group.
+    ref = best_perms[0]
     inverse_ref = [0] * nv
     for old, new in enumerate(ref):
         inverse_ref[new] = old
@@ -262,40 +325,7 @@ def canonicalize(graph: MarkedGraph) -> tuple[CanonicalGraph, Permutation]:
     for perm in best_perms:
         autos.add(tuple(perm[inverse_ref[p]] for p in range(nv)))
     autos.discard(tuple(range(nv)))
-    generators = tuple(sorted(autos))
-
-    has_odd = False
-    edge_list = canon.edges
-    if len(set(edge_list)) < len(edge_list):
-        # swapping two parallel edges (or two loops at one vertex) is an
-        # odd transposition of the edge set
-        has_odd = True
-    else:
-        index = {edge: i for i, edge in enumerate(edge_list)}
-        for alpha in generators:
-            induced = []
-            for u, v in edge_list:
-                au, av = alpha[u], alpha[v]
-                induced.append(index[(au, av) if au <= av else (av, au)])
-            if _permutation_parity(induced) < 0:
-                has_odd = True
-                break
-
-    # Stable assignment of input edges to canonical slots: sort by mapped
-    # edge, breaking ties by input position.
-    mapped_ref = []
-    for k, (u, v) in enumerate(graph.edges):
-        pu, pv = ref[u], ref[v]
-        mapped_ref.append(((pu, pv) if pu <= pv else (pv, pu), k))
-    edge_map = [0] * len(mapped_ref)
-    for slot, (_, k) in enumerate(sorted(mapped_ref)):
-        edge_map[k] = slot
-
-    result = (CanonicalGraph(canon, has_odd, generators), tuple(edge_map))
-    _canon_cache[graph] = result
-    if canon != graph:
-        _canon_cache.setdefault(canon, (result[0], tuple(range(len(edge_list)))))
-    return result
+    return ref, tuple(sorted(autos))
 
 
 def edge_map_sign(edge_map: Sequence[int]) -> int:
@@ -326,14 +356,14 @@ def decode_graph(text: str) -> MarkedGraph:
                 u, v = item.split("-")
                 edges.append((int(u), int(v)))
         l_body = l_part[len("legs=("):-1]
-        legs_map = {}
-        if l_body:
-            for item in l_body.split(","):
-                m, v = item.split("@")
-                legs_map[int(m)] = int(v)
-        legs = tuple(legs_map[i + 1] for i in range(len(legs_map)))
+        pairs = [item.split("@") for item in l_body.split(",")] if l_body else []
+        legs_map = {int(m): int(v) for m, v in pairs}
+        # markings are 1..k, each exactly once, in any order
+        if sorted(legs_map) != list(range(1, len(pairs) + 1)):
+            raise ValueError
+        legs = tuple(legs_map[i + 1] for i in range(len(pairs)))
         graph = MarkedGraph(weights, tuple(edges), legs)
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         raise ValueError(f"bad graph encoding: {text!r}") from exc
     if genus(graph) != int(g_part):
         raise ValueError(f"genus prefix {g_part} does not match graph in {text!r}")

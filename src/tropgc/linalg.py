@@ -1,21 +1,24 @@
 """Exact sparse linear algebra over the rationals.
 
-All entries are fractions.Fraction values and every operation is exact; no
-floating point appears anywhere. There is one elimination, column_pivots: a
-fraction-free, left-to-right column reduction that clears each column to a
-primitive integer vector and reduces it against earlier pivot columns until
-its lowest row is new. The rank is the number of pivots. By the pairing
-lemma of persistence (Cohen-Steiner, Edelsbrunner and Morozov, "Vines and
-vineyards", 2006), with columns and rows ordered by a filtration, the rank
-of every lower-left block is the number of pivots inside it. Kernels come
-from the reduction of m stacked over the identity, and subspace dimensions
-from ranks.
+Matrices store their entries as fractions.Fraction values and every
+operation is exact; no floating point appears anywhere. Where values are
+integers the arithmetic runs on int: matrix products (the d o d check)
+multiply integral entries as ints and use Fraction only for entries with a
+denominator, and the reduction works on integer columns throughout. There is
+one elimination, column_pivots: a fraction-free, left-to-right column
+reduction that clears each column to a primitive integer vector and reduces
+it against earlier pivot columns until its lowest row is new. The rank is
+the number of pivots. By the pairing lemma of persistence (Cohen-Steiner,
+Edelsbrunner and Morozov, "Vines and vineyards", 2006), with columns and
+rows ordered by a filtration, the rank of every lower-left block is the
+number of pivots inside it. Kernels come from the reduction of m stacked
+over the identity, and subspace dimensions from ranks.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 Vector = tuple[Fraction, ...]
@@ -104,15 +107,17 @@ class RationalMatrix:
     def matmul(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
-        by_row: dict[int, list[tuple[int, Fraction]]] = {}
+        by_row: dict[int, list[tuple[int, Fraction | int]]] = {}
         for (i, j), v in other._entries.items():
-            by_row.setdefault(i, []).append((j, v))
-        acc: dict[tuple[int, int], Fraction] = {}
+            by_row.setdefault(i, []).append((j, _integral(v)))
+        acc: dict[tuple[int, int], Fraction | int] = {}
         for (i, k), v in self._entries.items():
+            v = _integral(v)
             for j, w in by_row.get(k, ()):
                 key = (i, j)
-                acc[key] = acc.get(key, Fraction(0)) + v * w
-        return RationalMatrix(self.rows, other.cols, acc)
+                acc[key] = acc.get(key, 0) + v * w
+        return RationalMatrix(self.rows, other.cols,
+                              {key: x for key, x in acc.items() if x})
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, RationalMatrix)
@@ -156,28 +161,37 @@ def column_pivots(m: RationalMatrix, order: Optional[Iterable[int]] = None,
             p, c = prev[low], col[low]
             g = gcd(p, c)
             p, c = p // g, c // g
-            new = {i: p * v for i, v in col.items()}
+            # col is not shared yet, so with p = 1 it is updated in place
+            new = {i: p * v for i, v in col.items()} if p != 1 else col
             for i, v in prev.items():
                 w = new.get(i, 0) - c * v
                 if w:
                     new[i] = w
                 else:
                     del new[i]
-            col = _primitive(new)
+            col = _content_free(new)
     return pivots
 
 
-def _primitive(col: Mapping[int, Fraction | int]) -> dict[int, int]:
+def _integral(v: Fraction) -> Fraction | int:
+    """v as an int when its denominator is 1, else v itself."""
+    return v.numerator if v.denominator == 1 else v
+
+
+def _primitive(col: Mapping[int, Fraction]) -> dict[int, int]:
     """col scaled by a positive rational to coprime integer entries."""
-    denom = 1
-    for v in col.values():
-        denom = denom * v.denominator // gcd(denom, v.denominator)
-    content = 0
-    for v in col.values():
-        content = gcd(content, int(v * denom))
-        if content == 1:
-            break
-    return {i: int(v * denom) // content for i, v in col.items()}
+    denom = lcm(*(v.denominator for v in col.values()))
+    return _content_free({i: v.numerator * (denom // v.denominator)
+                          for i, v in col.items()})
+
+
+def _content_free(col: dict[int, int]) -> dict[int, int]:
+    """An integer column divided by the gcd of its entries; col itself when
+    that gcd is 1 (or col is empty)."""
+    content = gcd(*col.values())
+    if content <= 1:
+        return col
+    return {i: v // content for i, v in col.items()}
 
 
 def rank(m: RationalMatrix) -> int:

@@ -215,3 +215,82 @@ def graph_betti(g: int, entries: Sequence[Fraction]) -> dict[int, int]:
         dims[k] = len(cols)
         ranks[k] = dense_rank(mat)
     return {k: dims[k] - ranks[k] - ranks.get(k + 1, 0) for k in degrees}
+
+
+def _parity(perm: Sequence[int]) -> int:
+    """+1 for an even permutation, -1 for an odd one."""
+    return -1 if _inversions(perm) % 2 else 1
+
+
+def reference_canonicalize(weights, edges, legs):
+    """The brute-force canonical form of the original graphs.canonicalize,
+    on bare triples: ((weights, edges, legs), has_odd_edge_automorphism,
+    automorphism_generators, edge_map).
+
+    Every arrangement of the (weight, edge degree, marking list) color
+    classes is tried, even when each class is a single vertex; the least
+    (sorted edges, legs) key wins, its first relabeling gives the form, and
+    the relabelings reaching it give the automorphism group.
+    """
+    nv = len(weights)
+    edges = [(min(u, v), max(u, v)) for u, v in edges]
+    degrees = [0] * nv
+    for u, v in edges:
+        degrees[u] += 1
+        degrees[v] += 1
+    markings: list[list[int]] = [[] for _ in range(nv)]
+    for i, v in enumerate(legs):
+        markings[v].append(i + 1)
+    colors: dict[tuple, list[int]] = {}
+    for v, w in enumerate(weights):
+        colors.setdefault((w, degrees[v], tuple(markings[v])), []).append(v)
+    classes = [colors[k] for k in sorted(colors)]
+    starts = []
+    pos = 0
+    for cls in classes:
+        starts.append(pos)
+        pos += len(cls)
+
+    best_key = None
+    best_perms: list[tuple[int, ...]] = []
+    for arrangement in product(*(permutations(cls) for cls in classes)):
+        relabel = [0] * nv
+        for members, start in zip(arrangement, starts):
+            for offset, old in enumerate(members):
+                relabel[old] = start + offset
+        mapped = sorted(tuple(sorted((relabel[u], relabel[v])))
+                        for u, v in edges)
+        key = (tuple(mapped), tuple(relabel[x] for x in legs))
+        if best_key is None or key < best_key:
+            best_key, best_perms = key, [tuple(relabel)]
+        elif key == best_key:
+            best_perms.append(tuple(relabel))
+
+    ref = best_perms[0]
+    new_weights = [0] * nv
+    for old in range(nv):
+        new_weights[ref[old]] = weights[old]
+    inverse_ref = [0] * nv
+    for old, new in enumerate(ref):
+        inverse_ref[new] = old
+    autos = {tuple(perm[inverse_ref[p]] for p in range(nv))
+             for perm in best_perms}
+    autos.discard(tuple(range(nv)))
+    generators = tuple(sorted(autos))
+
+    canon_edges = best_key[0]
+    has_odd = len(set(canon_edges)) < len(canon_edges)
+    if not has_odd:
+        index = {edge: i for i, edge in enumerate(canon_edges)}
+        has_odd = any(
+            _parity([index[tuple(sorted((alpha[u], alpha[v])))]
+                     for u, v in canon_edges]) < 0
+            for alpha in generators)
+
+    slots = sorted((tuple(sorted((ref[u], ref[v]))), k)
+                   for k, (u, v) in enumerate(edges))
+    edge_map = [0] * len(edges)
+    for slot, (_, k) in enumerate(slots):
+        edge_map[k] = slot
+    return ((tuple(new_weights), canon_edges, best_key[1]), has_odd,
+            generators, tuple(edge_map))

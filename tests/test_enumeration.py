@@ -7,6 +7,7 @@ from functools import lru_cache
 import pytest
 
 from tropgc import DomainError, WeightDatum, enumerate_stable_graphs, max_edges
+from tropgc import enumeration
 from tropgc.enumeration import (
     CELLULAR,
     GRAPH_COMPLEX,
@@ -163,3 +164,36 @@ class TestCache:
         assert os.listdir(cache_dir())
         second = enumerate_stable_graphs(1, CLASSICAL3, 2)
         assert first.classes == second.classes
+
+    def test_checked_file_is_decoded_once_per_content(self, tmp_path,
+                                                      monkeypatch):
+        monkeypatch.setenv("TROPGC_CACHE", str(tmp_path))
+        monkeypatch.setattr(enumeration, "_decoded", {})
+        decoded = []
+        real_decode = enumeration.decode_graph
+
+        def counting_decode(text):
+            decoded.append(text)
+            return real_decode(text)
+
+        monkeypatch.setattr(enumeration, "decode_graph", counting_decode)
+        computed = enumerate_stable_graphs(1, CLASSICAL3, 3).classes
+        [path] = tmp_path.glob("g1_n3_m3_all_*.txt")
+        good = path.read_bytes()
+        decoded.clear()
+        assert enumerate_stable_graphs(1, CLASSICAL3, 3).classes == computed
+        assert len(decoded) == len(computed)
+
+        # A damaged file fails the header check even though its classes are
+        # in memory, and is recomputed and rewritten.
+        lines = good.splitlines(keepends=True)
+        path.write_bytes(b"".join(lines[:-1]))
+        with pytest.warns(UserWarning, match="ignoring cache file"):
+            assert enumerate_stable_graphs(1, CLASSICAL3, 3).classes == computed
+        assert path.read_bytes() == good
+
+        def no_decode(text):
+            raise AssertionError(f"decoded again: {text}")
+
+        monkeypatch.setattr(enumeration, "decode_graph", no_decode)
+        assert enumerate_stable_graphs(1, CLASSICAL3, 3).classes == computed

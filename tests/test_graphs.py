@@ -5,6 +5,7 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from tropgc import DomainError, WeightDatum, apply_permutation, signature
 from tropgc.graphs import (
@@ -19,6 +20,8 @@ from tropgc.graphs import (
     is_stable,
     relabel_legs,
 )
+
+from .oracles import reference_canonicalize
 
 LOOP = MarkedGraph((0,), ((0, 0),), (0, 0, 0))
 LOOP_BRIDGE = MarkedGraph((0, 0), ((0, 0), (0, 1)), (1, 1, 1))
@@ -48,6 +51,21 @@ class TestConstruction:
     def test_rejects_malformed(self, weights, edges, legs):
         with pytest.raises(ValueError):
             MarkedGraph(weights, edges, legs)
+
+    @pytest.mark.parametrize("weights,edges,legs,message", [
+        ((), (), (), "graph needs at least one vertex"),
+        ((0, -1), ((0, 1),), (), "vertex weights must be nonnegative"),
+        ((0,), ((1, 0),), (), "edge (0,1) endpoint out of range"),
+        ((0, 0), ((0, 1), (1, -1)), (), "edge (-1,1) endpoint out of range"),
+        ((0,), (), (0, 1), "leg vertex 1 out of range"),
+        ((0, 0), ((0, 1),), (0, -1, 2), "leg vertex -1 out of range"),
+        ((0, 0), (), (), "graph must be connected"),
+        ((0, 0, 0), ((0, 1), (1, 0), (2, 2)), (), "graph must be connected"),
+    ])
+    def test_invalid_graph_message(self, weights, edges, legs, message):
+        with pytest.raises(ValueError) as info:
+            MarkedGraph(weights, edges, legs)
+        assert str(info.value) == message
 
     def test_edges_stored_sorted_per_edge(self):
         g = MarkedGraph((0, 0), ((1, 0), (0, 1)), (0, 1))
@@ -197,6 +215,44 @@ class TestCanonicalize:
             assert signature(b) == signature(a)
 
 
+@st.composite
+def connected_graphs(draw):
+    """Connected graphs on 1..6 vertices: a random spanning tree plus up to
+    four more edges (loops and parallel edges included), in random order and
+    orientation, weights 0..2. Half of them carry one marking per vertex, so
+    that every color class is a single vertex."""
+    nv = draw(st.integers(1, 6))
+    tree = [(draw(st.integers(0, v - 1)), v) for v in range(1, nv)]
+    vertex = st.integers(0, nv - 1)
+    extra = draw(st.lists(st.one_of(st.tuples(vertex, vertex),
+                                    st.sampled_from(tree or [(0, 0)]),
+                                    vertex.map(lambda v: (v, v))),
+                          max_size=4))
+    edges = [(v, u) if draw(st.booleans()) else (u, v)
+             for u, v in draw(st.permutations(tree + extra))]
+    weights = draw(st.lists(st.integers(0, 2), min_size=nv, max_size=nv))
+    legs = draw(st.lists(vertex, max_size=5))
+    if draw(st.booleans()):
+        legs = draw(st.permutations(list(range(nv)) + legs))
+    return tuple(weights), tuple(edges), tuple(legs)
+
+
+class TestReferenceCanonicalize:
+    @settings(max_examples=400, deadline=None)
+    @given(connected_graphs())
+    @example(((0, 0), ((0, 1), (1, 0)), (1, 0)))       # banana, singletons
+    @example(((0, 0), ((1, 1), (0, 1), (1, 1)), (0, 1)))  # twin loops
+    @example(((0,) * 6, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)),
+              ()))                                      # one color, 6!
+    @example(((1, 0, 2), ((2, 1), (0, 1)), (2, 0, 1)))  # rigid path
+    def test_matches_brute_force(self, triple):
+        cg, edge_map = canonicalize(MarkedGraph(*triple))
+        got = ((cg.graph.weights, cg.graph.edges, cg.graph.legs),
+               cg.has_odd_edge_automorphism, cg.automorphism_generators,
+               edge_map)
+        assert got == reference_canonicalize(*triple)
+
+
 class TestEncoding:
     def test_round_trip(self):
         for graph in (LOOP, LOOP_BRIDGE, BANANA, TRIANGLE, G1_GENUS2):
@@ -204,3 +260,17 @@ class TestEncoding:
 
     def test_loop_encoding_text(self):
         assert encode_graph(LOOP) == "1;0;edges=(0-0);legs=(1@0,2@0,3@0)"
+
+    @pytest.mark.parametrize("legs", [
+        "1@0,1@0",            # a marking twice
+        "1@0,1@0,2@0,3@0",    # a marking twice among others
+        "1@0,3@0",            # a gap
+        "0@0",                # numbering starts at 1
+    ])
+    def test_markings_must_be_one_to_k_once(self, legs):
+        with pytest.raises(ValueError, match="bad graph encoding"):
+            decode_graph(f"1;0;edges=(0-0);legs=({legs})")
+
+    def test_markings_in_any_order(self):
+        graph = decode_graph("0;0,0;edges=(0-1);legs=(2@1,3@1,1@0)")
+        assert graph.legs == (0, 1, 1)
