@@ -23,7 +23,7 @@ def main() -> None:
             for orbit in census.orbits:
                 a = feasible_point(orbit[0])
                 entries = ",".join(format_rational(x) for x in a.entries)
-                plus = len(orbit[0].plus_subsets())
+                plus = sum(orbit[0].signs)
                 print(f"  ({entries})  [{plus} Plus walls, "
                       f"orbit size {len(orbit)}]")
 

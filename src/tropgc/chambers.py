@@ -12,6 +12,12 @@ Convention: weights lying exactly on a wall are assigned the Minus side,
 since stability for such data agrees with the adjacent lower chamber.
 Permutations are written in one-line notation (sigma[i-1] = sigma(i), values
 1..n) and act by apply_permutation(sigma, A)_i = A_{sigma(i)}.
+
+Walls are bit masks over positions 1..n, and permuted signatures are read
+off the image masks sigma(S) (_wall_images). compare_up_to_symmetry splits
+each mask after position max(n - 3, 0), keeps the low images of the current
+permutation prefix and a memo of high images per suffix (bounded by
+n(n-1)(n-2) lists), and compares all walls of a permutation at C level.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from operator import or_
 from typing import Iterable, Optional, Sequence
 
 
@@ -130,6 +137,20 @@ def _subset_index(ws: WallSet) -> dict[frozenset, int]:
     return {s: k for k, s in enumerate(ws.subsets)}
 
 
+@lru_cache(maxsize=None)
+def _mask_index(g: int, n: int) -> dict[int, int]:
+    return {m: k for k, m in enumerate(_wall_masks(g, n))}
+
+
+def _wall_images(bits: Sequence[int], parts: Iterable[int]) -> list[int]:
+    """For each part (a mask over positions 1..len(bits)), the OR of
+    bits[i - 1] over its positions i."""
+    table = [0]
+    for bit in bits:
+        table += [t | bit for t in table]
+    return list(map(table.__getitem__, parts))
+
+
 @dataclass(frozen=True)
 class ChamberSignature:
     """Plus/Minus pattern of every wall inequality sum_{i in S} a_i > 1."""
@@ -155,9 +176,6 @@ class ChamberSignature:
 
     def sign(self, subset: Iterable[int]) -> str:
         return "Plus" if self.is_plus(subset) else "Minus"
-
-    def plus_subsets(self) -> tuple[frozenset[int], ...]:
-        return tuple(s for s, b in zip(self.wall_set.subsets, self.signs) if b)
 
 
 def _subset_sums(entries: Sequence[Fraction]) -> list[Fraction]:
@@ -216,10 +234,9 @@ def permute_signature(sigma: Sequence[int], sig: ChamberSignature) -> ChamberSig
     """Signature of the permuted datum: new sign at S = old sign at sigma(S)."""
     ws = sig.wall_set
     s = _check_permutation(sigma, ws.n)
-    index = _subset_index(ws)
-    signs = tuple(sig.signs[index[frozenset(s[i - 1] for i in subset)]]
-                  for subset in ws.subsets)
-    return ChamberSignature(ws, signs)
+    index = _mask_index(ws.g, ws.n)
+    images = _wall_images([1 << (i - 1) for i in s], ws.masks)
+    return ChamberSignature(ws, tuple(sig.signs[index[m]] for m in images))
 
 
 def compare_signatures(s1: ChamberSignature, s2: ChamberSignature) -> OrderResult:
@@ -243,10 +260,21 @@ def compare_signatures(s1: ChamberSignature, s2: ChamberSignature) -> OrderResul
     return OrderResult("Incomparable", None)
 
 
-def _sign_table(entries: Sequence[Fraction]) -> bytearray:
-    """table[mask] = 1 iff the subset sum over mask exceeds 1."""
-    sums = _subset_sums(entries)
-    return bytearray(1 if s > 1 else 0 for s in sums)
+def _sign_table(entries: Sequence[Fraction]) -> list[int]:
+    """table[mask] = 1 iff the subset sum over mask exceeds 1. A list, not
+    a bytearray: list.__getitem__ is the faster callable for map()."""
+    return [1 if s > 1 else 0 for s in _subset_sums(entries)]
+
+
+def _split_permutations(n: int, k: int):
+    """Every permutation of 1..n in lexicographic order, as (prefix, suffix)
+    pairs split after position k; one prefix tuple is shared by all of its
+    (n - k)! suffixes."""
+    positions = range(1, n + 1)
+    for prefix in itertools.permutations(positions, k):
+        rest = [i for i in positions if i not in prefix]
+        for suffix in itertools.permutations(rest):
+            yield prefix, suffix
 
 
 def compare_up_to_symmetry(a: WeightDatum, b: WeightDatum,
@@ -260,9 +288,22 @@ def compare_up_to_symmetry(a: WeightDatum, b: WeightDatum,
     permutation relates the two signatures the chambers are Incomparable.
 
     With prune=True, permutations that produce a weight tuple already seen
-    are skipped (the signature depends only on the tuple). Every evaluated
-    permutation scans the full wall list; exact work done is reported via
-    the optional counters dict (keys "permutations", "subset_comparisons").
+    are skipped (the signature depends only on the tuple); entries are
+    compared through small integer ids, and with n distinct entries nothing
+    can repeat, so no tuple is kept. Every evaluated permutation scans the
+    full wall list; exact work done is reported via the optional counters
+    dict (keys "permutations", "subset_comparisons").
+
+    Kernel: the sign of wall S under sigma is a's sign at the mask sigma(S).
+    Each wall mask is split into positions 1..k, k = max(n - 3, 0), and the
+    rest; sigma(S) is the OR of the images of the two parts (_wall_images).
+    The low images change only with the prefix sigma[:k], so one list is
+    kept and rebuilt every (n - k)! permutations; the high images are
+    memoized per suffix sigma[k:], at most n(n-1)(n-2) lists. The signs of
+    all walls are then gathered into one byte string and compared with b's
+    at C level: equal bytes mean Equal, and the integers of the two strings
+    give the walls where a is Plus and b Minus (not Less) or the reverse
+    (not Greater).
     """
     if a.g != b.g or a.n != b.n:
         raise DomainError("weight data must share genus and length")
@@ -270,44 +311,43 @@ def compare_up_to_symmetry(a: WeightDatum, b: WeightDatum,
     masks = _wall_masks(a.g, n)
     sa = _sign_table(a.entries)
     sb = _sign_table(b.entries)
-    lowsize = min(n, 4)
-    lowcount = 1 << lowsize
-    highcount = 1 << (n - lowsize)
-    entries = a.entries
+    want = bytes(sb[m] for m in masks)
+    wanted = int.from_bytes(want, "big")
+    k = max(n - 3, 0)
+    lo_parts = [m & ((1 << k) - 1) for m in masks]
+    hi_parts = [m >> k for m in masks]
+    ids: dict[Fraction, int] = {}
+    entry_id = {i: ids.setdefault(x, len(ids))
+                for i, x in enumerate(a.entries, 1)}
+    seen: Optional[set] = set() if prune and len(ids) < n else None
+    hi_memo: dict[tuple[int, ...], list[int]] = {}
+    prefix = lo_img = None
     perms_checked = 0
-    seen: set = set()
     result: Optional[OrderResult] = None
-    for sigma in itertools.permutations(range(1, n + 1)):
-        if prune:
-            tup = tuple(entries[s - 1] for s in sigma)
-            if tup in seen:
+    for pre, suffix in _split_permutations(n, k):
+        if seen is not None:
+            key = tuple(map(entry_id.__getitem__, pre + suffix))
+            if key in seen:
                 continue
-            seen.add(tup)
-        sbit = [1 << (sigma[i] - 1) for i in range(n)]
-        lt = [0] * lowcount
-        for m in range(1, lowcount):
-            low = m & (-m)
-            lt[m] = lt[m ^ low] | sbit[low.bit_length() - 1]
-        ht = [0] * highcount
-        for m in range(1, highcount):
-            low = m & (-m)
-            ht[m] = ht[m ^ low] | sbit[lowsize + low.bit_length() - 1]
-        above = below = False
-        for m in masks:
-            x = sa[lt[m & 15] | ht[m >> 4]]
-            if x != sb[m]:
-                if x:
-                    above = True
-                else:
-                    below = True
+            seen.add(key)
+        if pre is not prefix:
+            prefix = pre
+            lo_img = _wall_images([1 << (i - 1) for i in pre], lo_parts)
+        hi_img = hi_memo.get(suffix)
+        if hi_img is None:
+            hi_img = hi_memo[suffix] = _wall_images(
+                [1 << (i - 1) for i in suffix], hi_parts)
+        got = bytes(map(sa.__getitem__, map(or_, lo_img, hi_img)))
         perms_checked += 1
-        if not above and not below:
-            result = OrderResult("Equal", sigma)
-        elif not above:
-            result = OrderResult("Less", sigma)
-        elif not below:
-            result = OrderResult("Greater", sigma)
-        if result is not None:
+        if got == want:
+            result = OrderResult("Equal", pre + suffix)
+            break
+        have = int.from_bytes(got, "big")
+        if not have & ~wanted:
+            result = OrderResult("Less", pre + suffix)
+            break
+        if not wanted & ~have:
+            result = OrderResult("Greater", pre + suffix)
             break
     if counters is not None:
         counters["permutations"] = perms_checked

@@ -294,3 +294,36 @@ def reference_canonicalize(weights, edges, legs):
         edge_map[k] = slot
     return ((tuple(new_weights), canon_edges, best_key[1]), has_odd,
             generators, tuple(edge_map))
+
+
+def reference_compare(a, b, prune: bool):
+    """compare_up_to_symmetry from its definition: (relation, witness,
+    counters).
+
+    Permutations are walked in lexicographic order; with prune, one whose
+    tuple of permuted entries was already seen is skipped. Each other
+    sigma compares signature(apply_permutation(sigma, a)) with signature(b)
+    wall by wall through compare_signatures, so this checks the
+    symmetrization, the pruning, the first-witness rule and the counters,
+    with the per-chamber calculus taken from the package.
+    """
+    from tropgc import apply_permutation, compare_signatures, signature
+
+    target = signature(b)
+    seen = set()
+    evaluated = 0
+    relation, witness = "Incomparable", None
+    for sigma in permutations(range(1, a.n + 1)):
+        moved = apply_permutation(sigma, a)
+        if prune:
+            if moved.entries in seen:
+                continue
+            seen.add(moved.entries)
+        evaluated += 1
+        res = compare_signatures(signature(moved), target)
+        if res.relation != "Incomparable":
+            relation, witness = res.relation, sigma
+            break
+    return relation, witness, {
+        "permutations": evaluated,
+        "subset_comparisons": evaluated * len(target.signs)}

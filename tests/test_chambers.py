@@ -1,5 +1,6 @@
 """Weight data, walls, chamber signatures, and the symmetrized order."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from tropgc import (
     ChamberSignature,
     DomainError,
     DomainGapWarning,
+    OrderResult,
     WeightDatum,
     apply_permutation,
     compare_signatures,
@@ -28,6 +30,8 @@ from tropgc import (
     signature,
     wall_set,
 )
+
+from .oracles import reference_compare
 
 EPS = Fraction(1, 100)
 
@@ -196,6 +200,97 @@ class TestCompareUpToSymmetry:
         res = compare_up_to_symmetry(a, b)
         assert res.relation == "Incomparable"
         assert res.witness is None
+
+
+# Seven markings, 120 walls. HEAVY_PAIR is Plus on S iff S holds both heavy
+# entries (0.85 + 5 * 0.024 < 1); FOUR_OF_SEVEN is Plus iff |S| >= 4
+# (3 * 0.32 < 1 < 4 * 0.26). No permutation relates them: HEAVY_PAIR is
+# Plus on its heavy pair, where FOUR_OF_SEVEN is Minus, and Minus on four
+# light entries, where FOUR_OF_SEVEN is Plus. HEAVY_LAST is HEAVY_PAIR with
+# the heavy entries moved to positions 6 and 7, so the first witness in
+# lexicographic order is (3, 4, 5, 6, 7, 1, 2), of rank 1744.
+HEAVY_PAIR = datum(1, "8123/10000", "8456/10000", "150/10000", "170/10000",
+                   "190/10000", "210/10000", "230/10000")
+FOUR_OF_SEVEN = datum(1, "2650/10000", "2710/10000", "2790/10000",
+                      "2850/10000", "2930/10000", "3010/10000", "3150/10000")
+HEAVY_LAST = datum(1, "190/10000", "150/10000", "230/10000", "170/10000",
+                   "210/10000", "8456/10000", "8123/10000")
+
+
+class TestCompareCounters:
+    @pytest.mark.parametrize("prune", [True, False])
+    def test_seven_markings_equal(self, prune):
+        counters: dict = {}
+        res = compare_up_to_symmetry(HEAVY_PAIR, HEAVY_LAST, prune, counters)
+        assert res == OrderResult("Equal", (3, 4, 5, 6, 7, 1, 2))
+        assert counters == {"permutations": 1745,
+                            "subset_comparisons": 1745 * 120}
+
+    @pytest.mark.parametrize("prune", [True, False])
+    def test_seven_markings_incomparable(self, prune):
+        counters: dict = {}
+        res = compare_up_to_symmetry(HEAVY_PAIR, FOUR_OF_SEVEN, prune,
+                                     counters)
+        assert res == OrderResult("Incomparable", None)
+        assert counters == {"permutations": 5040,
+                            "subset_comparisons": 5040 * 120}
+
+    def test_one_marking_has_no_walls(self):
+        counters: dict = {}
+        res = compare_up_to_symmetry(datum(1, 1), datum(1, "1/2"),
+                                     counters=counters)
+        assert res == OrderResult("Equal", (1,))
+        assert counters == {"permutations": 1, "subset_comparisons": 0}
+
+
+# Few denominators, so that repeated entries (pruning) and entries summing
+# to exactly 1 (wall points, which count as Minus) are common. Entries come
+# from a Random with a drawn seed, uniform over the pool: drawn by
+# hypothesis element by element, most cases repeat the pool's first entry
+# and are Equal. The pool is 1/6, 1/4, 1/3, 1/2, 2/3, 3/4, 5/6, 1.
+ENTRY_POOL = sorted({Fraction(p, q) for q in (2, 3, 4, 6)
+                     for p in range(1, q + 1)})
+
+
+@st.composite
+def oracle_case(draw):
+    g = draw(st.integers(min_value=0, max_value=2))
+    rnd = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    n = rnd.randint(4 if g == 0 else 1, 6)
+    shape = rnd.choice(("free", "orbit", "heavy-light"))
+    if shape == "heavy-light":
+        # A few heavy entries against a uniform band: mostly Incomparable,
+        # so the full scan and its counters are checked.
+        heavy = rnd.randint(1, 2)
+        pair = [rnd.sample([rnd.choice(ENTRY_POOL[-3:])] * heavy
+                           + [rnd.choice(ENTRY_POOL[:2])] * (n - heavy), n),
+                [rnd.choice(ENTRY_POOL[1:5])] * n]
+    else:
+        # Entries from one to three pool values each.
+        pair = [rnd.choices(rnd.sample(ENTRY_POOL, rnd.randint(1, 3)), k=n)
+                for _ in range(2)]
+    if g == 0:
+        # Genus 0 needs sum(a) > 2; raise entries to 1 in order until so.
+        for entries in pair:
+            for i in range(n):
+                if sum(entries) > 2:
+                    break
+                entries[i] = Fraction(1)
+    if shape == "orbit":
+        # b in the orbit of a: Equal, often at a late witness.
+        pair[1] = rnd.sample(pair[0], n)
+    return WeightDatum(g, tuple(pair[0])), WeightDatum(g, tuple(pair[1]))
+
+
+class TestReferenceCompare:
+    @settings(max_examples=120, deadline=None)
+    @given(oracle_case(), st.booleans())
+    def test_matches_definition(self, case, prune):
+        a, b = case
+        counters: dict = {}
+        res = compare_up_to_symmetry(a, b, prune, counters)
+        assert (res.relation, res.witness, counters) == \
+            reference_compare(a, b, prune)
 
 
 class TestCensus:
