@@ -4,9 +4,10 @@ Each case runs in its own child process, one child at a time, first cold
 and then warm in the same fresh temporary graph cache: pure enumeration of
 (2,5), and graph-complex homology of (3,2), (2,4) and (1,6), eight children
 in all. Prints one line per child: the number of pure classes at each edge
-count m = g .. 3g - 3 + n, the nonzero Betti numbers (homology cases only),
-the wall seconds of the case and the child's own peak resident set
-(ru_maxrss).
+count m = g .. 3g - 3 + n, the nonzero Betti numbers and the seconds of
+the two stages after enumeration, build_graph_complex and homology
+(homology cases only), the wall seconds of the whole case and the child's
+own peak resident set (ru_maxrss).
 
     PYTHONPATH=src python scripts/run_frontier.py
 """
@@ -33,12 +34,18 @@ def run(g: int, n: int, with_homology: bool, state: str) -> None:
     line = (f"{state}: ({g},{n}) pure classes at m = {g}..{max_edges(g, n)}: "
             f"{' '.join(map(str, counts))}")
     if with_homology:
-        betti = homology(build_graph_complex(g, a)).betti
+        t0 = time.perf_counter()
+        complex_ = build_graph_complex(g, a)
+        t1 = time.perf_counter()
+        betti = homology(complex_).betti
+        t2 = time.perf_counter()
         nonzero = ", ".join(f"b_{k} = {v}" for k, v in betti.items() if v)
-        line += f"; {nonzero or 'all Betti numbers 0'}"
+        line += (f"; {nonzero or 'all Betti numbers 0'}; "
+                 f"build {t1 - t0:.2f} s, homology {t2 - t1:.2f} s")
     seconds = time.perf_counter() - start
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    print(f"{line}; {seconds:.2f} s, peak RSS {peak_mb:.0f} MB", flush=True)
+    print(f"{line}; total {seconds:.2f} s, peak RSS {peak_mb:.0f} MB",
+          flush=True)
 
 
 def main() -> None:

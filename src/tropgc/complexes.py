@@ -16,20 +16,26 @@ up the sign of the edge relabeling, and contractions landing on a class
 with an odd edge automorphism are dropped. Coefficients are summed as
 integers. The composite of two boundaries is asserted to vanish at build
 time.
+
+Ranks come from one column reduction per boundary, top degree first, with
+clearing (Chen and Kerber, "Persistent homology computation with a twist",
+EuroCG 2011): a pivot row of the reduced boundary out of degree k + 1 names
+a column of the boundary out of degree k that would reduce to zero, so that
+column is never reduced.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 from .chambers import (DomainError, WeightDatum, compare_signatures,
                        format_rational, signature)
-from .graphs import (CanonicalGraph, canonicalize, contract_edge,
+from .graphs import (CanonicalGraph, _canonicalize_parts, _contracted_parts,
                      edge_map_sign, has_loops, is_pure, is_stable)
 from .enumeration import (CELLULAR, GRAPH_COMPLEX, degree_range,
                           generator_basis)
-from .linalg import RationalMatrix, rank
+from .linalg import RationalMatrix, column_pivots
 
 GRAPH = "graph"
 CELLULAR_KIND = "cellular"
@@ -93,7 +99,7 @@ def _boundary_entries(basis_high: tuple[CanonicalGraph, ...],
         for i, (u, v) in enumerate(graph.edges):
             if u == v and not contract_loops:
                 continue
-            target, emap = canonicalize(contract_edge(graph, i))
+            target, emap = _canonicalize_parts(*_contracted_parts(graph, i))
             if target.has_odd_edge_automorphism:
                 continue
             row = row_of.get(target.encoding)
@@ -214,11 +220,38 @@ def moduli_label(g: int, a: WeightDatum) -> str:
     return f"M_{{{g},A}} with A=({weights})"
 
 
+def boundary_pivots(c: ChainComplex,
+                    levels: Optional[tuple[tuple[int, ...], ...]] = None
+                    ) -> Iterator[tuple[int, dict[int, int]]]:
+    """(degree, {column: pivot row} of the column reduction of its
+    boundary) for every degree of c, top degree first, with clearing.
+
+    The cells of each degree are ordered by index, or by (level, index)
+    with levels aligned with c.bases; that order is the column order of the
+    boundary out of the degree and the row key of the boundary into it.
+    From the top degree down, a reduced column of boundary(k + 1) with pivot
+    row i is a chain ending in cell i that boundary(k) maps to zero, so
+    column i of boundary(k) would reduce to zero and is left out.
+    """
+    cleared: set[int] = set()
+    for i in range(len(c.degrees) - 1, -1, -1):
+        order = [j for j in range(len(c.bases[i])) if j not in cleared]
+        row_key = None
+        if levels is not None:
+            order.sort(key=levels[i].__getitem__)  # stable: (level, index)
+            below = levels[i - 1] if i else ()
+            row_key = lambda r: (below[r], r)
+        lows = {j: low for j, (low, _) in column_pivots(
+            c.boundaries[i], order=order, row_key=row_key).items()}
+        yield c.degrees[i], lows
+        cleared = set(lows.values())
+
+
 def homology(c: ChainComplex) -> HomologyReport:
     """Betti numbers by rank-nullity; graph complexes also carry the
     top-weight cohomology and tropical moduli labels."""
     dims = {k: c.dim(k) for k in c.degrees}
-    ranks = {k: rank(c.boundary(k)) for k in c.degrees}
+    ranks = {k: len(p) for k, p in boundary_pivots(c)}
     betti = {}
     for k in c.degrees:
         betti[k] = dims[k] - ranks[k] - ranks.get(k + 1, 0)

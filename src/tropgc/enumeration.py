@@ -15,7 +15,8 @@ SHA-256 of the body, so a truncated or damaged file is recomputed, not
 believed. The header is checked on every load; the body of a file that
 passes is decoded and checked line by line once per process, and its
 classes are kept in memory under that header line, so identical bytes are
-never decoded twice.
+never decoded twice. A body this process wrote is kept under its header
+when it is written, and is not decoded at all.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from typing import Iterable, Optional
 
 from .chambers import (ChamberSignature, DomainError, WeightDatum,
                        compare_signatures, signature)
-from .graphs import (CanonicalGraph, MarkedGraph, canonicalize, decode_graph,
-                     is_stable)
+from .graphs import (CanonicalGraph, MarkedGraph, Parts, _canonicalize_parts,
+                     canonicalize, decode_graph, is_stable)
 
 CACHE_ENV_VAR = "TROPGC_CACHE"
 DEFAULT_CACHE_DIR = ".tropgc-cache"
@@ -64,8 +65,9 @@ def max_edges(g: int, n: int) -> int:
     return 3 * g - 3 + n
 
 
-def _uncontractions(cg: CanonicalGraph) -> Iterable[MarkedGraph]:
-    """Stable graphs with one more edge than cg.graph that contract to it.
+def _uncontractions(cg: CanonicalGraph) -> Iterable[Parts]:
+    """The (weights, edges, legs) of the stable graphs with one more edge
+    than cg.graph that contract to it, each edge written low end first.
 
     One vertex v per automorphism orbit gets a loop in exchange for a unit
     of weight, or is split: its weight is shared in every way, and a subset
@@ -81,8 +83,8 @@ def _uncontractions(cg: CanonicalGraph) -> Iterable[MarkedGraph]:
         if any(alpha[v] < v for alpha in cg.automorphism_generators):
             continue  # another vertex of the orbit is split instead
         if weights[v] > 0:
-            yield MarkedGraph(weights[:v] + (weights[v] - 1,) + weights[v + 1:],
-                              edges + ((v, v),), legs)
+            yield (weights[:v] + (weights[v] - 1,) + weights[v + 1:],
+                   edges + ((v, v),), legs)
         items = [2 * e + k for e, ends in enumerate(edges)
                  for k in (0, 1) if ends[k] == v]
         items += [2 * m + i for i, x in enumerate(legs) if x == v]
@@ -95,15 +97,18 @@ def _uncontractions(cg: CanonicalGraph) -> Iterable[MarkedGraph]:
                 # 2w - 2 + |v|_E + #legs(v) > 0, counting the new edge
                 if 2 * w_old + stay <= 1 or 2 * w_new + len(moved) <= 1:
                     continue
-                split_edges = tuple(
-                    (new if 2 * e in moved else u,
-                     new if 2 * e + 1 in moved else x)
-                    for e, (u, x) in enumerate(edges)) + ((v, new),)
+                split_edges = []
+                for e, (u, x) in enumerate(edges):
+                    if 2 * e + 1 in moved:
+                        x = new
+                    # new is the highest vertex, so a moved first end
+                    # becomes the second
+                    split_edges.append((x, new) if 2 * e in moved else (u, x))
+                split_edges.append((v, new))
                 split_legs = tuple(new if 2 * m + i in moved else x
                                    for i, x in enumerate(legs))
-                yield MarkedGraph(
-                    weights[:v] + (w_old,) + weights[v + 1:] + (w_new,),
-                    split_edges, split_legs)
+                yield (weights[:v] + (w_old,) + weights[v + 1:] + (w_new,),
+                       tuple(split_edges), split_legs)
 
 
 def _raw_enumerate_classical(g: int, n: int, m: int, pure_only: bool) -> tuple[CanonicalGraph, ...]:
@@ -129,7 +134,7 @@ def _raw_enumerate_classical(g: int, n: int, m: int, pure_only: bool) -> tuple[C
     found: dict[MarkedGraph, CanonicalGraph] = {}
     for parent in below.classes:
         for child in _uncontractions(parent):
-            cg, _ = canonicalize(child)
+            cg, _ = _canonicalize_parts(*child)
             found.setdefault(cg.graph, cg)
     return tuple(sorted(found.values(), key=lambda cg: cg.encoding))
 
@@ -147,7 +152,7 @@ def _cache_header(body: bytes) -> bytes:
     return f"tropgc-cache 1 {count} {digest}".encode()
 
 
-# Classes of every cache body decoded so far, by its checked header line
+# Classes of every cache body decoded or written so far, by its header line
 # (count and SHA-256 of the body).
 _decoded: dict[bytes, tuple[CanonicalGraph, ...]] = {}
 
@@ -179,19 +184,23 @@ def _decode_canonical(line: str) -> CanonicalGraph:
     return cg
 
 
-def _cache_store(path: str, classes: Iterable[CanonicalGraph]) -> None:
+def _cache_store(path: str, classes: tuple[CanonicalGraph, ...]) -> None:
+    """Write classes to path, and keep them in memory under the header
+    written, so that this process never decodes the body it wrote."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     body = "".join(cg.encoding + "\n" for cg in classes).encode("ascii")
+    header = _cache_header(body)
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
                                suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(_cache_header(body) + b"\n" + body)
+            fh.write(header + b"\n" + body)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+    _decoded[header] = classes
 
 
 def enumerate_stable_graphs(g: int, a: WeightDatum, m: int,

@@ -19,6 +19,11 @@ parallel edges (or of two loops at one vertex) induces an odd edge
 transposition, while flipping the two half-edges of a single loop induces
 the identity on edges. A canonical graph's text encoding is computed at
 most once.
+
+Canonical forms are memoized by the (weights, edges, legs) tuples of
+validated graphs. Contractions and uncontractions are looked up by their
+parts first, and a graph is built (and validated) only on a miss; a form is
+likewise looked up before it is built.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from .chambers import DomainError, WeightDatum
 
 Edge = tuple[int, int]
 Permutation = tuple[int, ...]
+Parts = tuple[tuple[int, ...], tuple[Edge, ...], tuple[int, ...]]
 
 
 def is_connected(num_vertices: int, edges) -> bool:
@@ -134,6 +140,12 @@ def is_stable(graph: MarkedGraph, g: int, a: WeightDatum) -> bool:
 def contract_edge(graph: MarkedGraph, e: int) -> MarkedGraph:
     """Contract edge e: merge endpoints adding weights, or absorb a loop
     into a weight increment. Genus is preserved; edge order is inherited."""
+    return MarkedGraph(*_contracted_parts(graph, e))
+
+
+def _contracted_parts(graph: MarkedGraph, e: int) -> Parts:
+    """The (weights, edges, legs) of contract_edge(graph, e), each edge
+    written low end first, as a constructed graph stores it."""
     if not (0 <= e < graph.num_edges):
         raise ValueError(f"no edge with index {e}")
     u, v = graph.edges[e]
@@ -141,25 +153,18 @@ def contract_edge(graph: MarkedGraph, e: int) -> MarkedGraph:
     weights = list(graph.weights)
     if u == v:
         weights[u] += 1
-        return MarkedGraph(tuple(weights), rest, graph.legs)
-    # merge v into u (u < v); vertices above v shift down
+        return tuple(weights), rest, graph.legs
+    # merge v into u (u < v); vertices above v shift down, so only an edge
+    # end at v can land below the other end
     weights[u] += weights.pop(v)
     remap = [x - (x > v) for x in range(graph.num_vertices)]
     remap[v] = u
-    new_edges = tuple([(remap[x], remap[y]) for x, y in rest])
-    new_legs = tuple(map(remap.__getitem__, graph.legs))
-    return MarkedGraph(tuple(weights), new_edges, new_legs)
-
-
-def relabel_legs(graph: MarkedGraph, sigma: Sequence[int]) -> MarkedGraph:
-    """Move markings so stability transforms along with the weight datum:
-    the new marking j sits where marking sigma(j) used to sit."""
-    n = graph.num_legs
-    s = tuple(sigma)
-    if sorted(s) != list(range(1, n + 1)):
-        raise ValueError(f"not a permutation of 1..{n}: {sigma!r}")
-    new_legs = tuple(graph.legs[s[j] - 1] for j in range(n))
-    return MarkedGraph(graph.weights, graph.edges, new_legs)
+    new_edges = []
+    for x, y in rest:
+        x, y = remap[x], remap[y]
+        new_edges.append((x, y) if x <= y else (y, x))
+    return (tuple(weights), tuple(new_edges),
+            tuple(map(remap.__getitem__, graph.legs)))
 
 
 @dataclass(frozen=True)
@@ -208,7 +213,22 @@ def _permutation_parity(perm: Sequence[int]) -> int:
     return parity
 
 
-_canon_cache: dict[MarkedGraph, tuple[CanonicalGraph, Permutation]] = {}
+# Canonical form and edge map of every graph canonicalized so far, keyed by
+# the (weights, edges, legs) of that validated graph: its own field tuples.
+_canon_cache: dict[Parts, tuple[CanonicalGraph, Permutation]] = {}
+
+
+def _canonicalize_parts(weights: tuple[int, ...], edges: tuple[Edge, ...],
+                        legs: tuple[int, ...]
+                        ) -> tuple[CanonicalGraph, Permutation]:
+    """canonicalize(MarkedGraph(weights, edges, legs)), with the graph built
+    only on a memo miss. Only validated graphs are memoized, so parts that
+    hit describe a valid graph, and parts that miss are validated by the
+    constructor."""
+    cached = _canon_cache.get((weights, edges, legs))
+    if cached is not None:
+        return cached
+    return canonicalize(MarkedGraph(weights, edges, legs))
 
 
 def canonicalize(graph: MarkedGraph) -> tuple[CanonicalGraph, Permutation]:
@@ -219,7 +239,8 @@ def canonicalize(graph: MarkedGraph) -> tuple[CanonicalGraph, Permutation]:
     parity is well defined modulo automorphisms whenever
     has_odd_edge_automorphism is False.
     """
-    cached = _canon_cache.get(graph)
+    key = (graph.weights, graph.edges, graph.legs)
+    cached = _canon_cache.get(key)
     if cached is not None:
         return cached
 
@@ -249,21 +270,20 @@ def canonicalize(graph: MarkedGraph) -> tuple[CanonicalGraph, Permutation]:
         new_weights[ref[old]] = w
     form = (tuple(new_weights), tuple([e for e, _ in mapped]),
             tuple(map(ref.__getitem__, graph.legs)))
-    if form == (graph.weights, graph.edges, graph.legs):
-        canon = graph  # already canonical, and validated when it was built
-    else:
-        canon = MarkedGraph(*form)
-
-    known = _canon_cache.get(canon)
+    known = _canon_cache.get(form)
     if known is None:
+        # the input itself when already canonical (validated when it was
+        # built), else the form is built and validated once
+        canon = graph if form == key else MarkedGraph(*form)
         cg = CanonicalGraph(canon, _has_odd_edge_automorphism(canon.edges,
                                                               generators),
                             generators)
-        _canon_cache[canon] = (cg, tuple(range(len(edge_map))))
+        _canon_cache[(canon.weights, canon.edges, canon.legs)] = (
+            cg, tuple(range(len(edge_map))))
     else:
         cg = known[0]  # the same form, reached from another input
     result = (cg, tuple(edge_map))
-    _canon_cache[graph] = result
+    _canon_cache[key] = result
     return result
 
 
@@ -363,8 +383,9 @@ def decode_graph(text: str) -> MarkedGraph:
             raise ValueError
         legs = tuple(legs_map[i + 1] for i in range(len(pairs)))
         graph = MarkedGraph(weights, tuple(edges), legs)
+        prefix = int(g_part)
     except ValueError as exc:
         raise ValueError(f"bad graph encoding: {text!r}") from exc
-    if genus(graph) != int(g_part):
+    if genus(graph) != prefix:
         raise ValueError(f"genus prefix {g_part} does not match graph in {text!r}")
     return graph

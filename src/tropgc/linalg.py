@@ -11,8 +11,13 @@ it against earlier pivot columns until its lowest row is new. The rank is
 the number of pivots. By the pairing lemma of persistence (Cohen-Steiner,
 Edelsbrunner and Morozov, "Vines and vineyards", 2006), with columns and
 rows ordered by a filtration, the rank of every lower-left block is the
-number of pivots inside it. Kernels come from the reduction of m stacked
-over the identity, and subspace dimensions from ranks.
+number of pivots inside it. A column known to lie in the span of the
+columns before it reduces to zero and can be left out of the order without
+changing any other pivot; the chain complexes use this to skip the columns
+that the reduction of the next boundary clears (Chen and Kerber,
+"Persistent homology computation with a twist", EuroCG 2011). Kernels come
+from the reduction of m stacked over the identity, and subspace dimensions
+from ranks.
 """
 
 from __future__ import annotations
@@ -91,18 +96,8 @@ class RationalMatrix:
     def is_zero(self) -> bool:
         return not self._entries
 
-    def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(self.cols, self.rows,
-                              {(j, i): v for (i, j), v in self._entries.items()})
-
     def column(self, j: int) -> Vector:
         return tuple(self._entries.get((i, j), Fraction(0)) for i in range(self.rows))
-
-    def to_rows(self) -> list[list[Fraction]]:
-        out = [[Fraction(0)] * self.cols for _ in range(self.rows)]
-        for (i, j), v in self._entries.items():
-            out[i][j] = v
-        return out
 
     def matmul(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.rows:

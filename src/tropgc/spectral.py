@@ -19,7 +19,11 @@ F_{p-r}; the second counts the boundaries of F_{p+r-1} that lie in F_p but
 not in F_{p-1}. Each R_d(a, b) is a count of pivots: one column reduction
 of the degree-d boundary, columns in order of level and rows keyed by
 level, has exactly R_d(a, b) pivots with column level <= b and row level
->= a (the pairing lemma of persistence). Pages stabilize at
+>= a (the pairing lemma of persistence). The degrees are reduced from the
+top down with clearing (Chen and Kerber, "Persistent homology computation
+with a twist", EuroCG 2011): each pivot row of the degree-(d+1) reduction is
+a degree-d column that would reduce to zero, so it is skipped and the pivots
+are unchanged. Pages stabilize at
 r = max(p, N-p+1); the infinity table decomposes the Betti numbers of the
 base complex degree by degree.
 """
@@ -32,10 +36,9 @@ from typing import Optional, Sequence
 from .chambers import (DomainError, WeightDatum, apply_permutation,
                        compare_up_to_symmetry, format_rational,
                        identity_permutation, parse_rational)
-from .complexes import (ChainComplex, build_graph_complex,
+from .complexes import (ChainComplex, boundary_pivots, build_graph_complex,
                         build_relative_complex, homology, moduli_label)
 from .enumeration import GRAPH_COMPLEX, check_aligned, filtration_levels
-from .linalg import column_pivots
 
 Permutation = tuple[int, ...]
 
@@ -97,17 +100,14 @@ class FilteredComplex:
     def block_rank(self, d: int, a: int, b: int) -> int:
         """R_d(a, b): rank of boundary(d) on the columns of level <= b and
         the rows of level >= a, counted as the pivots in that block of one
-        column reduction per degree (columns by level, rows keyed by
-        (level, index)), memoized per degree."""
-        if d not in self._pivot_levels:
-            lev_rows, lev_cols = self.level_row(d - 1), self.level_row(d)
-            pivots = column_pivots(
-                self.base.boundary(d),
-                order=sorted(range(len(lev_cols)), key=lev_cols.__getitem__),
-                row_key=lambda i: (lev_rows[i], i))
-            self._pivot_levels[d] = [(lev_cols[j], lev_rows[i])
-                                     for j, (i, _) in pivots.items()]
-        return sum(1 for col, row in self._pivot_levels[d]
+        column reduction per degree (cells ordered by (level, index), with
+        clearing), all degrees reduced on the first call."""
+        if not self._pivot_levels:
+            for k, lows in boundary_pivots(self.base, self.levels):
+                lev_rows, lev_cols = self.level_row(k - 1), self.level_row(k)
+                self._pivot_levels[k] = [(lev_cols[j], lev_rows[i])
+                                         for j, i in lows.items()]
+        return sum(1 for col, row in self._pivot_levels.get(d, ())
                    if col <= b and row >= a)
 
 

@@ -327,3 +327,34 @@ def reference_compare(a, b, prune: bool):
     return relation, witness, {
         "permutations": evaluated,
         "subset_comparisons": evaluated * len(target.signs)}
+
+
+# Helpers on package objects that only the tests use.
+
+def transpose(m):
+    """The transpose of a RationalMatrix."""
+    from tropgc import RationalMatrix
+
+    return RationalMatrix(m.cols, m.rows,
+                          {(j, i): v for (i, j), v in m.entries().items()})
+
+
+def to_rows(m) -> list[list[Fraction]]:
+    """A RationalMatrix as dense rows of Fractions."""
+    out = [[Fraction(0)] * m.cols for _ in range(m.rows)]
+    for (i, j), v in m.entries().items():
+        out[i][j] = v
+    return out
+
+
+def relabel_legs(graph, sigma: Sequence[int]):
+    """Move the markings of a MarkedGraph so stability transforms along with
+    the weight datum: the new marking j sits where marking sigma(j) sat."""
+    from tropgc import MarkedGraph
+
+    n = graph.num_legs
+    s = tuple(sigma)
+    if sorted(s) != list(range(1, n + 1)):
+        raise ValueError(f"not a permutation of 1..{n}: {sigma!r}")
+    return MarkedGraph(graph.weights, graph.edges,
+                       tuple(graph.legs[s[j] - 1] for j in range(n)))

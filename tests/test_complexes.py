@@ -21,11 +21,13 @@ from tropgc import (
     rank,
     split_AB,
 )
-from tropgc.complexes import GRAPH, _assemble
+from tropgc import complexes
+from tropgc.complexes import GRAPH, _assemble, boundary_pivots
 from tropgc.enumeration import GRAPH_COMPLEX, degree_range, generator_basis
 from tropgc.graphs import MarkedGraph, canonicalize
+from tropgc.linalg import column_pivots
 
-from .oracles import dense_rank, graph_betti
+from .oracles import dense_rank, graph_betti, to_rows
 
 EPS = Fraction(1, 100)
 CLASSICAL2 = WeightDatum(1, (Fraction(1),) * 2)
@@ -81,7 +83,7 @@ class TestGraphComplex:
             cx = build_graph_complex(1, a)
             for k in cx.degrees:
                 d = cx.boundary(k)
-                assert rank(d) == dense_rank(d.to_rows())
+                assert rank(d) == dense_rank(to_rows(d))
 
 
 class TestGraphHomology:
@@ -264,6 +266,54 @@ class TestSplitAB:
     def test_only_cellular_splits(self):
         with pytest.raises(DomainError):
             split_AB(build_graph_complex(1, CLASSICAL3))
+
+
+def classical(g: int, n: int) -> WeightDatum:
+    return WeightDatum(g, (Fraction(1),) * n)
+
+
+CLEARING_CASES = {
+    "graph-1-3": lambda: build_graph_complex(1, CLASSICAL3),
+    "graph-1-4": lambda: build_graph_complex(1, CLASSICAL4),
+    "graph-1-5": lambda: build_graph_complex(1, classical(1, 5)),
+    "graph-near-f3": lambda: build_graph_complex(1, NEAR_F3),
+    "graph-0-5": lambda: build_graph_complex(0, classical(0, 5)),
+    "graph-2-3": lambda: build_graph_complex(2, classical(2, 3)),
+    "graph-3-2": lambda: build_graph_complex(3, classical(3, 2)),
+    "relative-1-3": lambda: build_relative_complex(1, CLASSICAL3,
+                                                   make_floor(1, 3, 3)),
+    "cellular-1-4": lambda: build_cellular_complex(1, CLASSICAL4),
+    "cellular-2-3": lambda: build_cellular_complex(2, classical(2, 3)),
+}
+
+
+class TestClearing:
+    @pytest.mark.parametrize("case", sorted(CLEARING_CASES))
+    def test_cleared_pivots_equal_full_reduction(self, case, monkeypatch):
+        c = CLEARING_CASES[case]()
+        orders = {}
+
+        def recording(m, order=None, row_key=None):
+            orders[id(m)] = list(order)
+            return column_pivots(m, order, row_key)
+
+        monkeypatch.setattr(complexes, "column_pivots", recording)
+        cleared_pivots = dict(boundary_pivots(c))
+        monkeypatch.undo()
+        cleared = set()
+        for k in reversed(c.degrees):
+            d = c.boundary(k)
+            full = {j: low for j, (low, _) in column_pivots(d).items()}
+            assert cleared_pivots[k] == full, k
+            # the columns cleared by the degree above are never reduced,
+            # and none of them is a pivot column of the full reduction
+            assert sorted(orders[id(d)]) == sorted(set(range(d.cols))
+                                                   - cleared)
+            assert not cleared & set(full)
+            cleared = set(full.values())
+        assert homology(c).betti == {
+            k: c.dim(k) - len(cleared_pivots[k])
+            - len(cleared_pivots.get(k + 1, ())) for k in c.degrees}
 
 
 class TestRelative:

@@ -181,6 +181,12 @@ class TestCache:
         [path] = tmp_path.glob("g1_n3_m3_all_*.txt")
         good = path.read_bytes()
         decoded.clear()
+        # The body this process wrote is not decoded.
+        assert enumerate_stable_graphs(1, CLASSICAL3, 3).classes == computed
+        assert decoded == []
+
+        # A body not in memory is decoded once, line by line.
+        enumeration._decoded.clear()
         assert enumerate_stable_graphs(1, CLASSICAL3, 3).classes == computed
         assert len(decoded) == len(computed)
 

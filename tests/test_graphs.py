@@ -3,13 +3,17 @@
 import random
 from fractions import Fraction
 from itertools import permutations
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from tropgc import DomainError, WeightDatum, apply_permutation, signature
+from tropgc import graphs
 from tropgc.graphs import (
     MarkedGraph,
+    _canonicalize_parts,
+    _contracted_parts,
     canonicalize,
     contract_edge,
     decode_graph,
@@ -18,10 +22,9 @@ from tropgc.graphs import (
     has_loops,
     is_pure,
     is_stable,
-    relabel_legs,
 )
 
-from .oracles import reference_canonicalize
+from .oracles import _contract, reference_canonicalize, relabel_legs
 
 LOOP = MarkedGraph((0,), ((0, 0),), (0, 0, 0))
 LOOP_BRIDGE = MarkedGraph((0, 0), ((0, 0), (0, 1)), (1, 1, 1))
@@ -40,6 +43,19 @@ def datum(g: int, *entries) -> WeightDatum:
     return WeightDatum(g, tuple(Fraction(e) for e in entries))
 
 
+# Invalid (weights, edges, legs) and the constructor's message for each.
+INVALID = [
+    ((), (), (), "graph needs at least one vertex"),
+    ((0, -1), ((0, 1),), (), "vertex weights must be nonnegative"),
+    ((0,), ((1, 0),), (), "edge (0,1) endpoint out of range"),
+    ((0, 0), ((0, 1), (1, -1)), (), "edge (-1,1) endpoint out of range"),
+    ((0,), (), (0, 1), "leg vertex 1 out of range"),
+    ((0, 0), ((0, 1),), (0, -1, 2), "leg vertex -1 out of range"),
+    ((0, 0), (), (), "graph must be connected"),
+    ((0, 0, 0), ((0, 1), (1, 0), (2, 2)), (), "graph must be connected"),
+]
+
+
 class TestConstruction:
     @pytest.mark.parametrize("weights,edges,legs", [
         ((), (), ()),
@@ -52,16 +68,7 @@ class TestConstruction:
         with pytest.raises(ValueError):
             MarkedGraph(weights, edges, legs)
 
-    @pytest.mark.parametrize("weights,edges,legs,message", [
-        ((), (), (), "graph needs at least one vertex"),
-        ((0, -1), ((0, 1),), (), "vertex weights must be nonnegative"),
-        ((0,), ((1, 0),), (), "edge (0,1) endpoint out of range"),
-        ((0, 0), ((0, 1), (1, -1)), (), "edge (-1,1) endpoint out of range"),
-        ((0,), (), (0, 1), "leg vertex 1 out of range"),
-        ((0, 0), ((0, 1),), (0, -1, 2), "leg vertex -1 out of range"),
-        ((0, 0), (), (), "graph must be connected"),
-        ((0, 0, 0), ((0, 1), (1, 0), (2, 2)), (), "graph must be connected"),
-    ])
+    @pytest.mark.parametrize("weights,edges,legs,message", INVALID)
     def test_invalid_graph_message(self, weights, edges, legs, message):
         with pytest.raises(ValueError) as info:
             MarkedGraph(weights, edges, legs)
@@ -70,6 +77,7 @@ class TestConstruction:
     def test_edges_stored_sorted_per_edge(self):
         g = MarkedGraph((0, 0), ((1, 0), (0, 1)), (0, 1))
         assert g.edges == ((0, 1), (0, 1))
+
 
 
 class TestGenus:
@@ -253,6 +261,64 @@ class TestReferenceCanonicalize:
         assert got == reference_canonicalize(*triple)
 
 
+def _canonical_fields(result):
+    cg, edge_map = result
+    return ((cg.graph.weights, cg.graph.edges, cg.graph.legs),
+            cg.has_odd_edge_automorphism, cg.automorphism_generators,
+            edge_map)
+
+
+class TestPartsLookup:
+    @settings(max_examples=300, deadline=None)
+    @given(connected_graphs())
+    def test_canonicalize_parts_matches_constructor_and_reference(self,
+                                                                  triple):
+        graph = MarkedGraph(*triple)
+        parts = (graph.weights, graph.edges, graph.legs)
+        want = reference_canonicalize(*triple)
+        with mock.patch.dict(graphs._canon_cache, clear=True):
+            # a miss on the raw and on the normalized parts, then a hit
+            assert _canonical_fields(_canonicalize_parts(*triple)) == want
+            graphs._canon_cache.clear()
+            assert _canonical_fields(_canonicalize_parts(*parts)) == want
+            assert _canonical_fields(_canonicalize_parts(*parts)) == want
+            assert _canonical_fields(canonicalize(MarkedGraph(*triple))) == want
+        with mock.patch.dict(graphs._canon_cache, clear=True):
+            # a hit on what canonicalize memoized
+            assert _canonical_fields(canonicalize(graph)) == want
+            assert _canonical_fields(_canonicalize_parts(*parts)) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(connected_graphs())
+    def test_contracted_parts_match_contraction(self, triple):
+        graph = MarkedGraph(*triple)
+        for e, (u, v) in enumerate(graph.edges):
+            parts = _contracted_parts(graph, e)
+            contracted = contract_edge(graph, e)
+            assert parts == (contracted.weights, contracted.edges,
+                             contracted.legs)
+            if u == v:
+                weights = list(graph.weights)
+                weights[u] += 1
+                want = (tuple(weights), graph.edges[:e] + graph.edges[e + 1:],
+                        graph.legs)
+            else:
+                want = _contract(graph.weights, graph.edges, graph.legs, e)
+            assert parts == want
+
+    def test_contracted_parts_rejects_missing_edge(self):
+        with pytest.raises(ValueError, match="no edge with index 2"):
+            _contracted_parts(BANANA, 2)
+
+    @pytest.mark.parametrize("weights,edges,legs,message", INVALID)
+    def test_invalid_parts_raise_constructor_error(self, weights, edges, legs,
+                                                   message):
+        assert (weights, edges, legs) not in graphs._canon_cache
+        with pytest.raises(ValueError) as info:
+            _canonicalize_parts(weights, edges, legs)
+        assert str(info.value) == message
+
+
 class TestEncoding:
     def test_round_trip(self):
         for graph in (LOOP, LOOP_BRIDGE, BANANA, TRIANGLE, G1_GENUS2):
@@ -270,6 +336,17 @@ class TestEncoding:
     def test_markings_must_be_one_to_k_once(self, legs):
         with pytest.raises(ValueError, match="bad graph encoding"):
             decode_graph(f"1;0;edges=(0-0);legs=({legs})")
+
+    @pytest.mark.parametrize("text", [
+        "x;0;edges=();legs=(1@0)",        # genus prefix not an integer
+        ";0;edges=();legs=(1@0)",         # empty genus prefix
+        "1;a;edges=(0-0);legs=()",        # weight not an integer
+        "1;0;edges=(0-x);legs=()",        # edge end not an integer
+        "1;0;edges=(0-0)",                # legs part missing
+    ])
+    def test_malformed_text(self, text):
+        with pytest.raises(ValueError, match="bad graph encoding"):
+            decode_graph(text)
 
     def test_markings_in_any_order(self):
         graph = decode_graph("0;0,0;edges=(0-1);legs=(2@1,3@1,1@0)")

@@ -24,9 +24,12 @@ from tropgc import (
     rank,
     subspace_dims,
 )
+from tropgc import complexes
+from tropgc.complexes import boundary_pivots
 from tropgc.graphs import has_loops
+from tropgc.linalg import column_pivots
 
-from .oracles import dense_rank
+from .oracles import dense_rank, transpose
 
 ONE_THIRD = Fraction(1, 3)
 FIVE_CHAMBER_RAW = [
@@ -86,7 +89,7 @@ class TestRank:
         cx = build_graph_complex(1, classical(1, 3))
         for k in (0, 1):
             d = cx.boundary(k)
-            assert rank(d) == rank(d.transpose())
+            assert rank(d) == rank(transpose(d))
 
 
 class TestKernel:
@@ -155,6 +158,40 @@ class TestSubspaceDims:
                     assert f.block_rank(d, a, b) == dense_rank(block), \
                         (d, a, b)
 
+    @pytest.mark.parametrize("chain", sorted(CHAINS))
+    def test_block_rank_pivots_match_uncleared_reduction(self, chain,
+                                                         monkeypatch):
+        # One reduction per degree without clearing, columns by level and
+        # rows keyed by (level, index), as before the top-down pass.
+        f = filtered_from_raw(*CHAINS[chain]())
+        orders = {}
+
+        def recording(m, order=None, row_key=None):
+            orders[id(m)] = list(order)
+            return column_pivots(m, order, row_key)
+
+        monkeypatch.setattr(complexes, "column_pivots", recording)
+        f.block_rank(f.base.degrees[0], 1, 1)
+        monkeypatch.undo()
+        cleared = dict(boundary_pivots(f.base, f.levels))
+        skipped = set()
+        for d in reversed(f.base.degrees):
+            lev_cols = f.level_row(d)
+            assert orders[id(f.base.boundary(d))] == sorted(
+                set(range(len(lev_cols))) - skipped,
+                key=lambda j: (lev_cols[j], j)), d
+            skipped = set(cleared[d].values())
+        for d in f.base.degrees:
+            lev_rows, lev_cols = f.level_row(d - 1), f.level_row(d)
+            full = column_pivots(
+                f.base.boundary(d),
+                order=sorted(range(len(lev_cols)), key=lev_cols.__getitem__),
+                row_key=lambda i: (lev_rows[i], i))
+            assert cleared[d] == {j: low for j, (low, _) in full.items()}, d
+            assert (sorted(f._pivot_levels[d])
+                    == sorted((lev_cols[j], lev_rows[i])
+                              for j, (i, _) in full.items())), d
+
 
 def page_dim_by_definition(f, r: int, p: int, d: int) -> int:
     """dim Z - dim(Z ∩ W) for Z = {x in F_p C_d : dx in F_{p-r}} and
@@ -209,7 +246,7 @@ class TestRandomized:
     @given(small_matrix)
     def test_rank_invariant_under_transpose(self, rows):
         m = RationalMatrix.from_rows(rows)
-        assert rank(m) == rank(m.transpose())
+        assert rank(m) == rank(transpose(m))
 
     @settings(max_examples=80, deadline=None)
     @given(small_matrix)
