@@ -67,9 +67,9 @@ def _cmd_chambers(args: argparse.Namespace) -> dict:
 def _cmd_homology(args: argparse.Namespace) -> dict:
     a = _datum(args.g, args.weights)
     kind = args.kind
+    if (kind == "relative") != (args.lower is not None):
+        raise ValueError("--lower is for --kind relative, which needs it")
     if kind == "relative":
-        if args.lower is None:
-            raise ValueError("--kind relative requires --lower")
         lower = _datum(args.g, args.lower)
         complex_ = build_relative_complex(args.g, a, lower)
     elif kind == "graph":

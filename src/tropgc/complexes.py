@@ -1,21 +1,23 @@
 """Chain complexes of stable graphs and their homology.
 
-Four complexes are built here, all with exact rational boundary matrices:
+Two complexes are assembled here, with exact rational boundary matrices:
 
 * the graph complex of a weight datum: pure stable graphs, degree
   |E| - 2g, boundary the signed sum of non-loop edge contractions;
 * the cellular chain complex of the tropical moduli space: all stable
   graphs, degree |E| - 1 (with a single degree -1 augmentation generator),
-  boundary the signed sum of all edge contractions, loops included;
-* its splitting into the loopless pure part and the complementary part;
-* the relative graph complex of a nested pair of weight data.
+  boundary the signed sum of all edge contractions, loops included.
+
+The others are restrict slices of these: the loopless pure part of the
+cellular complex and its complement, and the relative graph complex of a
+nested pair of weight data.
 
 The boundary of a generator with canonical edges e_1 < ... < e_m is
 sum_i (-1)^i [G/e_i], each contraction canonicalized; the coefficient picks
 up the sign of the edge relabeling, and contractions landing on a class
 with an odd edge automorphism are dropped. Coefficients are summed as
-integers. The composite of two boundaries is asserted to vanish at build
-time.
+integers. The composite of two boundaries is asserted to vanish for every
+complex, assembled or sliced.
 
 Ranks come from one column reduction per boundary, top degree first, with
 clearing (Chen and Kerber, "Persistent homology computation with a twist",
@@ -27,7 +29,7 @@ column is never reduced.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 from .chambers import (DomainError, WeightDatum, compare_signatures,
                        format_rational, signature)
@@ -91,8 +93,8 @@ class ChainComplex:
 
 
 def _boundary_entries(basis_high: tuple[CanonicalGraph, ...],
-                      row_of: dict[str, int], contract_loops: bool,
-                      relative: bool) -> dict[tuple[int, int], int]:
+                      row_of: dict[str, int], contract_loops: bool
+                      ) -> dict[tuple[int, int], int]:
     entries: dict[tuple[int, int], int] = {}
     for col, cg in enumerate(basis_high):
         graph = cg.graph
@@ -104,8 +106,6 @@ def _boundary_entries(basis_high: tuple[CanonicalGraph, ...],
                 continue
             row = row_of.get(target.encoding)
             if row is None:
-                if relative:
-                    continue  # component deleted
                 raise AssertionError(
                     f"contraction target {target.encoding} is missing from "
                     "the basis: the stable graph enumeration is incomplete")
@@ -125,8 +125,7 @@ def _assemble(kind: str, g: int, a: WeightDatum, degrees: list[int],
             boundaries.append(RationalMatrix.zero(0, len(bases[0])))
             continue
         row_of = {cg.encoding: r for r, cg in enumerate(bases[i - 1])}
-        entries = _boundary_entries(bases[i], row_of, contract_loops,
-                                    relative=kind == RELATIVE)
+        entries = _boundary_entries(bases[i], row_of, contract_loops)
         boundaries.append(RationalMatrix(rows, len(bases[i]), entries))
     return ChainComplex(kind, g, a, tuple(degrees),
                         tuple(bases), tuple(boundaries))
@@ -149,6 +148,25 @@ def build_cellular_complex(g: int, a: WeightDatum) -> ChainComplex:
     return _assemble(CELLULAR_KIND, g, a, degrees, bases, contract_loops=True)
 
 
+def restrict(c: ChainComplex, keep: Sequence[Sequence[bool]],
+             kind: str) -> ChainComplex:
+    """The generators flagged in keep (aligned with c.bases) and the boundary
+    entries between them. Kept from a subcomplex less a smaller one, this is
+    the quotient complex: entries into dropped generators are deleted."""
+    kept = [{j: b for b, j in enumerate(j for j, k in enumerate(flags) if k)}
+            for flags in keep]
+    bases, mats = [], []
+    for i, col_of in enumerate(kept):
+        row_of = kept[i - 1] if i else {}
+        entries = {(row_of[r], col_of[col]): v
+                   for (r, col), v in c.boundaries[i].entries().items()
+                   if col in col_of and r in row_of}
+        bases.append(tuple(c.bases[i][j] for j in col_of))
+        mats.append(RationalMatrix(len(row_of), len(col_of), entries))
+    return ChainComplex(kind, c.g, c.weights, c.degrees,
+                        tuple(bases), tuple(mats))
+
+
 def split_AB(c: ChainComplex) -> tuple[ChainComplex, ChainComplex]:
     """Split cellular chains into the loopless pure part and the rest.
 
@@ -159,44 +177,26 @@ def split_AB(c: ChainComplex) -> tuple[ChainComplex, ChainComplex]:
         raise DomainError("only a cellular complex splits this way")
     in_a = [[is_pure(cg.graph) and not has_loops(cg.graph) for cg in basis]
             for basis in c.bases]
-    parts = []
-    for kind, keep in ((A_PART, True), (B_PART, False)):
-        kept = [[j for j, a in enumerate(flags) if a == keep]
-                for flags in in_a]
-        bases, mats = [], []
-        for i, idx in enumerate(kept):
-            col_of = {j: b for b, j in enumerate(idx)}
-            row_of = {j: b for b, j in enumerate(kept[i - 1])} if i else {}
-            entries = {}
-            for (row, col), v in c.boundaries[i].entries().items():
-                if col in col_of:
-                    if row not in row_of:
-                        raise AssertionError(
-                            f"{kind} of the cellular complex is not "
-                            "boundary-closed")
-                    entries[(row_of[row], col_of[col])] = v
-            bases.append(tuple(c.bases[i][j] for j in idx))
-            mats.append(RationalMatrix(len(row_of), len(idx), entries))
-        parts.append(ChainComplex(kind, c.g, c.weights, c.degrees,
-                                  tuple(bases), tuple(mats)))
-    return parts[0], parts[1]
+    a_part = restrict(c, in_a, A_PART)
+    b_part = restrict(c, [[not a for a in flags] for flags in in_a], B_PART)
+    for whole, a, b in zip(c.boundaries, a_part.boundaries, b_part.boundaries):
+        if len(a.entries()) + len(b.entries()) != len(whole.entries()):
+            raise AssertionError(
+                "the A/B split of the cellular complex is not boundary-closed")
+    return a_part, b_part
 
 
 def build_relative_complex(g: int, upper: WeightDatum,
                            lower: WeightDatum) -> ChainComplex:
-    """Graph complex generators stable for upper but not lower, with
-    boundary components into lower-stable classes deleted."""
+    """The graph complex of upper sliced to generators not stable for lower,
+    with boundary components into lower-stable classes deleted."""
     rel = compare_signatures(signature(lower), signature(upper))
     if rel.relation not in ("Equal", "Less"):
         raise DomainError(
             f"weight data are not nested: lower compares as {rel.relation}")
-    degrees = list(degree_range(g, upper.n, GRAPH_COMPLEX))
-    bases = []
-    for k in degrees:
-        full = generator_basis(g, upper, k, GRAPH_COMPLEX)
-        bases.append(tuple(cg for cg in full
-                           if not is_stable(cg.graph, g, lower)))
-    return _assemble(RELATIVE, g, upper, degrees, bases, contract_loops=False)
+    c = build_graph_complex(g, upper)
+    return restrict(c, [[not is_stable(cg.graph, g, lower) for cg in basis]
+                        for basis in c.bases], RELATIVE)
 
 
 @dataclass

@@ -142,6 +142,16 @@ class TestHomologyCommand:
         assert rc == 2
         assert "usage error" in err
 
+    @pytest.mark.parametrize("kind", ["graph", "cellular", "a-part",
+                                      "b-part"])
+    def test_lower_only_with_relative(self, capsys, kind):
+        rc, out, err = run(capsys, ["homology", "--g", "1",
+                                    "--weights", "1,1,1", "--kind", kind,
+                                    "--lower", "1/3,1/3,33/100"])
+        assert rc == 2
+        assert out == ""
+        assert "usage error" in err
+
 
 class TestSpectralCommand:
     def test_page_five_golden(self, capsys, filtration_file):

@@ -22,9 +22,9 @@ from tropgc import (
     split_AB,
 )
 from tropgc import complexes
-from tropgc.complexes import GRAPH, _assemble, boundary_pivots
+from tropgc.complexes import CELLULAR_KIND, GRAPH, _assemble, boundary_pivots
 from tropgc.enumeration import GRAPH_COMPLEX, degree_range, generator_basis
-from tropgc.graphs import MarkedGraph, canonicalize
+from tropgc.graphs import MarkedGraph, canonicalize, has_loops, is_pure
 from tropgc.linalg import column_pivots
 
 from .oracles import dense_rank, graph_betti, to_rows
@@ -187,21 +187,28 @@ class TestGraphHomology:
         (3, 1, {-1: 3, 0: 6, 1: 2}, {0: 1}),
         (3, 2, {-1: 8, 0: 32, 1: 41, 2: 17}, {}),
         (4, 1, {-2: 1, -1: 12, 0: 30, 1: 30, 2: 11}, {}),
+        (2, 3, {-1: 4, 0: 23, 1: 43, 2: 24}, {}),
+        (2, 4, {-1: 8, 0: 91, 1: 324, 2: 446, 3: 207}, {2: 1, 3: 3}),
     ])
     def test_frontier_values(self, g, n, dims, betti):
         """Dimensions and Betti numbers of classical (g, n) as computed by
-        this program (0.05 s, 0.4 s and about 3 s cold), not taken from the
-        literature. At (3,1) and (3,2) they are checked by a second route:
-        the reduced homology of the cellular complex equals the graph-complex
-        homology shifted by 2g - 1 (Chan-Galatius-Payne)."""
+        this program (about 0.05 s, 0.4 s, 3 s, 0.2 s and 2.5 s cold), not
+        taken from the literature. At genus 2 and 3 they are checked by a
+        second route (Chan-Galatius-Payne): the reduced homology of the
+        cellular complex, and of its A part, equals the graph-complex
+        homology shifted by 2g - 1, and the B part is acyclic."""
         a = WeightDatum(g, (Fraction(1),) * n)
         rep = homology(build_graph_complex(g, a))
         assert rep.dims == {k: dims.get(k, 0) for k in rep.degrees}
         assert rep.betti == {k: betti.get(k, 0) for k in rep.degrees}
-        if g == 3:
-            cell = homology(build_cellular_complex(g, a)).betti
-            assert cell == {k: rep.betti.get(k - (2 * g - 1), 0)
-                            for k in cell}
+        if g < 4:
+            cell = build_cellular_complex(g, a)
+            shifted = {k: rep.betti.get(k - (2 * g - 1), 0)
+                       for k in cell.degrees}
+            a_part, b_part = split_AB(cell)
+            assert homology(cell).betti == shifted
+            assert homology(a_part).betti == shifted
+            assert not any(homology(b_part).betti.values())
 
     @pytest.mark.parametrize("g,a", [
         (1, CLASSICAL2), (1, CLASSICAL3), (1, MINIMAL3), (1, NEAR_F3),
@@ -262,6 +269,21 @@ class TestSplitAB:
         a_part, b_part = split_AB(cell)
         for k in cell.degrees:
             assert a_part.dim(k) + b_part.dim(k) == cell.dim(k)
+
+    def test_split_that_is_not_boundary_closed_raises(self):
+        # one A generator (pure, loopless) in degree 0 and one B generator
+        # (with a loop) in degree 1 whose boundary hits it: neither part
+        # keeps that entry
+        a_gen, _ = canonicalize(MarkedGraph((0, 0), ((0, 1), (0, 1)), (0, 1)))
+        b_gen, _ = canonicalize(MarkedGraph((0, 0), ((0, 1), (1, 1)), (0, 0)))
+        assert is_pure(a_gen.graph) and not has_loops(a_gen.graph)
+        assert has_loops(b_gen.graph)
+        c = ChainComplex(CELLULAR_KIND, 1, CLASSICAL2, (0, 1),
+                         ((a_gen,), (b_gen,)),
+                         (RationalMatrix.zero(0, 1),
+                          RationalMatrix(1, 1, {(0, 0): 1})))
+        with pytest.raises(AssertionError, match="not boundary-closed"):
+            split_AB(c)
 
     def test_only_cellular_splits(self):
         with pytest.raises(DomainError):

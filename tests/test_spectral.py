@@ -10,6 +10,7 @@ from tropgc import (
     WeightDatum,
     align_chain,
     build_graph_complex,
+    build_relative_complex,
     compare_up_to_symmetry,
     decomposition_report,
     e1_relative_check,
@@ -26,6 +27,7 @@ from tropgc import (
     parse_filtration_json,
     spectral_json,
 )
+from tropgc.complexes import RELATIVE, restrict
 
 EPS = Fraction(1, 100)
 CLASSICAL3 = WeightDatum(1, (Fraction(1),) * 3)
@@ -196,6 +198,25 @@ class TestDecomposition:
 
 
 class TestE1RelativeCheck:
+    @pytest.mark.parametrize("chain", ["five_chamber", "floor_g2"])
+    def test_level_slices_are_step_complexes(self, chain, request):
+        # the level-p slice of the base is the graph complex of the first
+        # datum at p = 1, and the complex relative to the datum before at
+        # p >= 2, basis by basis and boundary by boundary
+        f = request.getfixturevalue(chain)
+        g, aligned = f.g, f.chain
+        for p in range(1, f.num_levels + 1):
+            step = restrict(f.base, [[lev == p for lev in row]
+                                     for row in f.levels], RELATIVE)
+            if p == 1:
+                want = build_graph_complex(g, aligned[0])
+            else:
+                want = build_relative_complex(g, aligned[p - 1],
+                                              aligned[p - 2])
+            assert step.degrees == want.degrees
+            assert step.bases == want.bases, p
+            assert step.boundaries == want.boundaries, p
+
     def test_five_chamber(self, five_chamber):
         assert e1_relative_check(five_chamber)
 
