@@ -278,7 +278,6 @@ def _split_permutations(n: int, k: int):
 
 
 def compare_up_to_symmetry(a: WeightDatum, b: WeightDatum,
-                           prune: bool = True,
                            counters: Optional[dict] = None) -> OrderResult:
     """Compare the chambers of a and b up to the S_n relabeling action.
 
@@ -287,10 +286,10 @@ def compare_up_to_symmetry(a: WeightDatum, b: WeightDatum,
     signature of b decides the result, with sigma as the witness. If no
     permutation relates the two signatures the chambers are Incomparable.
 
-    With prune=True, permutations that produce a weight tuple already seen
-    are skipped (the signature depends only on the tuple); entries are
-    compared through small integer ids, and with n distinct entries nothing
-    can repeat, so no tuple is kept. Every evaluated permutation scans the
+    Permutations that produce a weight tuple already seen are skipped (the
+    signature depends only on the tuple); entries are compared through small
+    integer ids, and with n distinct entries nothing can repeat, so no tuple
+    is kept. Every evaluated permutation scans the
     full wall list; exact work done is reported via the optional counters
     dict (keys "permutations", "subset_comparisons").
 
@@ -319,7 +318,7 @@ def compare_up_to_symmetry(a: WeightDatum, b: WeightDatum,
     ids: dict[Fraction, int] = {}
     entry_id = {i: ids.setdefault(x, len(ids))
                 for i, x in enumerate(a.entries, 1)}
-    seen: Optional[set] = set() if prune and len(ids) < n else None
+    seen: Optional[set] = set() if len(ids) < n else None
     hi_memo: dict[tuple[int, ...], list[int]] = {}
     prefix = lo_img = None
     perms_checked = 0

@@ -10,13 +10,14 @@ Any other weight datum filters the classical list through is_stable. This
 is sound because entrywise-smaller weight data have nested stable-graph
 sets, and it lets chamber-equal data share one cache entry: cache files are
 keyed by (g, n, edge count, purity, signature hash) and store one canonical
-graph encoding per line, after a header line with the line count and a
-SHA-256 of the body, so a truncated or damaged file is recomputed, not
-believed. The header is checked on every load; the body of a file that
-passes is decoded and checked line by line once per process, and its
-classes are kept in memory under that header line, so identical bytes are
-never decoded twice. A body this process wrote is kept under its header
-when it is written, and is not decoded at all.
+graph encoding per line, after a header line with that key, the line count
+and a SHA-256 of the body, so a truncated, damaged or misplaced file is
+recomputed, not believed. The header is checked on every load; the body of
+a file that passes is decoded and checked line by line once per process (a
+line that is not a canonical encoding also means recomputing), and its
+classes are kept in memory under the body's SHA-256, so identical bytes are
+never decoded twice. A body this process wrote is kept in memory when it is
+written, and is not decoded at all.
 """
 
 from __future__ import annotations
@@ -145,36 +146,41 @@ def _cache_path(g: int, n: int, m: int, pure_only: bool, sig_hash: str) -> str:
                         f"g{g}_n{n}_m{m}_{kind}_{sig_hash}.txt")
 
 
-def _cache_header(body: bytes) -> bytes:
-    """First line of a cache file: format version, line count and the
-    SHA-256 of everything after it."""
-    count, digest = body.count(b"\n"), hashlib.sha256(body).hexdigest()
-    return f"tropgc-cache 1 {count} {digest}".encode()
+def _cache_header(path: str, body: bytes, digest: str) -> bytes:
+    """First line of a cache file: format version, key (the file name),
+    line count and the SHA-256 of everything after it."""
+    key = os.path.splitext(os.path.basename(path))[0]
+    count = body.count(b"\n")
+    return f"tropgc-cache 2 {key} {count} {digest}".encode()
 
 
-# Classes of every cache body decoded or written so far, by its header line
-# (count and SHA-256 of the body).
-_decoded: dict[bytes, tuple[CanonicalGraph, ...]] = {}
+# Classes of every cache body decoded or written so far, by its SHA-256.
+_decoded: dict[str, tuple[CanonicalGraph, ...]] = {}
 
 
 def _cache_load(path: str) -> Optional[tuple[CanonicalGraph, ...]]:
     """Classes stored at path; None, with a warning, when the file's header
-    is missing or does not match its body, so the caller recomputes."""
+    is missing or does not match its name and body, or a line is not a
+    canonical encoding, so the caller recomputes."""
     try:
         with open(path, "rb") as fh:
             header, _, body = fh.read().partition(b"\n")
     except FileNotFoundError:
         return None
-    if header != _cache_header(body):
-        warnings.warn(f"ignoring cache file {path}: its header is missing or "
-                      "does not match its contents; recomputing", stacklevel=2)
+    digest = hashlib.sha256(body).hexdigest()
+    try:
+        if header != _cache_header(path, body, digest):
+            raise ValueError("its header is missing or does not match its "
+                             "name or contents")
+        if digest not in _decoded:
+            _decoded[digest] = tuple(
+                _decode_canonical(line)
+                for line in body.decode("ascii").splitlines())
+    except ValueError as exc:
+        warnings.warn(f"ignoring cache file {path}: {exc}; recomputing",
+                      stacklevel=2)
         return None
-    classes = _decoded.get(header)
-    if classes is None:
-        classes = tuple(_decode_canonical(line)
-                        for line in body.decode("ascii").splitlines())
-        _decoded[header] = classes
-    return classes
+    return _decoded[digest]
 
 
 def _decode_canonical(line: str) -> CanonicalGraph:
@@ -185,22 +191,22 @@ def _decode_canonical(line: str) -> CanonicalGraph:
 
 
 def _cache_store(path: str, classes: tuple[CanonicalGraph, ...]) -> None:
-    """Write classes to path, and keep them in memory under the header
-    written, so that this process never decodes the body it wrote."""
+    """Write classes to path, and keep them in memory under the SHA-256 of
+    the body written, so that this process never decodes the body it wrote."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     body = "".join(cg.encoding + "\n" for cg in classes).encode("ascii")
-    header = _cache_header(body)
+    digest = hashlib.sha256(body).hexdigest()
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
                                suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(header + b"\n" + body)
+            fh.write(_cache_header(path, body, digest) + b"\n" + body)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-    _decoded[header] = classes
+    _decoded[digest] = classes
 
 
 def enumerate_stable_graphs(g: int, a: WeightDatum, m: int,
@@ -209,7 +215,8 @@ def enumerate_stable_graphs(g: int, a: WeightDatum, m: int,
 
     Results are complete, duplicate free, sorted by canonical encoding, and
     cached on disk (directory from TROPGC_CACHE, default ./.tropgc-cache);
-    a cache file whose header does not match its body is recomputed.
+    a cache file whose header does not match its name and body, or that
+    holds a line that is not canonical, is recomputed with a warning.
     """
     if a.g != g:
         raise DomainError(f"weight datum has genus {a.g}, expected {g}")

@@ -1,23 +1,22 @@
 """Exact sparse linear algebra over the rationals.
 
-Matrices store their entries as fractions.Fraction values and every
-operation is exact; no floating point appears anywhere. Where values are
-integers the arithmetic runs on int: matrix products (the d o d check)
-multiply integral entries as ints and use Fraction only for entries with a
-denominator, and the reduction works on integer columns throughout. There is
-one elimination, column_pivots: a fraction-free, left-to-right column
-reduction that clears each column to a primitive integer vector and reduces
-it against earlier pivot columns until its lowest row is new. The rank is
-the number of pivots. By the pairing lemma of persistence (Cohen-Steiner,
-Edelsbrunner and Morozov, "Vines and vineyards", 2006), with columns and
-rows ordered by a filtration, the rank of every lower-left block is the
-number of pivots inside it. A column known to lie in the span of the
-columns before it reduces to zero and can be left out of the order without
-changing any other pivot; the chain complexes use this to skip the columns
-that the reduction of the next boundary clears (Chen and Kerber,
-"Persistent homology computation with a twist", EuroCG 2011). Kernels come
-from the reduction of m stacked over the identity, and subspace dimensions
-from ranks.
+Matrices normalize each entry once, when they are built: an integral value
+is stored as an int and any other as a fractions.Fraction. Every operation
+is exact; no floating point appears anywhere. Graph complex boundaries are
+integral, so their products (the d o d check) and their reductions run on
+int throughout. There is one elimination, column_pivots: a fraction-free,
+left-to-right column reduction that clears each column to a primitive
+integer vector and reduces it against earlier pivot columns until its
+lowest row is new. The rank is the number of pivots. By the pairing lemma
+of persistence (Cohen-Steiner, Edelsbrunner and Morozov, "Vines and
+vineyards", 2006), with columns and rows ordered by a filtration, the rank
+of every lower-left block is the number of pivots inside it. A column known
+to lie in the span of the columns before it reduces to zero and can be left
+out of the order without changing any other pivot; the chain complexes use
+this to skip the columns that the reduction of the next boundary clears
+(Chen and Kerber, "Persistent homology computation with a twist", EuroCG
+2011). Kernels come from the reduction of m stacked over the identity, and
+subspace dimensions from ranks.
 """
 
 from __future__ import annotations
@@ -26,37 +25,41 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-Vector = tuple[Fraction, ...]
+Scalar = int | Fraction
+Vector = tuple[Scalar, ...]
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
+def _exact(x) -> Scalar:
+    """x as an int when it is integral, else as a Fraction; x may be an int,
+    a Fraction or a string such as "3/4", and anything else is rejected."""
     if isinstance(x, int):
-        return Fraction(x)
+        return int(x)
     if isinstance(x, str):
-        return Fraction(x)
+        x = Fraction(x)
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
     raise TypeError(f"not an exact rational: {x!r}")
 
 
 class RationalMatrix:
-    """Immutable sparse matrix over Q; absent entries are exactly zero."""
+    """Immutable sparse matrix over Q; absent entries are exactly zero. The
+    constructor stores an integral entry as an int, any other as a Fraction."""
 
     __slots__ = ("rows", "cols", "_entries")
 
     def __init__(self, rows: int, cols: int,
-                 entries: Mapping[tuple[int, int], Fraction | int | str] = ()):
+                 entries: Mapping[tuple[int, int], Scalar | str] = ()):
         if rows < 0 or cols < 0:
             raise ValueError("negative matrix dimensions")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
-        clean: dict[tuple[int, int], Fraction] = {}
+        clean: dict[tuple[int, int], Scalar] = {}
         items = entries.items() if isinstance(entries, Mapping) else entries
         for (i, j), x in items:
             if not (0 <= i < rows and 0 <= j < cols):
                 raise ValueError(f"entry ({i},{j}) outside {rows}x{cols} matrix")
-            v = _as_fraction(x)
-            if v != 0:
+            v = _exact(x)
+            if v:
                 clean[(i, j)] = v
         object.__setattr__(self, "_entries", clean)
 
@@ -67,15 +70,10 @@ class RationalMatrix:
     def from_rows(cls, rows_data: Sequence[Sequence]) -> "RationalMatrix":
         nrows = len(rows_data)
         ncols = len(rows_data[0]) if nrows else 0
-        entries = {}
-        for i, row in enumerate(rows_data):
-            if len(row) != ncols:
-                raise ValueError("ragged rows")
-            for j, x in enumerate(row):
-                v = _as_fraction(x)
-                if v != 0:
-                    entries[(i, j)] = v
-        return cls(nrows, ncols, entries)
+        if any(len(row) != ncols for row in rows_data):
+            raise ValueError("ragged rows")
+        return cls(nrows, ncols, {(i, j): x for i, row in enumerate(rows_data)
+                                  for j, x in enumerate(row)})
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "RationalMatrix":
@@ -83,36 +81,34 @@ class RationalMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
-        return cls(n, n, {(i, i): Fraction(1) for i in range(n)})
+        return cls(n, n, {(i, i): 1 for i in range(n)})
 
-    def entry(self, i: int, j: int) -> Fraction:
+    def entry(self, i: int, j: int) -> Scalar:
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError((i, j))
-        return self._entries.get((i, j), Fraction(0))
+        return self._entries.get((i, j), 0)
 
-    def entries(self) -> dict[tuple[int, int], Fraction]:
+    def entries(self) -> dict[tuple[int, int], Scalar]:
         return dict(self._entries)
 
     def is_zero(self) -> bool:
         return not self._entries
 
     def column(self, j: int) -> Vector:
-        return tuple(self._entries.get((i, j), Fraction(0)) for i in range(self.rows))
+        return tuple(self._entries.get((i, j), 0) for i in range(self.rows))
 
     def matmul(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
-        by_row: dict[int, list[tuple[int, Fraction | int]]] = {}
+        by_row: dict[int, list[tuple[int, Scalar]]] = {}
         for (i, j), v in other._entries.items():
-            by_row.setdefault(i, []).append((j, _integral(v)))
-        acc: dict[tuple[int, int], Fraction | int] = {}
+            by_row.setdefault(i, []).append((j, v))
+        acc: dict[tuple[int, int], Scalar] = {}
         for (i, k), v in self._entries.items():
-            v = _integral(v)
             for j, w in by_row.get(k, ()):
                 key = (i, j)
                 acc[key] = acc.get(key, 0) + v * w
-        return RationalMatrix(self.rows, other.cols,
-                              {key: x for key, x in acc.items() if x})
+        return RationalMatrix(self.rows, other.cols, acc)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, RationalMatrix)
@@ -139,7 +135,7 @@ def column_pivots(m: RationalMatrix, order: Optional[Iterable[int]] = None,
     new = (p/g) * column - (c/g) * pivot_column, g = gcd(p, c), followed by
     content removal keeps all arithmetic in Z.
     """
-    cols: dict[int, dict[int, Fraction]] = {}
+    cols: dict[int, dict[int, Scalar]] = {}
     for (i, j), v in m._entries.items():
         cols.setdefault(j, {})[i] = v
     by_row: dict[int, dict[int, int]] = {}
@@ -168,12 +164,7 @@ def column_pivots(m: RationalMatrix, order: Optional[Iterable[int]] = None,
     return pivots
 
 
-def _integral(v: Fraction) -> Fraction | int:
-    """v as an int when its denominator is 1, else v itself."""
-    return v.numerator if v.denominator == 1 else v
-
-
-def _primitive(col: Mapping[int, Fraction]) -> dict[int, int]:
+def _primitive(col: Mapping[int, Scalar]) -> dict[int, int]:
     """col scaled by a positive rational to coprime integer entries."""
     denom = lcm(*(v.denominator for v in col.values()))
     return _content_free({i: v.numerator * (denom // v.denominator)
@@ -203,7 +194,7 @@ def kernel_basis(m: RationalMatrix) -> list[Vector]:
     """
     n = m.rows
     stacked = RationalMatrix(n + m.cols, m.cols, {
-        **m._entries, **{(n + j, j): Fraction(1) for j in range(m.cols)}})
+        **m._entries, **{(n + j, j): 1 for j in range(m.cols)}})
     return [tuple(Fraction(col.get(n + k, 0)) for k in range(m.cols))
             for low, col in column_pivots(
                 stacked, row_key=lambda i: (i < n, i)).values()

@@ -296,12 +296,12 @@ def reference_canonicalize(weights, edges, legs):
             generators, tuple(edge_map))
 
 
-def reference_compare(a, b, prune: bool):
+def reference_compare(a, b):
     """compare_up_to_symmetry from its definition: (relation, witness,
     counters).
 
-    Permutations are walked in lexicographic order; with prune, one whose
-    tuple of permuted entries was already seen is skipped. Each other
+    Permutations are walked in lexicographic order; one whose tuple of
+    permuted entries was already seen is skipped. Each other
     sigma compares signature(apply_permutation(sigma, a)) with signature(b)
     wall by wall through compare_signatures, so this checks the
     symmetrization, the pruning, the first-witness rule and the counters,
@@ -315,10 +315,9 @@ def reference_compare(a, b, prune: bool):
     relation, witness = "Incomparable", None
     for sigma in permutations(range(1, a.n + 1)):
         moved = apply_permutation(sigma, a)
-        if prune:
-            if moved.entries in seen:
-                continue
-            seen.add(moved.entries)
+        if moved.entries in seen:
+            continue
+        seen.add(moved.entries)
         evaluated += 1
         res = compare_signatures(signature(moved), target)
         if res.relation != "Incomparable":

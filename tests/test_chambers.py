@@ -218,19 +218,16 @@ HEAVY_LAST = datum(1, "190/10000", "150/10000", "230/10000", "170/10000",
 
 
 class TestCompareCounters:
-    @pytest.mark.parametrize("prune", [True, False])
-    def test_seven_markings_equal(self, prune):
+    def test_seven_markings_equal(self):
         counters: dict = {}
-        res = compare_up_to_symmetry(HEAVY_PAIR, HEAVY_LAST, prune, counters)
+        res = compare_up_to_symmetry(HEAVY_PAIR, HEAVY_LAST, counters)
         assert res == OrderResult("Equal", (3, 4, 5, 6, 7, 1, 2))
         assert counters == {"permutations": 1745,
                             "subset_comparisons": 1745 * 120}
 
-    @pytest.mark.parametrize("prune", [True, False])
-    def test_seven_markings_incomparable(self, prune):
+    def test_seven_markings_incomparable(self):
         counters: dict = {}
-        res = compare_up_to_symmetry(HEAVY_PAIR, FOUR_OF_SEVEN, prune,
-                                     counters)
+        res = compare_up_to_symmetry(HEAVY_PAIR, FOUR_OF_SEVEN, counters)
         assert res == OrderResult("Incomparable", None)
         assert counters == {"permutations": 5040,
                             "subset_comparisons": 5040 * 120}
@@ -284,13 +281,12 @@ def oracle_case(draw):
 
 class TestReferenceCompare:
     @settings(max_examples=120, deadline=None)
-    @given(oracle_case(), st.booleans())
-    def test_matches_definition(self, case, prune):
+    @given(oracle_case())
+    def test_matches_definition(self, case):
         a, b = case
         counters: dict = {}
-        res = compare_up_to_symmetry(a, b, prune, counters)
-        assert (res.relation, res.witness, counters) == \
-            reference_compare(a, b, prune)
+        res = compare_up_to_symmetry(a, b, counters)
+        assert (res.relation, res.witness, counters) == reference_compare(a, b)
 
 
 class TestCensus:

@@ -1,9 +1,11 @@
 """Command line interface: golden outputs, exit codes, determinism."""
 
+import hashlib
 import json
 
 import pytest
 
+from tropgc import enumeration
 from tropgc.cli import main
 
 FIVE_CHAMBER_FILE = {
@@ -151,6 +153,28 @@ class TestHomologyCommand:
         assert rc == 2
         assert out == ""
         assert "usage error" in err
+
+    def test_non_canonical_cache_line_is_recomputed(self, capsys, tmp_path,
+                                                    monkeypatch):
+        # A checksummed file with a non-canonical encoding of one of its
+        # classes used to end in "usage error: cache entry is not
+        # canonical" and exit 2.
+        monkeypatch.setenv("TROPGC_CACHE", str(tmp_path))
+        argv = ["homology", "--g", "1", "--weights", "1,1,1"]
+        assert run(capsys, argv)[:2] == (0, HOMOLOGY_GRAPH)
+        [path] = tmp_path.glob("g1_n3_m2_pure_*.txt")
+        good = path.read_text()
+        body = good.splitlines(keepends=True)[1:]
+        assert body[0] == "1;0,0;edges=(0-1,0-1);legs=(1@0,2@0,3@1)\n"
+        body[0] = "1;0,0;edges=(0-1,0-1);legs=(1@1,2@1,3@0)\n"
+        data = "".join(body).encode()
+        header = enumeration._cache_header(
+            str(path), data, hashlib.sha256(data).hexdigest())
+        path.write_bytes(header + b"\n" + data)
+        with pytest.warns(UserWarning,
+                          match="ignoring cache file .*not canonical"):
+            assert run(capsys, argv)[:2] == (0, HOMOLOGY_GRAPH)
+        assert path.read_text() == good
 
 
 class TestSpectralCommand:

@@ -1,5 +1,6 @@
 """Graph, cellular, and relative chain complexes and their homology."""
 
+import hashlib
 from fractions import Fraction
 from math import factorial
 
@@ -21,10 +22,11 @@ from tropgc import (
     rank,
     split_AB,
 )
-from tropgc import complexes
+from tropgc import complexes, enumeration
 from tropgc.complexes import CELLULAR_KIND, GRAPH, _assemble, boundary_pivots
 from tropgc.enumeration import GRAPH_COMPLEX, degree_range, generator_basis
-from tropgc.graphs import MarkedGraph, canonicalize, has_loops, is_pure
+from tropgc.graphs import (MarkedGraph, canonicalize, decode_graph,
+                           encode_graph, has_loops, is_pure)
 from tropgc.linalg import column_pivots
 
 from .oracles import dense_rank, graph_betti, to_rows
@@ -132,7 +134,9 @@ class TestGraphHomology:
         assert path.read_text().splitlines(keepends=True) == lines
 
     @pytest.mark.parametrize("damage", ["top-degree-truncated",
-                                        "corrupted-line", "headerless"])
+                                        "corrupted-line", "headerless",
+                                        "non-canonical-line",
+                                        "undecodable-line", "misplaced"])
     def test_damaged_cache_file_is_recomputed(self, tmp_path, monkeypatch,
                                               damage):
         # The top degree is the FOUND case: no contraction lands there, so a
@@ -148,8 +152,31 @@ class TestGraphHomology:
             # a canonical encoding of the wrong class: only the checksum
             # sees it
             damaged = lines[:5] + [lines[6]] + lines[6:]
-        else:
+        elif damage == "headerless":
             damaged = lines[1:]
+        elif damage == "misplaced":
+            # The file of another chamber, header and all, copied over this
+            # one: it used to give b_1 = 3, b_2 = 2 without any error.
+            lower = WeightDatum(1, (1, 1, Fraction(1, 10), Fraction(1, 10)))
+            enumerate_stable_graphs(1, lower, 4, pure_only=True)
+            [other] = set(tmp_path.glob("g1_n4_m4_pure_*.txt")) - {path}
+            damaged = other.read_text().splitlines(keepends=True)
+            assert damaged != lines
+        else:
+            # a line that is not a canonical encoding under a header
+            # recomputed to match: the checksum passes and decoding fails
+            body = lines[1:]
+            if damage == "undecodable-line":
+                body[4] = "not a graph\n"
+            else:
+                graph = decode_graph(body[4])
+                body[4] = encode_graph(MarkedGraph(
+                    graph.weights, graph.edges[::-1], graph.legs)) + "\n"
+                assert body[4] != lines[5]
+            data = "".join(body).encode()
+            header = enumeration._cache_header(
+                str(path), data, hashlib.sha256(data).hexdigest())
+            damaged = [header.decode() + "\n"] + body
         path.write_text("".join(damaged))
         with pytest.warns(UserWarning, match="ignoring cache file"):
             rep = homology(build_graph_complex(1, CLASSICAL4))

@@ -25,11 +25,11 @@ from tropgc import (
     subspace_dims,
 )
 from tropgc import complexes
-from tropgc.complexes import boundary_pivots
-from tropgc.graphs import has_loops
+from tropgc.complexes import RELATIVE, boundary_pivots, restrict
+from tropgc.graphs import has_loops, is_stable
 from tropgc.linalg import column_pivots
 
-from .oracles import dense_rank, transpose
+from .oracles import dense_rank, to_rows, transpose
 
 ONE_THIRD = Fraction(1, 3)
 FIVE_CHAMBER_RAW = [
@@ -70,6 +70,33 @@ CHAINS = {
     "census-3": lambda: census_chain(3),
     "census-4": lambda: census_chain(4),
 }
+
+
+class TestEntries:
+    @pytest.mark.parametrize("value", ["4/2", Fraction(4, 2), 2])
+    def test_integral_values_are_stored_as_int(self, value):
+        [stored] = RationalMatrix(1, 1, {(0, 0): value}).entries().values()
+        assert type(stored) is int and stored == 2
+
+    def test_other_rationals_stay_fractions(self):
+        m = RationalMatrix.from_rows([[Fraction(3, 4), "-1/3"]])
+        assert m.entries() == {(0, 0): Fraction(3, 4), (0, 1): Fraction(-1, 3)}
+        assert all(type(v) is Fraction for v in m.entries().values())
+
+    def test_float_is_rejected(self):
+        with pytest.raises(TypeError, match="not an exact rational"):
+            RationalMatrix(1, 1, {(0, 0): 1.5})
+
+    def test_graph_complex_and_slices_have_int_entries(self):
+        cx = build_graph_complex(1, classical(1, 4))
+        lower = WeightDatum(1, (1, 1, Fraction(1, 10), Fraction(1, 10)))
+        flags = [[is_stable(cg.graph, 1, lower) for cg in basis]
+                 for basis in cx.bases]
+        sub = restrict(cx, flags, cx.kind)
+        rel = restrict(cx, [[not f for f in row] for row in flags], RELATIVE)
+        for c in (cx, sub, rel):
+            values = [v for m in c.boundaries for v in m.entries().values()]
+            assert values and all(type(v) is int for v in values)
 
 
 class TestRank:
@@ -286,3 +313,18 @@ class TestRandomized:
         nonzero = [r for r in rows if any(x != 0 for x in r)]
         dim_u, dim_v, dim_sum, dim_int = subspace_dims(nonzero, nonzero)
         assert dim_u == dim_v == dim_sum == dim_int == dense_rank(rows)
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_matrix.flatmap(lambda rows: st.tuples(
+        st.just(rows),
+        st.lists(st.lists(st.integers(-3, 3), min_size=2, max_size=2),
+                 min_size=len(rows[0]), max_size=len(rows[0])))))
+    def test_matmul_matches_dense_product(self, case):
+        a_rows, b_rows = case
+        prod = RationalMatrix.from_rows(a_rows).matmul(
+            RationalMatrix.from_rows(b_rows))
+        dense = [[sum(x * y for x, y in zip(row, col)) for col in zip(*b_rows)]
+                 for row in a_rows]
+        assert to_rows(prod) == dense
+        assert all(type(v) is int or v.denominator > 1
+                   for v in prod.entries().values())

@@ -1,0 +1,43 @@
+"""Smoke tests of the example scripts: each runs to completion in a fresh
+cache and prints its headline result."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(name: str, cache: Path) -> list[str]:
+    src = str(ROOT / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, TROPGC_CACHE=str(cache),
+               PYTHONPATH=src + os.pathsep + path if path else src)
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / name)],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+@pytest.mark.parametrize("name,pinned", [
+    ("run_five_chamber.py", "  dim H^3(M_{1,3};Q) >= 1"),
+    ("run_census.py", "g=1 n=4: 96 chambers, 17 orbits"),
+])
+def test_script_prints_its_result(tmp_path, name, pinned):
+    assert any(line.startswith(pinned)
+               for line in run_script(name, tmp_path)), pinned
+
+
+def test_genus_two_script(tmp_path):
+    lines = run_script("run_genus_two.py", tmp_path)
+    # The one boundary component is twice a 5-edge class, printed through
+    # str() of the stored matrix entry.
+    i = lines.index("boundary of H_1 - H_2 + H_3 - G_1 + G_2 - G_3: "
+                    "1 nonzero component(s)")
+    assert lines[i + 1].startswith("  2 * [")
+    assert "dim E^3 at (p,q)=(3,-1): 0" in lines
+    assert "lower bounds emitted: none" in lines
