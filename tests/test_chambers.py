@@ -218,16 +218,28 @@ HEAVY_LAST = datum(1, "190/10000", "150/10000", "230/10000", "170/10000",
 
 
 class TestCompareCounters:
-    def test_seven_markings_equal(self):
+    # swapped=True compares in the other direction. The first witness is
+    # then the inverse (6, 7, 1, 2, 3, 4, 5), of rank 5 * 6! + 5 * 5! = 4200.
+    @pytest.mark.parametrize("swapped", [True, False])
+    def test_seven_markings_equal(self, swapped):
         counters: dict = {}
-        res = compare_up_to_symmetry(HEAVY_PAIR, HEAVY_LAST, counters)
-        assert res == OrderResult("Equal", (3, 4, 5, 6, 7, 1, 2))
-        assert counters == {"permutations": 1745,
-                            "subset_comparisons": 1745 * 120}
+        if swapped:
+            res = compare_up_to_symmetry(HEAVY_LAST, HEAVY_PAIR, counters)
+            witness, evaluated = (6, 7, 1, 2, 3, 4, 5), 4201
+        else:
+            res = compare_up_to_symmetry(HEAVY_PAIR, HEAVY_LAST, counters)
+            witness, evaluated = (3, 4, 5, 6, 7, 1, 2), 1745
+        assert res == OrderResult("Equal", witness)
+        assert counters == {"permutations": evaluated,
+                            "subset_comparisons": evaluated * 120}
 
-    def test_seven_markings_incomparable(self):
+    @pytest.mark.parametrize("swapped", [True, False])
+    def test_seven_markings_incomparable(self, swapped):
         counters: dict = {}
-        res = compare_up_to_symmetry(HEAVY_PAIR, FOUR_OF_SEVEN, counters)
+        a, b = HEAVY_PAIR, FOUR_OF_SEVEN
+        if swapped:
+            a, b = b, a
+        res = compare_up_to_symmetry(a, b, counters)
         assert res == OrderResult("Incomparable", None)
         assert counters == {"permutations": 5040,
                             "subset_comparisons": 5040 * 120}
