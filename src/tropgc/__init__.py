@@ -26,9 +26,8 @@ from .linalg import RationalMatrix, kernel_basis, rank, subspace_dims
 from .spectral import (DecompositionReport, FilteredComplex, PageTable,
                        align_chain, build_filtered_complex,
                        decomposition_report, e1_relative_check,
-                       filtered_from_raw, filtration_to_json, infinity_table,
-                       page_dim, page_table, parse_filtration_json,
-                       spectral_json)
+                       filtered_from_raw, infinity_table, page_dim,
+                       page_table, parse_filtration_json, spectral_json)
 
 __all__ = [
     "CanonicalGraph", "ChainComplex", "ChamberCensus", "ChamberSignature",
@@ -40,8 +39,8 @@ __all__ = [
     "canonicalize", "compare_signatures", "compare_up_to_symmetry",
     "contract_edge", "decomposition_report", "e1_relative_check",
     "enumerate_chambers", "enumerate_stable_graphs", "feasible_point",
-    "filtered_from_raw", "filtration_levels", "filtration_to_json",
-    "format_rational", "generator_basis", "homology", "identity_permutation",
+    "filtered_from_raw", "filtration_levels", "format_rational",
+    "generator_basis", "homology", "identity_permutation",
     "infinity_table", "is_feasible", "is_stable", "kernel_basis",
     "make_F", "make_floor",
     "make_heavy_light", "make_minimal", "max_edges", "moduli_label",

@@ -133,11 +133,6 @@ def _wall_masks(g: int, n: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _subset_index(ws: WallSet) -> dict[frozenset, int]:
-    return {s: k for k, s in enumerate(ws.subsets)}
-
-
-@lru_cache(maxsize=None)
 def _mask_index(g: int, n: int) -> dict[int, int]:
     return {m: k for k, m in enumerate(_wall_masks(g, n))}
 
@@ -170,12 +165,6 @@ class ChamberSignature:
                     raise ValueError(
                         f"signature not monotone: {format_subset(s)} is Plus "
                         f"but superset {format_subset(subs[t])} is Minus")
-
-    def is_plus(self, subset: Iterable[int]) -> bool:
-        return self.signs[_subset_index(self.wall_set)[frozenset(subset)]]
-
-    def sign(self, subset: Iterable[int]) -> str:
-        return "Plus" if self.is_plus(subset) else "Minus"
 
 
 def _subset_sums(entries: Sequence[Fraction]) -> list[Fraction]:
@@ -407,7 +396,8 @@ def _fm_eliminate(cons: list[_Constraint], var: int) -> Optional[list[_Constrain
             neg.append(c)
         else:
             rest.append(c)
-    out: dict[tuple[tuple[int, ...], int], bool] = {}
+    # the tightest (bound, strict) per coefficient row; strict wins a tie
+    best: dict[tuple[int, ...], tuple[int, bool]] = {}
 
     def add(coeffs, bound, strict):
         if all(c == 0 for c in coeffs):
@@ -415,8 +405,9 @@ def _fm_eliminate(cons: list[_Constraint], var: int) -> Optional[list[_Constrain
                 return False
             return True
         coeffs, bound, strict = _normalize_constraint(coeffs, bound, strict)
-        key = (coeffs, bound)
-        out[key] = out.get(key, False) or strict
+        cur = best.get(coeffs)
+        if cur is None or (bound, not strict) < (cur[0], not cur[1]):
+            best[coeffs] = (bound, strict)
         return True
 
     for c in rest:
@@ -430,15 +421,7 @@ def _fm_eliminate(cons: list[_Constraint], var: int) -> Optional[list[_Constrain
             bound = a * bp + b * bn
             if not add(coeffs, bound, sp or sn):
                 return None
-    pruned = []
-    best: dict[tuple[int, ...], tuple[int, bool]] = {}
-    for (coeffs, bound), strict in out.items():
-        cur = best.get(coeffs)
-        if cur is None or (bound, not strict) < (cur[0], not cur[1]):
-            best[coeffs] = (bound, strict)
-    for coeffs, (bound, strict) in best.items():
-        pruned.append((coeffs, bound, strict))
-    return pruned
+    return [(coeffs, bound, strict) for coeffs, (bound, strict) in best.items()]
 
 
 def feasible_point(s: ChamberSignature) -> Optional[WeightDatum]:
@@ -517,19 +500,29 @@ def enumerate_chambers(g: int, n: int) -> ChamberCensus:
 
     Candidate signatures are generated monotonically (a subset may be Minus
     only while no Plus subset sits below it) and kept when a strict interior
-    rational point exists.
+    rational point exists. The orbit of a chamber is keyed by the signature
+    of its interior point sorted ascending, which is the same for every
+    chamber of the orbit: if some S without i and j is Plus with i added
+    and Minus with j added, then a_i > a_j on the whole chamber, so sorting
+    orders the markings by this relation, and markings it leaves unordered
+    can be swapped without changing the signature. Chambers are listed by
+    signature within an orbit, and orbits by their first chamber.
     """
     if n > ENUMERATION_CAP:
         raise DomainError(f"chamber enumeration capped at n <= {ENUMERATION_CAP}")
     ws = wall_set(g, n)
     subs = ws.subsets
-    found: list[ChamberSignature] = []
+    grouped: dict[tuple[bool, ...], list[ChamberSignature]] = {}
 
     def assign(k: int, signs: list[bool]):
         if k == len(subs):
             cand = ChamberSignature(ws, tuple(signs))
-            if is_feasible(cand):
-                found.append(cand)
+            point = feasible_point(cand)
+            if point is not None:
+                ascending = sorted(range(1, n + 1),
+                                   key=lambda i: point.entries[i - 1])
+                orbit_key = signature(apply_permutation(ascending, point)).signs
+                grouped.setdefault(orbit_key, []).append(cand)
             return
         forced_plus = any(signs[t] and subs[t] < subs[k] for t in range(k))
         for choice in ((True,) if forced_plus else (False, True)):
@@ -538,14 +531,9 @@ def enumerate_chambers(g: int, n: int) -> ChamberCensus:
             signs.pop()
 
     assign(0, [])
-    perms = list(itertools.permutations(range(1, n + 1)))
-    grouped: dict[tuple[bool, ...], list[ChamberSignature]] = {}
-    for sig in found:
-        orbit_key = min(permute_signature(p, sig).signs for p in perms)
-        grouped.setdefault(orbit_key, []).append(sig)
-    orbits = tuple(tuple(sorted(v, key=lambda s: s.signs))
-                   for _, v in sorted(grouped.items()))
-    return ChamberCensus(g, n, orbits)
+    orbits = (tuple(sorted(v, key=lambda s: s.signs))
+              for v in grouped.values())
+    return ChamberCensus(g, n, tuple(sorted(orbits, key=lambda o: o[0].signs)))
 
 
 def make_minimal(g: int, n: int) -> WeightDatum:

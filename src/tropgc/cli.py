@@ -2,10 +2,11 @@
 
 Every command writes exactly one JSON document to stdout (keys sorted, so
 identical invocations are byte-identical); --pretty adds an indented copy on
-stderr. Exit codes: 0 success, 1 domain error, 2 usage or parse error,
-3 internal error (a failed consistency check, such as a boundary that does
-not square to zero or a contraction target missing from the basis; nothing
-is written to stdout).
+stderr, and each warning is one "warning: ..." line on stderr. Exit codes:
+0 success, 1 domain error, 2 usage or parse error, 3 internal error (a
+failed consistency check, such as a boundary that does not square to zero
+or a contraction target missing from the basis; nothing is written to
+stdout).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from typing import Optional, Sequence
 
 from .chambers import (DomainError, WeightDatum, compare_up_to_symmetry,
@@ -30,6 +32,10 @@ def _emit(payload: dict, pretty: bool) -> None:
                                 separators=(",", ":")) + "\n")
     if pretty:
         sys.stderr.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+
+
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    print(f"warning: {message}", file=sys.stderr)
 
 
 def _datum(g: int, text: str) -> WeightDatum:
@@ -159,7 +165,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     handlers = {"chambers": _cmd_chambers, "homology": _cmd_homology,
                 "spectral": _cmd_spectral}
     try:
-        payload = handlers[args.command](args)
+        with warnings.catch_warnings():
+            warnings.showwarning = _show_warning
+            payload = handlers[args.command](args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

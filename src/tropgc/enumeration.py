@@ -285,13 +285,13 @@ def check_aligned(chain: list[WeightDatum] | tuple[WeightDatum, ...]) -> None:
 
 
 def filtration_levels(g: int, chain: list[WeightDatum] | tuple[WeightDatum, ...],
-                      degree: int, kind: str = GRAPH_COMPLEX) -> dict[CanonicalGraph, int]:
-    """Level of each top-chamber generator: the first chain index (1-based)
-    at which the graph is stable."""
+                      degree: int) -> dict[CanonicalGraph, int]:
+    """Level of each graph-complex generator of the top chamber: the first
+    chain index (1-based) at which the graph is stable."""
     if not chain:
         raise DomainError("empty weight chain")
     check_aligned(chain)
-    basis = generator_basis(g, chain[-1], degree, kind)
+    basis = generator_basis(g, chain[-1], degree)
     levels: dict[CanonicalGraph, int] = {}
     for cg in basis:
         for p, a in enumerate(chain, start=1):

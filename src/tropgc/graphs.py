@@ -94,17 +94,9 @@ class MarkedGraph:
     def num_edges(self) -> int:
         return len(self.edges)
 
-    @property
-    def num_legs(self) -> int:
-        return len(self.legs)
-
     def edge_degree(self, v: int) -> int:
         """Number of edge half-edges at v; a loop contributes 2."""
         return sum((u == v) + (w == v) for u, w in self.edges)
-
-    def is_loop(self, e: int) -> bool:
-        u, v = self.edges[e]
-        return u == v
 
 
 def genus(graph: MarkedGraph) -> int:

@@ -79,23 +79,11 @@ class RationalMatrix:
     def zero(cls, rows: int, cols: int) -> "RationalMatrix":
         return cls(rows, cols)
 
-    @classmethod
-    def identity(cls, n: int) -> "RationalMatrix":
-        return cls(n, n, {(i, i): 1 for i in range(n)})
-
-    def entry(self, i: int, j: int) -> Scalar:
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise IndexError((i, j))
-        return self._entries.get((i, j), 0)
-
     def entries(self) -> dict[tuple[int, int], Scalar]:
         return dict(self._entries)
 
     def is_zero(self) -> bool:
         return not self._entries
-
-    def column(self, j: int) -> Vector:
-        return tuple(self._entries.get((i, j), 0) for i in range(self.rows))
 
     def matmul(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.rows:
@@ -114,9 +102,6 @@ class RationalMatrix:
         return (isinstance(other, RationalMatrix)
                 and self.rows == other.rows and self.cols == other.cols
                 and self._entries == other._entries)
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, frozenset(self._entries.items())))
 
     def __repr__(self):
         return f"RationalMatrix({self.rows}x{self.cols}, {len(self._entries)} nonzero)"

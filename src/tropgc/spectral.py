@@ -34,11 +34,11 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .chambers import (DomainError, WeightDatum, apply_permutation,
-                       compare_up_to_symmetry, format_rational,
-                       identity_permutation, parse_rational)
+                       compare_up_to_symmetry, identity_permutation,
+                       parse_rational)
 from .complexes import (RELATIVE, ChainComplex, boundary_pivots,
                         build_graph_complex, homology, moduli_label, restrict)
-from .enumeration import GRAPH_COMPLEX, check_aligned, filtration_levels
+from .enumeration import check_aligned, filtration_levels
 
 Permutation = tuple[int, ...]
 
@@ -119,7 +119,7 @@ def build_filtered_complex(g: int, chain: Sequence[WeightDatum]
     base = build_graph_complex(g, chain[-1])
     levels = []
     for i, k in enumerate(base.degrees):
-        by_class = filtration_levels(g, chain, k, GRAPH_COMPLEX)
+        by_class = filtration_levels(g, chain, k)
         levels.append(tuple(by_class[cg] for cg in base.bases[i]))
     f = FilteredComplex(g, tuple(chain), base, tuple(levels))
     for i, k in enumerate(base.degrees):
@@ -281,8 +281,3 @@ def parse_filtration_json(payload: dict) -> tuple[int, list[WeightDatum]]:
         entries = tuple(parse_rational(str(x)) for x in row)
         data.append(WeightDatum(g, entries))
     return g, data
-
-
-def filtration_to_json(g: int, data: Sequence[WeightDatum]) -> dict:
-    return {"g": g, "weights": [[format_rational(x) for x in a.entries]
-                                for a in data]}

@@ -328,6 +328,21 @@ def reference_compare(a, b):
         "subset_comparisons": evaluated * len(target.signs)}
 
 
+def reference_orbits(chambers):
+    """The S_n orbits of a list of ChamberSignatures, from the definition:
+    each chamber is keyed by the least of its n! permuted signatures.
+    Orbits are sorted by that key, and each orbit's chambers by signature."""
+    from tropgc import permute_signature
+
+    grouped: dict = {}
+    for sig in chambers:
+        perms = permutations(range(1, sig.wall_set.n + 1))
+        key = min(permute_signature(p, sig).signs for p in perms)
+        grouped.setdefault(key, []).append(sig)
+    return tuple(tuple(sorted(v, key=lambda s: s.signs))
+                 for _, v in sorted(grouped.items()))
+
+
 # Helpers on package objects that only the tests use.
 
 def transpose(m):
@@ -351,7 +366,7 @@ def relabel_legs(graph, sigma: Sequence[int]):
     the weight datum: the new marking j sits where marking sigma(j) sat."""
     from tropgc import MarkedGraph
 
-    n = graph.num_legs
+    n = len(graph.legs)
     s = tuple(sigma)
     if sorted(s) != list(range(1, n + 1)):
         raise ValueError(f"not a permutation of 1..{n}: {sigma!r}")

@@ -28,10 +28,11 @@ from tropgc import (
     parse_weights,
     permute_signature,
     signature,
+    signature_json,
     wall_set,
 )
 
-from .oracles import reference_compare
+from .oracles import reference_compare, reference_orbits
 
 EPS = Fraction(1, 100)
 
@@ -104,11 +105,9 @@ class TestSignature:
         assert not any(sig.signs)
 
     def test_wall_points_count_as_minus(self):
-        sig = signature(datum(1, "1/2", "1/2", "1/2"))
-        assert sig.sign({1, 2}) == "Minus"
-        assert sig.sign({1, 3}) == "Minus"
-        assert sig.sign({2, 3}) == "Minus"
-        assert sig.sign({1, 2, 3}) == "Plus"
+        signs = signature_json(signature(datum(1, "1/2", "1/2", "1/2")))
+        assert signs == {"{1,2}": "-", "{1,3}": "-", "{2,3}": "-",
+                         "{1,2,3}": "+"}
 
     def test_non_monotone_pattern_unrepresentable(self):
         ws = wall_set(1, 3)
@@ -169,10 +168,11 @@ class TestCompareSignatures:
 
     def test_opposite_pair_signs_incomparable(self):
         census = enumerate_chambers(1, 3)
-        ch2 = [s for s in census.chambers
-               if s.is_plus({1, 2}) and not s.is_plus({1, 3})]
-        ch3 = [s for s in census.chambers
-               if s.is_plus({1, 3}) and not s.is_plus({1, 2})]
+        pair_signs = [(s, signature_json(s)) for s in census.chambers]
+        ch2 = [s for s, js in pair_signs
+               if (js["{1,2}"], js["{1,3}"]) == ("+", "-")]
+        ch3 = [s for s, js in pair_signs
+               if (js["{1,2}"], js["{1,3}"]) == ("-", "+")]
         assert ch2 and ch3
         res = compare_signatures(ch2[0], ch3[0])
         assert res.relation == "Incomparable"
@@ -313,6 +313,11 @@ class TestCensus:
     def test_orbit_sizes(self):
         census = enumerate_chambers(1, 3)
         assert sorted(len(o) for o in census.orbits) == [1, 1, 1, 3, 3]
+
+    @pytest.mark.parametrize("g,n", [(0, 4), (1, 3), (1, 4), (2, 4)])
+    def test_orbits_match_definition(self, g, n):
+        census = enumerate_chambers(g, n)
+        assert census.orbits == reference_orbits(census.chambers)
 
     def test_all_census_chambers_inhabited(self):
         census = enumerate_chambers(1, 3)

@@ -92,6 +92,16 @@ class TestChambersCommands:
         assert rc == 0
         assert json.loads(out)["relation"] == "Greater"
 
+    @pytest.mark.filterwarnings("always::tropgc.chambers.DomainGapWarning")
+    def test_gap_zone_warning_is_one_line(self, capsys):
+        rc, out, err = run(capsys, ["chambers", "signature", "--g", "1",
+                                    "--weights", "1/4,1/4,1/4"])
+        assert rc == 0
+        assert json.loads(out)["weights"] == ["1/4", "1/4", "1/4"]
+        assert err == ("warning: weight datum has 0 < 2g - 2 + sum(a) <= 1; "
+                       "accepted, but some sources require the sum to "
+                       "exceed 1\n")
+
     def test_signature_golden(self, capsys):
         rc, out, _ = run(capsys, ["chambers", "signature", "--g", "1",
                                   "--weights", "1/3,1/3,33/100"])
@@ -171,9 +181,11 @@ class TestHomologyCommand:
         header = enumeration._cache_header(
             str(path), data, hashlib.sha256(data).hexdigest())
         path.write_bytes(header + b"\n" + data)
-        with pytest.warns(UserWarning,
-                          match="ignoring cache file .*not canonical"):
-            assert run(capsys, argv)[:2] == (0, HOMOLOGY_GRAPH)
+        rc, out, err = run(capsys, argv)
+        assert (rc, out) == (0, HOMOLOGY_GRAPH)
+        [line] = err.splitlines()
+        assert line.startswith(f"warning: ignoring cache file {path}: ")
+        assert "not canonical" in line
         assert path.read_text() == good
 
 

@@ -75,7 +75,7 @@ class TestEnumerate:
         assert len(set(classes)) == len(classes)
         for cg in classes:
             assert cg.graph.num_edges == 2
-            assert cg.graph.num_legs == 3
+            assert len(cg.graph.legs) == 3
             assert is_stable(cg.graph, 1, CLASSICAL3)
 
     def test_pure_only_filters_weights(self):
@@ -139,7 +139,7 @@ class TestGeneratorBasis:
 
 class TestFiltrationLevels:
     def test_degree_one_levels(self):
-        levels = filtration_levels(1, FIVE_CHAMBER, 1, GRAPH_COMPLEX)
+        levels = filtration_levels(1, FIVE_CHAMBER, 1)
         by_graph = {canonicalize(TRIANGLE)[0]: 1,
                     canonicalize(LOOP_TAIL_G2)[0]: 3,
                     canonicalize(LOOP_TAIL_G3)[0]: 4,
@@ -149,11 +149,11 @@ class TestFiltrationLevels:
         assert sorted(levels.values()) == [1, 3, 4, 5]
 
     def test_degree_minus_one_level(self):
-        levels = filtration_levels(1, FIVE_CHAMBER, -1, GRAPH_COMPLEX)
+        levels = filtration_levels(1, FIVE_CHAMBER, -1)
         assert levels == {canonicalize(LOOP)[0]: 1}
 
     def test_degree_zero_levels(self):
-        levels = filtration_levels(1, FIVE_CHAMBER, 0, GRAPH_COMPLEX)
+        levels = filtration_levels(1, FIVE_CHAMBER, 0)
         assert levels[canonicalize(LOOP_BRIDGE)[0]] == 2
         assert sorted(levels.values()) == [2, 3, 4, 5]
 

@@ -17,7 +17,7 @@ from tropgc import (
     enumerate_chambers,
     feasible_point,
     filtered_from_raw,
-    filtration_to_json,
+    format_rational,
     homology,
     infinity_table,
     make_heavy_light,
@@ -255,7 +255,8 @@ class TestRandomChains:
 
 class TestJson:
     def test_filtration_round_trip(self):
-        payload = filtration_to_json(1, FIVE_CHAMBER_RAW)
+        payload = {"g": 1, "weights": [[format_rational(x) for x in a.entries]
+                                       for a in FIVE_CHAMBER_RAW]}
         g, data = parse_filtration_json(payload)
         assert g == 1
         assert [a.entries for a in data] == \
