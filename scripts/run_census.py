@@ -1,6 +1,8 @@
-"""Enumerate fine chambers of the weight simplex for small (g, n)."""
+"""Enumerate fine chambers of the weight simplex for small (g, n), and time
+each census."""
 
 import argparse
+import time
 
 from tropgc import enumerate_chambers, feasible_point, format_rational
 
@@ -15,10 +17,13 @@ def main() -> None:
 
     lo = 3 if args.g == 0 else 1
     for n in range(max(lo, 2), args.max_n + 1):
+        start = time.perf_counter()
         census = enumerate_chambers(args.g, n)
+        seconds = time.perf_counter() - start
         sizes = sorted(len(o) for o in census.orbits)
         print(f"g={args.g} n={n}: {len(census.chambers)} chambers, "
-              f"{len(census.orbits)} orbits (sizes {sizes})")
+              f"{len(census.orbits)} orbits (sizes {sizes}) "
+              f"in {seconds:.2f} s")
         if args.points:
             for orbit in census.orbits:
                 a = feasible_point(orbit[0])

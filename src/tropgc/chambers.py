@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from operator import or_
+from operator import le, or_
 from typing import Iterable, Optional, Sequence
 
 
@@ -255,15 +255,41 @@ def _sign_table(entries: Sequence[Fraction]) -> list[int]:
     return [1 if s > 1 else 0 for s in _subset_sums(entries)]
 
 
-def _split_permutations(n: int, k: int):
-    """Every permutation of 1..n in lexicographic order, as (prefix, suffix)
-    pairs split after position k; one prefix tuple is shared by all of its
-    (n - k)! suffixes."""
-    positions = range(1, n + 1)
-    for prefix in itertools.permutations(positions, k):
-        rest = [i for i in positions if i not in prefix]
-        for suffix in itertools.permutations(rest):
+def _split_permutations(ids: Sequence[int], k: int):
+    """Every permutation of 1..n, n = len(ids), that lists positions with
+    equal ids in increasing order, in lexicographic order, as (prefix,
+    suffix) pairs split after position k; one prefix tuple is shared by all
+    of its suffixes. These are the lexicographically first permutation of
+    each distinct rearrangement of entries with the given ids. With distinct
+    ids that is every permutation, taken straight from itertools."""
+    n = len(ids)
+    if len(set(ids)) == n:
+        positions = range(1, n + 1)
+        for prefix in itertools.permutations(positions, k):
+            rest = [i for i in positions if i not in prefix]
+            for suffix in itertools.permutations(rest):
+                yield prefix, suffix
+        return
+    for prefix in _ordered_arrangements(ids, (), k):
+        for suffix in _ordered_arrangements(ids, prefix, n - k):
             yield prefix, suffix
+
+
+def _ordered_arrangements(ids: Sequence[int], taken: tuple[int, ...],
+                          count: int):
+    """Sequences of count positions outside taken, in lexicographic order,
+    in which no position comes before a free position with the same id and
+    a smaller index."""
+    if not count:
+        yield ()
+        return
+    heads: dict[int, int] = {}
+    for i in range(1, len(ids) + 1):
+        if i not in taken:
+            heads.setdefault(ids[i - 1], i)
+    for i in sorted(heads.values()):
+        for rest in _ordered_arrangements(ids, taken + (i,), count - 1):
+            yield (i,) + rest
 
 
 def compare_up_to_symmetry(a: WeightDatum, b: WeightDatum,
@@ -275,12 +301,12 @@ def compare_up_to_symmetry(a: WeightDatum, b: WeightDatum,
     signature of b decides the result, with sigma as the witness. If no
     permutation relates the two signatures the chambers are Incomparable.
 
-    Permutations that produce a weight tuple already seen are skipped (the
-    signature depends only on the tuple); entries are compared through small
-    integer ids, and with n distinct entries nothing can repeat, so no tuple
-    is kept. Every evaluated permutation scans the
-    full wall list; exact work done is reported via the optional counters
-    dict (keys "permutations", "subset_comparisons").
+    Only the first permutation of each distinct weight tuple is evaluated
+    (the signature depends only on the tuple): the one that places equal
+    entries in index order, so the others are never generated. Entries are
+    compared through small integer ids. Every evaluated permutation scans
+    the full wall list; exact work done is reported via the optional
+    counters dict (keys "permutations", "subset_comparisons").
 
     Kernel: the sign of wall S under sigma is a's sign at the mask sigma(S).
     Each wall mask is split into positions 1..k, k = max(n - 3, 0), and the
@@ -305,19 +331,12 @@ def compare_up_to_symmetry(a: WeightDatum, b: WeightDatum,
     lo_parts = [m & ((1 << k) - 1) for m in masks]
     hi_parts = [m >> k for m in masks]
     ids: dict[Fraction, int] = {}
-    entry_id = {i: ids.setdefault(x, len(ids))
-                for i, x in enumerate(a.entries, 1)}
-    seen: Optional[set] = set() if len(ids) < n else None
+    entry_ids = [ids.setdefault(x, len(ids)) for x in a.entries]
     hi_memo: dict[tuple[int, ...], list[int]] = {}
     prefix = lo_img = None
     perms_checked = 0
     result: Optional[OrderResult] = None
-    for pre, suffix in _split_permutations(n, k):
-        if seen is not None:
-            key = tuple(map(entry_id.__getitem__, pre + suffix))
-            if key in seen:
-                continue
-            seen.add(key)
+    for pre, suffix in _split_permutations(entry_ids, k):
         if pre is not prefix:
             prefix = pre
             lo_img = _wall_images([1 << (i - 1) for i in pre], lo_parts)
@@ -426,8 +445,15 @@ def _fm_eliminate(cons: list[_Constraint], var: int) -> Optional[list[_Constrain
 
 def feasible_point(s: ChamberSignature) -> Optional[WeightDatum]:
     """A rational witness strictly inside the chamber, or None if empty."""
+    return _solve(s, _signature_constraints(s))
+
+
+def _solve(s: ChamberSignature, cons: list[_Constraint]) -> Optional[WeightDatum]:
+    """A rational point satisfying cons, which include the constraints of
+    s, by Fourier-Motzkin elimination and a forward solve; None if there is
+    none. The point must have signature s."""
     n = s.wall_set.n
-    systems = [_signature_constraints(s)]
+    systems = [cons]
     for var in range(n - 1, 0, -1):
         nxt = _fm_eliminate(systems[-1], var)
         if nxt is None:
@@ -496,44 +522,94 @@ class ChamberCensus:
 
 
 def enumerate_chambers(g: int, n: int) -> ChamberCensus:
-    """All nonempty chamber signatures for (g, n), grouped into orbits.
+    """All nonempty chamber signatures for (g, n), grouped into S_n orbits.
 
-    Candidate signatures are generated monotonically (a subset may be Minus
-    only while no Plus subset sits below it) and kept when a strict interior
-    rational point exists. The orbit of a chamber is keyed by the signature
-    of its interior point sorted ascending, which is the same for every
-    chamber of the orbit: if some S without i and j is Plus with i added
-    and Minus with j added, then a_i > a_j on the whole chamber, so sorting
-    orders the markings by this relation, and markings it leaves unordered
-    can be swapped without changing the signature. Chambers are listed by
-    signature within an orbit, and orbits by their first chamber.
+    Every orbit meets the ascending cone a_1 <= ... <= a_n in exactly one
+    chamber. Sorting a point of a chamber C gives a point of the cone, and
+    all points of C sort into one chamber: if some S without i and j is Plus
+    with i added and Minus with j added, then a_i > a_j on all of C, so
+    sorting orders the markings by this relation, and markings it leaves
+    unordered can be swapped without changing the signature. A point and
+    its images under S_n sort to the same point, so every chamber of an
+    orbit sorts into that one chamber, and a chamber in the cone sorts into
+    itself.
+
+    So walls are signed only in the cone. There a wall T lies below a wall
+    S in the shift order when |T| <= |S| and t_i <= s_{|S|-|T|+i} for T and
+    S sorted; then sum_T a <= sum_S a, so S may be Minus only while no Plus
+    wall lies below it. Walls come by size, then lexicographically, so every
+    wall below S is signed before S. Each complete pattern is tested by
+    Fourier-Motzkin elimination with the cone's constraints x_i <= x_{i+1}
+    added, and its witness, if any, represents the orbit.
+
+    Weighted games are complete simple games (Taylor and Zwicker, "Simple
+    Games", 1999), so the permutations that fix a representative's
+    signature are those within its tie classes: the runs of adjacent
+    markings whose swap fixes it. The orbit is expanded with one
+    permutation per placement of the classes, n! / prod |C|! chambers, and
+    each chamber is checked to hold its permuted witness. Chambers are
+    listed by signature within an orbit, and orbits by their first chamber.
     """
     if n > ENUMERATION_CAP:
         raise DomainError(f"chamber enumeration capped at n <= {ENUMERATION_CAP}")
     ws = wall_set(g, n)
-    subs = ws.subsets
-    grouped: dict[tuple[bool, ...], list[ChamberSignature]] = {}
+    subs = [sorted(s) for s in ws.subsets]
+    # bit t of below[k] is set when wall t lies below wall k
+    below = [sum(1 << t for t, low in enumerate(subs[:k])
+                 if len(low) <= len(s)
+                 and all(map(le, low, s[len(s) - len(low):])))
+             for k, s in enumerate(subs)]
+    cone: list[_Constraint] = []
+    for i in range(n - 1):
+        row = [0] * n
+        row[i], row[i + 1] = 1, -1
+        cone.append((tuple(row), 0, False))       # x_i <= x_{i+1}
+    orbits: list[tuple[ChamberSignature, ...]] = []
 
-    def assign(k: int, signs: list[bool]):
+    def assign(k: int, plus: int):
+        """Sign walls k.. given the Plus walls (bits) among 0..k-1."""
         if k == len(subs):
-            cand = ChamberSignature(ws, tuple(signs))
-            point = feasible_point(cand)
+            rep = ChamberSignature(ws, tuple(bool(plus >> t & 1)
+                                             for t in range(k)))
+            point = _solve(rep, _signature_constraints(rep) + cone)
             if point is not None:
-                ascending = sorted(range(1, n + 1),
-                                   key=lambda i: point.entries[i - 1])
-                orbit_key = signature(apply_permutation(ascending, point)).signs
-                grouped.setdefault(orbit_key, []).append(cand)
+                orbits.append(_expand_orbit(rep, point))
             return
-        forced_plus = any(signs[t] and subs[t] < subs[k] for t in range(k))
-        for choice in ((True,) if forced_plus else (False, True)):
-            signs.append(choice)
-            assign(k + 1, signs)
-            signs.pop()
+        if not plus & below[k]:
+            assign(k + 1, plus)
+        assign(k + 1, plus | 1 << k)
 
-    assign(0, [])
-    orbits = (tuple(sorted(v, key=lambda s: s.signs))
-              for v in grouped.values())
+    assign(0, 0)
     return ChamberCensus(g, n, tuple(sorted(orbits, key=lambda o: o[0].signs)))
+
+
+def _expand_orbit(rep: ChamberSignature, point: WeightDatum
+                  ) -> tuple[ChamberSignature, ...]:
+    """The S_n orbit of rep, sorted by signature, given a witness point of
+    rep sorted ascending. The member for sigma has rep's sign at sigma(S) on
+    each wall S, and must be the signature of apply_permutation(sigma,
+    point)."""
+    n = rep.wall_set.n
+    masks = rep.wall_set.masks
+    sign_at = dict(zip(masks, rep.signs))
+
+    def permuted(sigma: Sequence[int]) -> tuple[bool, ...]:
+        images = _wall_images([1 << (i - 1) for i in sigma], masks)
+        return tuple(map(sign_at.__getitem__, images))
+
+    # tie class of each marking: a run of neighbours whose swap fixes rep
+    tie = [0]
+    for i in range(1, n):
+        swap = list(range(1, n + 1))
+        swap[i - 1], swap[i] = i + 1, i
+        tie.append(tie[-1] + (permuted(swap) != rep.signs))
+    members = []
+    for sigma in _ordered_arrangements(tie, (), n):
+        member = signature(apply_permutation(sigma, point))
+        if member.signs != permuted(sigma):
+            raise AssertionError("orbit member misses its permuted witness")
+        members.append(member)
+    return tuple(sorted(members, key=lambda s: s.signs))
 
 
 def make_minimal(g: int, n: int) -> WeightDatum:

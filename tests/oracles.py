@@ -343,6 +343,42 @@ def reference_orbits(chambers):
                  for _, v in sorted(grouped.items()))
 
 
+def reference_census(g: int, n: int):
+    """The census as enumerate_chambers built it before it searched orbit
+    representatives: every signature that is monotone under inclusion is
+    tested by feasible_point over the whole simplex, and each nonempty
+    chamber's orbit is keyed by the signature of its witness sorted
+    ascending. Chambers are listed by signature within an orbit, and orbits
+    by their first chamber."""
+    from tropgc import (ChamberCensus, ChamberSignature, apply_permutation,
+                        feasible_point, signature, wall_set)
+
+    ws = wall_set(g, n)
+    subs = ws.subsets
+    grouped: dict = {}
+
+    def assign(k: int, signs: list):
+        if k == len(subs):
+            cand = ChamberSignature(ws, tuple(signs))
+            point = feasible_point(cand)
+            if point is not None:
+                ascending = sorted(range(1, n + 1),
+                                   key=lambda i: point.entries[i - 1])
+                orbit_key = signature(apply_permutation(ascending, point)).signs
+                grouped.setdefault(orbit_key, []).append(cand)
+            return
+        forced_plus = any(signs[t] and subs[t] < subs[k] for t in range(k))
+        for choice in ((True,) if forced_plus else (False, True)):
+            signs.append(choice)
+            assign(k + 1, signs)
+            signs.pop()
+
+    assign(0, [])
+    orbits = (tuple(sorted(v, key=lambda s: s.signs))
+              for v in grouped.values())
+    return ChamberCensus(g, n, tuple(sorted(orbits, key=lambda o: o[0].signs)))
+
+
 # Helpers on package objects that only the tests use.
 
 def transpose(m):

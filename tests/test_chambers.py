@@ -1,5 +1,6 @@
 """Weight data, walls, chamber signatures, and the symmetrized order."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -32,7 +33,7 @@ from tropgc import (
     wall_set,
 )
 
-from .oracles import reference_compare, reference_orbits
+from .oracles import reference_census, reference_compare, reference_orbits
 
 EPS = Fraction(1, 100)
 
@@ -302,8 +303,11 @@ class TestReferenceCompare:
 
 
 class TestCensus:
+    # (0,5) and (1,5) are computed by this program; the old and new census
+    # agree on them.
     @pytest.mark.parametrize("g,n,chambers,orbits", [
         (1, 2, 2, 2), (1, 3, 9, 5), (0, 3, 1, 1),
+        (0, 5, 1087, 36), (1, 5, 2690, 92),
     ])
     def test_counts(self, g, n, chambers, orbits):
         census = enumerate_chambers(g, n)
@@ -319,13 +323,42 @@ class TestCensus:
         census = enumerate_chambers(g, n)
         assert census.orbits == reference_orbits(census.chambers)
 
+    @pytest.mark.parametrize("g,n", [
+        (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4),
+    ])
+    def test_matches_reference_census(self, g, n):
+        # orbits, their order and the order within each orbit
+        assert enumerate_chambers(g, n) == reference_census(g, n)
+
+    @pytest.mark.parametrize("g,n", [(0, 4), (1, 3), (1, 4), (2, 4), (0, 5)])
+    def test_orbit_size_from_tie_classes(self, g, n):
+        for orbit in enumerate_chambers(g, n).orbits:
+            sig = orbit[0]
+            # classes of markings whose swap fixes the signature
+            classes: list[list[int]] = []
+            for i in range(1, n + 1):
+                for cls in classes:
+                    swap = list(range(1, n + 1))
+                    swap[i - 1], swap[cls[0] - 1] = cls[0], i
+                    if permute_signature(swap, sig) == sig:
+                        cls.append(i)
+                        break
+                else:
+                    classes.append([i])
+            size = math.factorial(n)
+            for cls in classes:
+                size //= math.factorial(len(cls))
+            assert len(orbit) == size
+            assert len(set(orbit)) == size
+
     def test_all_census_chambers_inhabited(self):
-        census = enumerate_chambers(1, 3)
-        assert len(set(census.chambers)) == 9
-        for s in census.chambers:
-            point = feasible_point(s)
-            assert point is not None
-            assert signature(point) == s
+        for g, n, chambers in ((1, 3, 9), (0, 4, 27), (1, 4, 96)):
+            census = enumerate_chambers(g, n)
+            assert len(set(census.chambers)) == chambers
+            for s in census.chambers:
+                point = feasible_point(s)
+                assert point is not None
+                assert signature(point) == s
 
 
 class TestFeasibility:
