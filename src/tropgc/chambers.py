@@ -14,22 +14,23 @@ Permutations are written in one-line notation (sigma[i-1] = sigma(i), values
 1..n) and act by apply_permutation(sigma, A)_i = A_{sigma(i)}.
 
 Walls are bit masks over positions 1..n, and permuted signatures are read
-off the image masks sigma(S) (_wall_images). compare_up_to_symmetry splits
-each mask after position max(n - 3, 0), keeps the low images of the current
-permutation prefix and a memo of high images per suffix (bounded by
-n(n-1)(n-2) lists), and compares all walls of a permutation at C level.
+off the image masks sigma(S) (_wall_images). compare_up_to_symmetry packs
+the image masks of all walls into one integer, one byte per wall for
+n <= 8, so a permutation costs one OR and one bytes.translate through a
+sign table (wider cells for n >= 9 are read through memoryview.cast).
 """
 
 from __future__ import annotations
 
 import itertools
 import re
+import sys
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from operator import le, or_
+from operator import le
 from typing import Iterable, Optional, Sequence
 
 
@@ -249,10 +250,10 @@ def compare_signatures(s1: ChamberSignature, s2: ChamberSignature) -> OrderResul
     return OrderResult("Incomparable", None)
 
 
-def _sign_table(entries: Sequence[Fraction]) -> list[int]:
-    """table[mask] = 1 iff the subset sum over mask exceeds 1. A list, not
-    a bytearray: list.__getitem__ is the faster callable for map()."""
-    return [1 if s > 1 else 0 for s in _subset_sums(entries)]
+def _sign_table(entries: Sequence[Fraction]) -> bytes:
+    """table[mask] = 1 iff the subset sum over mask exceeds 1, padded with
+    zeros to at least 256 bytes, the length bytes.translate needs."""
+    return bytes(s > 1 for s in _subset_sums(entries)).ljust(256, b"\0")
 
 
 def _split_permutations(ids: Sequence[int], k: int):
@@ -309,51 +310,70 @@ def compare_up_to_symmetry(a: WeightDatum, b: WeightDatum,
     counters dict (keys "permutations", "subset_comparisons").
 
     Kernel: the sign of wall S under sigma is a's sign at the mask sigma(S).
-    Each wall mask is split into positions 1..k, k = max(n - 3, 0), and the
-    rest; sigma(S) is the OR of the images of the two parts (_wall_images).
-    The low images change only with the prefix sigma[:k], so one list is
-    kept and rebuilt every (n - k)! permutations; the high images are
-    memoized per suffix sigma[k:], at most n(n-1)(n-2) lists. The signs of
-    all walls are then gathered into one byte string and compared with b's
-    at C level: equal bytes mean Equal, and the integers of the two strings
-    give the walls where a is Plus and b Minus (not Less) or the reverse
-    (not Greater).
+    The image masks of all walls are packed into one integer with one cell
+    per wall: 1 byte for n <= 8 (every mask is below 256), 2 for n <= 16,
+    4 beyond. spread[i - 1] has a 1 in the cell of each wall that holds
+    position i, so sigma packs to the sum of spread[i - 1] << (sigma(i) - 1).
+    The terms for positions 1..k, k = max(n - 3, 0), are summed once per
+    prefix sigma[:k], every (n - k)! permutations; the rest are memoized
+    per suffix sigma[k:], at most n(n-1)(n-2) integers. Per permutation,
+    one OR of the two parts and to_bytes give the images, and one
+    bytes.translate through a's 256-byte sign table gives the signs of all
+    walls (wider cells are read through memoryview.cast). Equal bytes to
+    b's signs mean Equal, and the integers of the two strings give the
+    walls where a is Plus and b Minus (not Less) or the reverse (not
+    Greater).
     """
     if a.g != b.g or a.n != b.n:
         raise DomainError("weight data must share genus and length")
     n = a.n
     masks = _wall_masks(a.g, n)
+    cell = 1 if n <= 8 else 2 if n <= 16 else 4
+    size = cell * len(masks)
+    if cell == 1:
+        read = bytes.translate
+    else:
+        fmt = "H" if cell == 2 else "I"
+
+        def read(images: bytes, table: bytes) -> bytes:
+            return bytes(map(table.__getitem__, memoryview(images).cast(fmt)))
+    order = sys.byteorder
+    one, zero = (1).to_bytes(cell, order), bytes(cell)
+    spread = [int.from_bytes(b"".join(one if m >> i & 1 else zero
+                                      for m in masks), order)
+              for i in range(n)]
     sa = _sign_table(a.entries)
-    sb = _sign_table(b.entries)
-    want = bytes(sb[m] for m in masks)
-    wanted = int.from_bytes(want, "big")
+    # the identity's images are the masks themselves
+    want = read(sum(s << i for i, s in enumerate(spread)).to_bytes(size, order),
+                _sign_table(b.entries))
+    wanted = int.from_bytes(want, order)
+    unwanted = ~wanted
     k = max(n - 3, 0)
-    lo_parts = [m & ((1 << k) - 1) for m in masks]
-    hi_parts = [m >> k for m in masks]
+    lo_spread, hi_spread = spread[:k], spread[k:]
     ids: dict[Fraction, int] = {}
     entry_ids = [ids.setdefault(x, len(ids)) for x in a.entries]
-    hi_memo: dict[tuple[int, ...], list[int]] = {}
-    prefix = lo_img = None
+    hi_memo: dict[tuple[int, ...], int] = {}
+    prefix = lo = None
     perms_checked = 0
     result: Optional[OrderResult] = None
     for pre, suffix in _split_permutations(entry_ids, k):
         if pre is not prefix:
             prefix = pre
-            lo_img = _wall_images([1 << (i - 1) for i in pre], lo_parts)
-        hi_img = hi_memo.get(suffix)
-        if hi_img is None:
-            hi_img = hi_memo[suffix] = _wall_images(
-                [1 << (i - 1) for i in suffix], hi_parts)
-        got = bytes(map(sa.__getitem__, map(or_, lo_img, hi_img)))
+            lo = sum(s << (v - 1) for s, v in zip(lo_spread, pre))
+        hi = hi_memo.get(suffix)
+        if hi is None:
+            hi = hi_memo[suffix] = sum(
+                s << (v - 1) for s, v in zip(hi_spread, suffix))
+        got = read((lo | hi).to_bytes(size, order), sa)
         perms_checked += 1
         if got == want:
             result = OrderResult("Equal", pre + suffix)
             break
-        have = int.from_bytes(got, "big")
-        if not have & ~wanted:
+        have = int.from_bytes(got, order)
+        if not have & unwanted:
             result = OrderResult("Less", pre + suffix)
             break
-        if not wanted & ~have:
+        if have & wanted == wanted:
             result = OrderResult("Greater", pre + suffix)
             break
     if counters is not None:

@@ -253,6 +253,52 @@ class TestCompareCounters:
         assert counters == {"permutations": 1, "subset_comparisons": 0}
 
 
+def _heavy_pair(n: int, heavy: tuple[int, int]) -> WeightDatum:
+    """n distinct entries, heavy at the two given positions: Plus on S iff S
+    holds both heavy entries (0.8456 + 7 * 0.0210 < 1)."""
+    lights = iter(Fraction(150 + 10 * i, 10_000) for i in range(n - 2))
+    heavies = iter((Fraction(8123, 10_000), Fraction(8456, 10_000)))
+    return WeightDatum(1, tuple(next(heavies) if i in heavy else next(lights)
+                                for i in range(1, n + 1)))
+
+
+class TestPackedCells:
+    """compare_up_to_symmetry at n = 8, the last one-byte cells (mask 255 is
+    the full set, a wall for g >= 1), and n = 9, two-byte cells. The oracle
+    walks all 9! permutations, so the counters are pinned instead: an Equal
+    pair with distinct entries scans lexicographic rank + 1 permutations."""
+
+    @pytest.mark.parametrize("n,a_heavy,b_heavy,witness,rank", [
+        # heavy entries moved from positions 1, 2 to 4, 8: the first witness
+        # fixes sigma(4) = 1, sigma(8) = 2 and lists the rest in order.
+        # rank = 2*7! + 2*6! + 2*5! + 3! + 2! + 1! = 11769.
+        (8, (1, 2), (4, 8), (3, 4, 5, 1, 6, 7, 8, 2), 11769),
+        # from positions 8, 9 to 5, 9: rank = 3*4! = 72.
+        (9, (8, 9), (5, 9), (1, 2, 3, 4, 8, 5, 6, 7, 9), 72),
+    ])
+    def test_equal_at_rank(self, n, a_heavy, b_heavy, witness, rank):
+        a, b = _heavy_pair(n, a_heavy), _heavy_pair(n, b_heavy)
+        counters: dict = {}
+        res = compare_up_to_symmetry(a, b, counters)
+        assert res == OrderResult("Equal", witness)
+        assert counters == {"permutations": rank + 1,
+                            "subset_comparisons": (rank + 1) * (2**n - 1 - n)}
+        moved = signature(apply_permutation(res.witness, a))
+        assert compare_signatures(moved, signature(b)).relation == "Equal"
+
+    def test_nine_markings_two_tie_classes_incomparable(self):
+        # a: Plus iff S holds both heavy entries (0.85 + 7 * 0.02 < 1);
+        # b: Plus iff |S| >= 4 (3 * 0.26 < 1 < 4 * 0.26). Only the
+        # 9! / (2! 7!) = 36 placements of the heavy pair are evaluated.
+        a = datum(1, *["85/100"] * 2, *["2/100"] * 7)
+        b = datum(1, *["26/100"] * 9)
+        counters: dict = {}
+        res = compare_up_to_symmetry(a, b, counters)
+        assert res == OrderResult("Incomparable", None)
+        assert counters == {"permutations": 36,
+                            "subset_comparisons": 36 * 502}
+
+
 # Few denominators, so that repeated entries (pruning) and entries summing
 # to exactly 1 (wall points, which count as Minus) are common. Entries come
 # from a Random with a drawn seed, uniform over the pool: drawn by
