@@ -29,7 +29,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 from operator import le
 from typing import Iterable, Optional, Sequence
 
@@ -168,21 +168,23 @@ class ChamberSignature:
                         f"but superset {format_subset(subs[t])} is Minus")
 
 
-def _subset_sums(entries: Sequence[Fraction]) -> list[Fraction]:
-    """sums[mask] = sum of entries over the bits of mask."""
-    n = len(entries)
-    sums = [Fraction(0)] * (1 << n)
-    for mask in range(1, 1 << n):
+def _subset_sums(entries: Sequence[Fraction]) -> tuple[list[int], int]:
+    """(sums, den) with sums[mask] / den the sum of entries over the bits of
+    mask, den the least common denominator of the entries."""
+    den = lcm(*(x.denominator for x in entries))
+    nums = [x.numerator * (den // x.denominator) for x in entries]
+    sums = [0] * (1 << len(entries))
+    for mask in range(1, len(sums)):
         low = mask & (-mask)
-        sums[mask] = sums[mask ^ low] + entries[low.bit_length() - 1]
-    return sums
+        sums[mask] = sums[mask ^ low] + nums[low.bit_length() - 1]
+    return sums, den
 
 
 def signature(a: WeightDatum) -> ChamberSignature:
     """Chamber signature of a weight datum; wall points count as Minus."""
     ws = wall_set(a.g, a.n)
-    sums = _subset_sums(a.entries)
-    signs = tuple(sums[mask] > 1 for mask in ws.masks)
+    sums, den = _subset_sums(a.entries)
+    signs = tuple(sums[mask] > den for mask in ws.masks)
     return ChamberSignature(ws, signs)
 
 
@@ -253,7 +255,8 @@ def compare_signatures(s1: ChamberSignature, s2: ChamberSignature) -> OrderResul
 def _sign_table(entries: Sequence[Fraction]) -> bytes:
     """table[mask] = 1 iff the subset sum over mask exceeds 1, padded with
     zeros to at least 256 bytes, the length bytes.translate needs."""
-    return bytes(s > 1 for s in _subset_sums(entries)).ljust(256, b"\0")
+    sums, den = _subset_sums(entries)
+    return bytes(s > den for s in sums).ljust(256, b"\0")
 
 
 def _split_permutations(ids: Sequence[int], k: int):

@@ -35,12 +35,9 @@ from .chambers import (DomainError, WeightDatum, compare_signatures,
                        format_rational, signature)
 from .graphs import (CanonicalGraph, _canonicalize_parts, _contracted_parts,
                      edge_map_sign, has_loops, is_pure, is_stable)
-from .enumeration import (CELLULAR, GRAPH_COMPLEX, degree_range,
-                          generator_basis)
+from .enumeration import CELLULAR, GRAPH, degree_range, generator_basis
 from .linalg import RationalMatrix, column_pivots
 
-GRAPH = "graph"
-CELLULAR_KIND = "cellular"
 A_PART = "a-part"
 B_PART = "b-part"
 RELATIVE = "relative"
@@ -133,8 +130,8 @@ def _assemble(kind: str, g: int, a: WeightDatum, degrees: list[int],
 
 def build_graph_complex(g: int, a: WeightDatum) -> ChainComplex:
     """The graph complex of (g, a): pure stable graphs, loop terms dropped."""
-    degrees = list(degree_range(g, a.n, GRAPH_COMPLEX))
-    bases = [generator_basis(g, a, k, GRAPH_COMPLEX) for k in degrees]
+    degrees = list(degree_range(g, a.n, GRAPH))
+    bases = [generator_basis(g, a, k, GRAPH) for k in degrees]
     return _assemble(GRAPH, g, a, degrees, bases, contract_loops=False)
 
 
@@ -145,7 +142,7 @@ def build_cellular_complex(g: int, a: WeightDatum) -> ChainComplex:
     bases = [generator_basis(g, a, k, CELLULAR) for k in degrees]
     if all(not b for k, b in zip(degrees, bases) if k >= 0):
         raise DomainError("the moduli space is empty: no stable graph has an edge")
-    return _assemble(CELLULAR_KIND, g, a, degrees, bases, contract_loops=True)
+    return _assemble(CELLULAR, g, a, degrees, bases, contract_loops=True)
 
 
 def restrict(c: ChainComplex, keep: Sequence[Sequence[bool]],
@@ -173,7 +170,7 @@ def split_AB(c: ChainComplex) -> tuple[ChainComplex, ChainComplex]:
     Both parts are closed under the boundary (checked), and their direct
     sum recovers the input complex blockwise.
     """
-    if c.kind != CELLULAR_KIND:
+    if c.kind != CELLULAR:
         raise DomainError("only a cellular complex splits this way")
     in_a = [[is_pure(cg.graph) and not has_loops(cg.graph) for cg in basis]
             for basis in c.bases]
@@ -266,7 +263,7 @@ def homology(c: ChainComplex) -> HomologyReport:
             topweight.append({"degree": 4 * g - 6 + 2 * a.n - k,
                               "weight": w, "dim": betti[k]})
             delta.append({"degree": k + 2 * g - 1, "dim": betti[k]})
-    elif c.kind in (CELLULAR_KIND, A_PART, B_PART):
+    elif c.kind in (CELLULAR, A_PART, B_PART):
         for k in c.degrees:
             delta.append({"degree": k, "dim": betti[k]})
     elif c.kind == RELATIVE:

@@ -28,7 +28,7 @@ import tempfile
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .chambers import (ChamberSignature, DomainError, WeightDatum,
                        compare_signatures, signature)
@@ -242,12 +242,12 @@ def _classical_datum(g: int, n: int) -> WeightDatum:
     return WeightDatum(g, (Fraction(1),) * n)
 
 
-GRAPH_COMPLEX = "graph_complex"
+GRAPH = "graph"
 CELLULAR = "cellular"
 
 
 def degree_range(g: int, n: int, kind: str) -> range:
-    if kind == GRAPH_COMPLEX:
+    if kind == GRAPH:
         return range(-g, max_edges(g, n) - 2 * g + 1)
     if kind == CELLULAR:
         return range(-1, max_edges(g, n))
@@ -255,7 +255,7 @@ def degree_range(g: int, n: int, kind: str) -> range:
 
 
 def generator_basis(g: int, a: WeightDatum, degree: int,
-                    kind: str = GRAPH_COMPLEX) -> tuple[CanonicalGraph, ...]:
+                    kind: str = GRAPH) -> tuple[CanonicalGraph, ...]:
     """Ordered basis of nonzero generators in one homological degree.
 
     Graph-complex generators are pure graphs with degree + 2g edges;
@@ -264,7 +264,7 @@ def generator_basis(g: int, a: WeightDatum, degree: int,
     """
     if degree not in degree_range(g, a.n, kind):
         raise DomainError(f"degree {degree} out of range for {kind}")
-    if kind == GRAPH_COMPLEX:
+    if kind == GRAPH:
         m = degree + 2 * g
         pure = True
     else:
@@ -284,6 +284,21 @@ def check_aligned(chain: list[WeightDatum] | tuple[WeightDatum, ...]) -> None:
                 f"{rel.relation} ({chain[p]} vs {chain[p + 1]})")
 
 
+def _stability_levels(g: int, chain: Sequence[WeightDatum],
+                      basis: Sequence[CanonicalGraph]) -> tuple[int, ...]:
+    """Level of each generator of basis: the first chain index (1-based)
+    at which the graph is stable."""
+    levels = []
+    for cg in basis:
+        for p, a in enumerate(chain, start=1):
+            if is_stable(cg.graph, g, a):
+                levels.append(p)
+                break
+        else:
+            raise AssertionError("generator unstable at the top of the chain")
+    return tuple(levels)
+
+
 def filtration_levels(g: int, chain: list[WeightDatum] | tuple[WeightDatum, ...],
                       degree: int) -> dict[CanonicalGraph, int]:
     """Level of each graph-complex generator of the top chamber: the first
@@ -292,12 +307,4 @@ def filtration_levels(g: int, chain: list[WeightDatum] | tuple[WeightDatum, ...]
         raise DomainError("empty weight chain")
     check_aligned(chain)
     basis = generator_basis(g, chain[-1], degree)
-    levels: dict[CanonicalGraph, int] = {}
-    for cg in basis:
-        for p, a in enumerate(chain, start=1):
-            if is_stable(cg.graph, g, a):
-                levels[cg] = p
-                break
-        else:
-            raise AssertionError("generator unstable at the top of the chain")
-    return levels
+    return dict(zip(basis, _stability_levels(g, chain, basis)))

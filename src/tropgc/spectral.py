@@ -3,34 +3,30 @@
 A chain of weight data, aligned so that consecutive signatures are nested,
 filters the graph complex of its last datum by stability level: level(x) is
 the first index p at which the generator x is stable. Every filtered piece
-F_p is a coordinate subspace of the generator basis, so every page
+F_p is a coordinate subspace of the generator basis, and page r,
 
-    E^r_{p,q} = {x in F_p C_{p+q} : dx in F_{p-r}} / (F_{p-1} + d F_{p+r-1})
+    E^r_{p,q} = {x in F_p C_{p+q} : dx in F_{p-r}} / (F_{p-1} + d F_{p+r-1}),
 
-has a dimension that is a signed sum of ranks of boundary blocks: with
-R_d(a, b) the rank of the boundary of degree d restricted to columns of
-level <= b and rows of level >= a,
-
-    dim E^r_{p,d-p} = #{level = p} - [R_d(p-r+1, p) - R_d(p-r+1, p-1)]
-                      - [R_{d+1}(p, p+r-1) - R_{d+1}(p+1, p+r-1)].
-
-The first bracket counts the level-p directions whose boundary leaves
-F_{p-r}; the second counts the boundaries of F_{p+r-1} that lie in F_p but
-not in F_{p-1}. Each R_d(a, b) is a count of pivots: one column reduction
-of the degree-d boundary, columns in order of level and rows keyed by
-level, has exactly R_d(a, b) pivots with column level <= b and row level
->= a (the pairing lemma of persistence). The degrees are reduced from the
-top down with clearing (Chen and Kerber, "Persistent homology computation
-with a twist", EuroCG 2011): each pivot row of the degree-(d+1) reduction is
-a degree-d column that would reduce to zero, so it is skipped and the pivots
-are unchanged. Pages stabilize at
-r = max(p, N-p+1); the infinity table decomposes the Betti numbers of the
+is the homology of page r - 1. One column reduction per degree, cells
+ordered by (level, index), pairs the cell of each pivot column (level c)
+with that of its pivot row (level l <= c), and that pair is a nonzero
+d_{c-l} (the pairing lemma; Cohen-Steiner, Edelsbrunner and Morozov, "Vines
+and vineyards", 2006). Both its cells are gone from page c - l + 1 on, so
+dim E^r_{p,d-p} is the number of level-p cells of degree d, less the
+degree-d pairs with c = p and l > p - r and the degree-(d+1) pairs with
+l = p and c < p + r. A pair that meets level p has c - l <= p - 1 (column
+at p, l >= 1) or c - l <= N - p (row at p, c <= N), so the pages stabilize
+at r* = max(p, N-p+1). The degrees are reduced from the top down with
+clearing (Chen and Kerber, "Persistent homology computation with a twist",
+EuroCG 2011), which skips columns that would reduce to zero and leaves the
+pairs unchanged. The infinity table decomposes the Betti numbers of the
 base complex degree by degree.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .chambers import (DomainError, WeightDatum, apply_permutation,
@@ -38,7 +34,7 @@ from .chambers import (DomainError, WeightDatum, apply_permutation,
                        parse_rational)
 from .complexes import (RELATIVE, ChainComplex, boundary_pivots,
                         build_graph_complex, homology, moduli_label, restrict)
-from .enumeration import check_aligned, filtration_levels
+from .enumeration import _stability_levels, check_aligned
 
 Permutation = tuple[int, ...]
 
@@ -86,8 +82,6 @@ class FilteredComplex:
     chain: tuple[WeightDatum, ...]
     base: ChainComplex
     levels: tuple[tuple[int, ...], ...]  # aligned with base.bases
-    _pivot_levels: dict[int, list[tuple[int, int]]] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def num_levels(self) -> int:
@@ -97,18 +91,16 @@ class FilteredComplex:
         i = self.base._index(k)
         return self.levels[i] if i is not None else ()
 
-    def block_rank(self, d: int, a: int, b: int) -> int:
-        """R_d(a, b): rank of boundary(d) on the columns of level <= b and
-        the rows of level >= a, counted as the pivots in that block of one
-        column reduction per degree (cells ordered by (level, index), with
-        clearing), all degrees reduced on the first call."""
-        if not self._pivot_levels:
-            for k, lows in boundary_pivots(self.base, self.levels):
-                lev_rows, lev_cols = self.level_row(k - 1), self.level_row(k)
-                self._pivot_levels[k] = [(lev_cols[j], lev_rows[i])
-                                         for j, i in lows.items()]
-        return sum(1 for col, row in self._pivot_levels.get(d, ())
-                   if col <= b and row >= a)
+    @cached_property
+    def pairs(self) -> dict[int, list[tuple[int, int]]]:
+        """Degree d -> the (column level, row level) of every pivot of the
+        reduction of boundary(d), cells ordered by (level, index), with
+        clearing; all degrees are reduced on the first call."""
+        pairs = {}
+        for k, lows in boundary_pivots(self.base, self.levels):
+            lev_rows, lev_cols = self.level_row(k - 1), self.level_row(k)
+            pairs[k] = [(lev_cols[j], lev_rows[i]) for j, i in lows.items()]
+        return pairs
 
 
 def build_filtered_complex(g: int, chain: Sequence[WeightDatum]
@@ -117,11 +109,8 @@ def build_filtered_complex(g: int, chain: Sequence[WeightDatum]
     chain = list(chain)
     check_aligned(chain)
     base = build_graph_complex(g, chain[-1])
-    levels = []
-    for i, k in enumerate(base.degrees):
-        by_class = filtration_levels(g, chain, k)
-        levels.append(tuple(by_class[cg] for cg in base.bases[i]))
-    f = FilteredComplex(g, tuple(chain), base, tuple(levels))
+    levels = tuple(_stability_levels(g, chain, basis) for basis in base.bases)
+    f = FilteredComplex(g, tuple(chain), base, levels)
     for i, k in enumerate(base.degrees):
         below = f.level_row(k - 1)
         for (r, c) in base.boundaries[i].entries():
@@ -138,17 +127,17 @@ def filtered_from_raw(g: int, raw: Sequence[WeightDatum]) -> FilteredComplex:
 
 
 def page_dim(f: FilteredComplex, r: int, p: int, q: int) -> int:
-    """Dimension of E^r_{p,q}, exact over Q: with d = p + q and R the
-    block ranks of f, #{level = p} - [R_d(p-r+1, p) - R_d(p-r+1, p-1)]
-    - [R_{d+1}(p, p+r-1) - R_{d+1}(p+1, p+r-1)]."""
+    """Dimension of E^r_{p,q}, exact over Q: with d = p + q, the level-p
+    cells of degree d less the pairs (c, l) gone by page r, those of degree
+    d with c = p, l > p - r and those of degree d + 1 with l = p, c < p + r."""
     if r < 0:
         raise DomainError("page index must be nonnegative")
     if p < 1 or p > f.num_levels:
         return 0
-    d, rk = p + q, f.block_rank
+    d = p + q
     return (f.level_row(d).count(p)
-            - rk(d, p - r + 1, p) + rk(d, p - r + 1, p - 1)
-            - rk(d + 1, p, p + r - 1) + rk(d + 1, p + 1, p + r - 1))
+            - sum(c == p and l > p - r for c, l in f.pairs.get(d, ()))
+            - sum(l == p and c < p + r for c, l in f.pairs.get(d + 1, ())))
 
 
 @dataclass
@@ -249,7 +238,7 @@ def e1_relative_check(f: FilteredComplex) -> bool:
 def spectral_json(f: FilteredComplex, pages: Sequence[int] = ()) -> dict:
     """The full machine-readable payload for one filtration."""
     report = decomposition_report(f)
-    out: dict = {
+    return {
         "pages": {str(r): {f"{p},{q}": v
                            for (p, q), v in page_table(f, r).nonzero().items()}
                   for r in pages},
@@ -260,7 +249,6 @@ def spectral_json(f: FilteredComplex, pages: Sequence[int] = ()) -> dict:
         "topweight": report.topweight,
         "lower_bounds": [dict(b) for b in report.lower_bounds],
     }
-    return out
 
 
 def parse_filtration_json(payload: dict) -> tuple[int, list[WeightDatum]]:
@@ -269,15 +257,12 @@ def parse_filtration_json(payload: dict) -> tuple[int, list[WeightDatum]]:
     Structural problems raise ValueError; weights outside the admissible
     domain raise DomainError from the datum constructor.
     """
-    try:
-        g = int(payload["g"])
-        rows = payload["weights"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed filtration input: {exc}") from exc
-    if not isinstance(rows, list) or not rows:
-        raise ValueError("filtration input needs a nonempty weights list")
-    data = []
-    for row in rows:
-        entries = tuple(parse_rational(str(x)) for x in row)
-        data.append(WeightDatum(g, entries))
-    return g, data
+    if not isinstance(payload, dict) or type(payload.get("g")) is not int:
+        raise ValueError("filtration input needs an integer genus g")
+    g, rows = payload["g"], payload.get("weights")
+    if (not isinstance(rows, list) or not rows
+            or not all(isinstance(row, list) for row in rows)):
+        raise ValueError("filtration input needs a nonempty list of weight "
+                         "rows, each a list")
+    return g, [WeightDatum(g, tuple(parse_rational(str(x)) for x in row))
+               for row in rows]

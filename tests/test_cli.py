@@ -224,6 +224,14 @@ class TestSpectralCommand:
         assert rc == 2
         assert "usage error" in err
 
+    def test_string_row_is_usage_error(self, capsys, tmp_path):
+        # a string is not a row of weights, one per character
+        path = tmp_path / "string_row.json"
+        path.write_text(json.dumps({"g": 1, "weights": ["111"]}))
+        rc, out, err = run(capsys, ["spectral", "--input", str(path)])
+        assert (rc, out) == (2, "")
+        assert "usage error" in err
+
     def test_unparseable_file(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

@@ -23,8 +23,8 @@ from tropgc import (
     split_AB,
 )
 from tropgc import complexes, enumeration
-from tropgc.complexes import CELLULAR_KIND, GRAPH, _assemble, boundary_pivots
-from tropgc.enumeration import GRAPH_COMPLEX, degree_range, generator_basis
+from tropgc.complexes import _assemble, boundary_pivots
+from tropgc.enumeration import CELLULAR, GRAPH, degree_range, generator_basis
 from tropgc.graphs import (MarkedGraph, canonicalize, decode_graph,
                            encode_graph, has_loops, is_pure)
 from tropgc.linalg import column_pivots
@@ -184,7 +184,7 @@ class TestGraphHomology:
         assert path.read_text().splitlines(keepends=True) == lines
 
     def test_missing_contraction_target_is_an_error(self):
-        degrees = list(degree_range(1, 4, GRAPH_COMPLEX))
+        degrees = list(degree_range(1, 4, GRAPH))
         bases = [generator_basis(1, CLASSICAL4, k) for k in degrees]
         bases[degrees.index(0)] = bases[degrees.index(0)][1:]
         with pytest.raises(AssertionError, match="missing from the basis"):
@@ -305,7 +305,7 @@ class TestSplitAB:
         b_gen, _ = canonicalize(MarkedGraph((0, 0), ((0, 1), (1, 1)), (0, 0)))
         assert is_pure(a_gen.graph) and not has_loops(a_gen.graph)
         assert has_loops(b_gen.graph)
-        c = ChainComplex(CELLULAR_KIND, 1, CLASSICAL2, (0, 1),
+        c = ChainComplex(CELLULAR, 1, CLASSICAL2, (0, 1),
                          ((a_gen,), (b_gen,)),
                          (RationalMatrix.zero(0, 1),
                           RationalMatrix(1, 1, {(0, 0): 1})))

@@ -10,7 +10,7 @@ from tropgc import DomainError, WeightDatum, enumerate_stable_graphs, max_edges
 from tropgc import enumeration
 from tropgc.enumeration import (
     CELLULAR,
-    GRAPH_COMPLEX,
+    GRAPH,
     cache_dir,
     degree_range,
     filtration_levels,
@@ -131,7 +131,7 @@ class TestGeneratorBasis:
             generator_basis(1, CLASSICAL3, 2)
 
     def test_cellular_range_shifted(self):
-        r_graph = degree_range(1, 3, GRAPH_COMPLEX)
+        r_graph = degree_range(1, 3, GRAPH)
         r_cell = degree_range(1, 3, CELLULAR)
         assert list(r_graph) == [-1, 0, 1]
         assert list(r_cell) == [-1, 0, 1, 2]

@@ -180,7 +180,7 @@ class TestSubspaceDims:
                 for b in range(a, n_levels + 1):
                     block = [[x for x, lc in zip(row, lev_cols) if lc <= b]
                              for row, lr in zip(dense, lev_rows) if lr >= a]
-                    assert f.block_rank(d, a, b) == dense_rank(block), \
+                    assert block_rank(f, d, a, b) == dense_rank(block), \
                         (d, a, b)
 
     @pytest.mark.parametrize("chain", sorted(CHAINS))
@@ -196,7 +196,7 @@ class TestSubspaceDims:
             return column_pivots(m, order, row_key)
 
         monkeypatch.setattr(complexes, "column_pivots", recording)
-        f.block_rank(f.base.degrees[0], 1, 1)
+        pairs = f.pairs
         monkeypatch.undo()
         cleared = dict(boundary_pivots(f.base, f.levels))
         skipped = set()
@@ -213,9 +213,26 @@ class TestSubspaceDims:
                 order=sorted(range(len(lev_cols)), key=lev_cols.__getitem__),
                 row_key=lambda i: (lev_rows[i], i))
             assert cleared[d] == {j: low for j, (low, _) in full.items()}, d
-            assert (sorted(f._pivot_levels[d])
+            assert (sorted(pairs[d])
                     == sorted((lev_cols[j], lev_rows[i])
                               for j, (i, _) in full.items())), d
+
+
+def block_rank(f, d: int, a: int, b: int) -> int:
+    """R_d(a, b), the rank of boundary(d) on the columns of level <= b and
+    the rows of level >= a, counted as the pairs of f in that block (the
+    pairing lemma)."""
+    return sum(c <= b and l >= a for c, l in f.pairs.get(d, ()))
+
+
+def one_step_filtered(rows, row_levels, col_levels) -> FilteredComplex:
+    """C_1 -> C_0 with boundary rows, filtered in three levels."""
+    m = RationalMatrix.from_rows(rows)
+    base = ChainComplex("graph", 1, None, (0, 1),
+                        ((None,) * m.rows, (None,) * m.cols),
+                        (RationalMatrix.zero(0, m.rows), m))
+    return FilteredComplex(1, (None,) * 3, base,
+                           (tuple(row_levels), tuple(col_levels)))
 
 
 def page_dim_by_definition(f, r: int, p: int, d: int) -> int:
@@ -258,6 +275,11 @@ small_matrix = st.integers(min_value=1, max_value=5).flatmap(
         )
     )
 )
+leveled_matrix = small_matrix.flatmap(lambda rows: st.tuples(
+    st.just(rows),
+    st.lists(st.integers(1, 3), min_size=len(rows), max_size=len(rows)),
+    st.lists(st.integers(1, 3), min_size=len(rows[0]),
+             max_size=len(rows[0]))))
 
 
 class TestRandomized:
@@ -284,25 +306,31 @@ class TestRandomized:
                 assert sum(x * y for x, y in zip(row, vec)) == 0
 
     @settings(max_examples=120, deadline=None)
-    @given(small_matrix.flatmap(lambda rows: st.tuples(
-        st.just(rows),
-        st.lists(st.integers(1, 3), min_size=len(rows), max_size=len(rows)),
-        st.lists(st.integers(1, 3), min_size=len(rows[0]),
-                 max_size=len(rows[0])))))
+    @given(leveled_matrix)
     def test_pivots_count_every_block_rank(self, case):
-        # block_rank of a one-step complex C_1 -> C_0 with these levels
+        # block ranks of a one-step complex C_1 -> C_0 with these levels
         rows, row_levels, col_levels = case
-        m = RationalMatrix.from_rows(rows)
-        base = ChainComplex("graph", 1, None, (0, 1),
-                            ((None,) * m.rows, (None,) * m.cols),
-                            (RationalMatrix.zero(0, m.rows), m))
-        f = FilteredComplex(1, (None,) * 3, base,
-                            (tuple(row_levels), tuple(col_levels)))
+        f = one_step_filtered(rows, row_levels, col_levels)
         for a in range(1, 5):
             for b in range(0, 4):
                 block = [[x for x, lv in zip(row, col_levels) if lv <= b]
                          for row, lv in zip(rows, row_levels) if lv >= a]
-                assert f.block_rank(1, a, b) == dense_rank(block), (a, b)
+                assert block_rank(f, 1, a, b) == dense_rank(block), (a, b)
+
+    @settings(max_examples=120, deadline=None)
+    @given(leveled_matrix)
+    def test_pages_of_random_filtered_complex(self, case):
+        # entries only where the row level is at most the column level, so
+        # the boundary respects the filtration
+        rows, row_levels, col_levels = case
+        rows = [[x if lr <= lc else 0 for x, lc in zip(row, col_levels)]
+                for row, lr in zip(rows, row_levels)]
+        f = one_step_filtered(rows, row_levels, col_levels)
+        for r in range(5):
+            for p in range(1, 4):
+                for d in (0, 1):
+                    assert page_dim(f, r, p, d - p) == \
+                        page_dim_by_definition(f, r, p, d), (r, p, d)
 
     @settings(max_examples=60, deadline=None)
     @given(small_matrix)

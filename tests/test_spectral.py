@@ -266,6 +266,9 @@ class TestJson:
         {}, {"g": 1}, {"weights": [["1"]]}, {"g": 1, "weights": []},
         {"g": 1, "weights": "x"}, {"g": "x", "weights": [["1"]]},
         {"g": 1, "weights": [["1.5", "1", "1"]]},
+        {"g": 1, "weights": ["111"]}, {"g": 1.7, "weights": [["1", "1"]]},
+        {"g": True, "weights": [["1", "1"]]}, {"g": "1", "weights": [["1"]]},
+        [], "x",
     ])
     def test_malformed_payloads(self, payload):
         with pytest.raises(ValueError):
