@@ -76,6 +76,12 @@ class WeightDatum:
     entries: tuple[Fraction, ...]
 
     def __post_init__(self):
+        if not isinstance(self.g, int) or isinstance(self.g, bool):
+            raise TypeError(f"genus must be an int: {self.g!r}")
+        for x in self.entries:
+            # a float is a binary approximation: 0.1 + 0.9 > 1 as Fractions
+            if not isinstance(x, (int, str, Fraction)):
+                raise TypeError(f"not an exact rational: {x!r}")
         object.__setattr__(self, "entries",
                            tuple(Fraction(x) for x in self.entries))
         if self.g < 0:
@@ -385,24 +391,13 @@ def compare_up_to_symmetry(a: WeightDatum, b: WeightDatum,
     return result if result is not None else OrderResult("Incomparable", None)
 
 
-# Fourier-Motzkin feasibility.
+# Feasibility by an exact simplex.
 #
 # Constraints are stored as (coeffs, bound, strict) meaning
-# sum(coeffs[i] * x_i) < bound (strict) or <= bound. Coefficients and bounds
-# are integers, normalized by their gcd, so elimination stays exact.
+# sum(coeffs[i] * x_i) < bound (strict) or <= bound, with integer
+# coefficients and bounds.
 
 _Constraint = tuple[tuple[int, ...], int, bool]
-
-
-def _normalize_constraint(coeffs: Sequence[int], bound: int, strict: bool) -> _Constraint:
-    g = 0
-    for c in coeffs:
-        g = gcd(g, c)
-    g = gcd(g, bound)
-    if g > 1:
-        coeffs = tuple(c // g for c in coeffs)
-        bound //= g
-    return (tuple(coeffs), bound, strict)
 
 
 def _signature_constraints(s: ChamberSignature) -> list[_Constraint]:
@@ -427,45 +422,6 @@ def _signature_constraints(s: ChamberSignature) -> list[_Constraint]:
     return cons
 
 
-def _fm_eliminate(cons: list[_Constraint], var: int) -> Optional[list[_Constraint]]:
-    """Eliminate variable var; returns None if a contradiction appears."""
-    pos, neg, rest = [], [], []
-    for c in cons:
-        cv = c[0][var]
-        if cv > 0:
-            pos.append(c)
-        elif cv < 0:
-            neg.append(c)
-        else:
-            rest.append(c)
-    # the tightest (bound, strict) per coefficient row; strict wins a tie
-    best: dict[tuple[int, ...], tuple[int, bool]] = {}
-
-    def add(coeffs, bound, strict):
-        if all(c == 0 for c in coeffs):
-            if bound < 0 or (bound == 0 and strict):
-                return False
-            return True
-        coeffs, bound, strict = _normalize_constraint(coeffs, bound, strict)
-        cur = best.get(coeffs)
-        if cur is None or (bound, not strict) < (cur[0], not cur[1]):
-            best[coeffs] = (bound, strict)
-        return True
-
-    for c in rest:
-        if not add(*c):
-            return None
-    for cp, bp, sp in pos:
-        for cn, bn, sn in neg:
-            a = -cn[var]
-            b = cp[var]
-            coeffs = tuple(a * cp[i] + b * cn[i] for i in range(len(cp)))
-            bound = a * bp + b * bn
-            if not add(coeffs, bound, sp or sn):
-                return None
-    return [(coeffs, bound, strict) for coeffs, (bound, strict) in best.items()]
-
-
 def feasible_point(s: ChamberSignature) -> Optional[WeightDatum]:
     """A rational witness strictly inside the chamber, or None if empty."""
     return _solve(s, _signature_constraints(s))
@@ -473,49 +429,52 @@ def feasible_point(s: ChamberSignature) -> Optional[WeightDatum]:
 
 def _solve(s: ChamberSignature, cons: list[_Constraint]) -> Optional[WeightDatum]:
     """A rational point satisfying cons, which include the constraints of
-    s, by Fourier-Motzkin elimination and a forward solve; None if there is
-    none. The point must have signature s."""
+    s, or None if there is none. The point must have signature s.
+
+    The simplex maximizes a slack eps subject to coeffs.x + eps <= bound on
+    strict rows and coeffs.x <= bound on the others, over x >= 0 (the rows
+    of s force x > 0 anyway; they also bound x by 1). With eps = d - k,
+    d >= 0 and k = max(0, -bound over the strict rows), every right-hand
+    side is nonnegative (the non-strict bounds are), so x = 0, d = 0 is a
+    first basis and there is no phase 1. The tableau holds integers: a pivot
+    multiplies every other row by the positive pivot entry, subtracts a
+    multiple of the pivot row and divides by the gcd, so the basic variable
+    of row r is rhs_r / T[r][basic]. Bland's rule (the smallest eligible column, ratio
+    ties to the smallest basic label) rules out cycling. The first basis
+    with d > k has eps > 0, so every strict row holds there and its x is the
+    point; if the optimum has d <= k, there is none.
+    """
     n = s.wall_set.n
-    systems = [cons]
-    for var in range(n - 1, 0, -1):
-        nxt = _fm_eliminate(systems[-1], var)
-        if nxt is None:
+    m = len(cons)
+    k = max([0] + [-bound for _, bound, strict in cons if strict])
+    # columns: x_0..x_{n-1}, d (label n), one slack per row, right-hand side
+    tab = [[*coeffs, int(strict), *(int(r == t) for t in range(m)),
+            bound + k * strict]
+           for r, (coeffs, bound, strict) in enumerate(cons)]
+    tab.append([0] * n + [-1] + [0] * (m + 1))  # reduced costs of max d
+    basis = list(range(n + 1, n + 1 + m))
+    # pivot until d is basic with a value above k
+    while not any(j == n and row[-1] > k * row[n]
+                  for j, row in zip(basis, tab)):
+        col = next((j for j, c in enumerate(tab[m][:-1]) if c < 0), None)
+        if col is None:
             return None
-        systems.append(nxt)
-    # systems[k] constrains variables x_0..x_{n-1-k}; solve forward.
-    values: list[Fraction] = []
-    for var in range(n):
-        cons = systems[n - 1 - var]
-        lo: Optional[tuple[Fraction, bool]] = None
-        hi: Optional[tuple[Fraction, bool]] = None
-        for coeffs, bound, strict in cons:
-            cv = coeffs[var]
-            if cv == 0:
-                continue
-            acc = Fraction(bound)
-            for i in range(var):
-                acc -= coeffs[i] * values[i]
-            limit = acc / cv
-            if cv > 0:
-                # x_var <= limit (or < limit when strict)
-                if hi is None or limit < hi[0] or \
-                        (limit == hi[0] and strict and not hi[1]):
-                    hi = (limit, strict)
-            else:
-                # x_var >= limit (or > limit when strict)
-                if lo is None or limit > lo[0] or \
-                        (limit == lo[0] and strict and not lo[1]):
-                    lo = (limit, strict)
-        if lo is None or hi is None:
-            return None
-        lo_v, lo_strict = lo
-        hi_v, hi_strict = hi
-        if lo_v > hi_v or (lo_v == hi_v and (lo_strict or hi_strict)):
-            return None
-        if lo_v == hi_v:
-            values.append(lo_v)
-        else:
-            values.append((lo_v + hi_v) / 2)
+        # the LP is bounded, so some row limits the entering column
+        piv = min((r for r in range(m) if tab[r][col] > 0),
+                  key=lambda r: (Fraction(tab[r][-1], tab[r][col]), basis[r]))
+        top = tab[piv]
+        a = top[col]
+        for r, row in enumerate(tab):
+            f = row[col]
+            if r != piv and f:
+                row = [a * x - f * y for x, y in zip(row, top)]
+                g = gcd(*row)
+                tab[r] = [x // g for x in row] if g > 1 else row
+        basis[piv] = col
+    values = [Fraction(0)] * n
+    for r, j in enumerate(basis):
+        if j < n:
+            values[j] = Fraction(tab[r][-1], tab[r][j])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DomainGapWarning)
         point = WeightDatum(s.wall_set.g, tuple(values))
@@ -561,8 +520,8 @@ def enumerate_chambers(g: int, n: int) -> ChamberCensus:
     S in the shift order when |T| <= |S| and t_i <= s_{|S|-|T|+i} for T and
     S sorted; then sum_T a <= sum_S a, so S may be Minus only while no Plus
     wall lies below it. Walls come by size, then lexicographically, so every
-    wall below S is signed before S. Each complete pattern is tested by
-    Fourier-Motzkin elimination with the cone's constraints x_i <= x_{i+1}
+    wall below S is signed before S. Each complete pattern is tested by the
+    exact simplex of _solve with the cone's constraints x_i <= x_{i+1}
     added, and its witness, if any, represents the orbit.
 
     Weighted games are complete simple games (Taylor and Zwicker, "Simple

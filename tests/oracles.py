@@ -3,14 +3,17 @@
 Everything here avoids the package's data structures and algorithms on
 purpose: graphs are bare (weights, edges, legs) triples canonicalized by
 minimizing over all vertex permutations, ranks come from dense Gaussian
-elimination over Fraction, and boundaries are assembled by exhaustive
-isomorphism search. Slow but transparent.
+elimination over Fraction, boundaries are assembled by exhaustive
+isomorphism search, and chambers are tested by Fourier-Motzkin elimination.
+Slow but transparent.
 """
 
 from __future__ import annotations
 
+import warnings
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
+from math import gcd
 from typing import Optional, Sequence
 
 Key = tuple[tuple[int, ...], tuple[tuple[int, int], ...], tuple[int, ...]]
@@ -343,15 +346,153 @@ def reference_orbits(chambers):
                  for _, v in sorted(grouped.items()))
 
 
+# Fourier-Motzkin feasibility, the exact elimination the package used
+# before its simplex.
+#
+# Constraints are stored as (coeffs, bound, strict) meaning
+# sum(coeffs[i] * x_i) < bound (strict) or <= bound. Coefficients and bounds
+# are integers, normalized by their gcd, so elimination stays exact.
+
+_Constraint = tuple[tuple[int, ...], int, bool]
+
+
+def _normalize_constraint(coeffs: Sequence[int], bound: int, strict: bool) -> _Constraint:
+    g = 0
+    for c in coeffs:
+        g = gcd(g, c)
+    g = gcd(g, bound)
+    if g > 1:
+        coeffs = tuple(c // g for c in coeffs)
+        bound //= g
+    return (tuple(coeffs), bound, strict)
+
+
+def _signature_constraints(s) -> list[_Constraint]:
+    ws = s.wall_set
+    n = ws.n
+    cons: list[_Constraint] = []
+    for i in range(n):
+        row = [0] * n
+        row[i] = -1
+        cons.append((tuple(row), 0, True))        # x_i > 0
+        row2 = [0] * n
+        row2[i] = 1
+        cons.append((tuple(row2), 1, False))      # x_i <= 1
+    for subset, plus in zip(ws.subsets, s.signs):
+        row = [0] * n
+        for i in subset:
+            row[i - 1] = -1 if plus else 1
+        bound = -1 if plus else 1
+        cons.append((tuple(row), bound, True))    # strict on both sides
+    if ws.g == 0:
+        cons.append((tuple([-1] * n), -2, True))  # sum > 2
+    return cons
+
+
+def _fm_eliminate(cons: list[_Constraint], var: int) -> Optional[list[_Constraint]]:
+    """Eliminate variable var; returns None if a contradiction appears."""
+    pos, neg, rest = [], [], []
+    for c in cons:
+        cv = c[0][var]
+        if cv > 0:
+            pos.append(c)
+        elif cv < 0:
+            neg.append(c)
+        else:
+            rest.append(c)
+    # the tightest (bound, strict) per coefficient row; strict wins a tie
+    best: dict[tuple[int, ...], tuple[int, bool]] = {}
+
+    def add(coeffs, bound, strict):
+        if all(c == 0 for c in coeffs):
+            if bound < 0 or (bound == 0 and strict):
+                return False
+            return True
+        coeffs, bound, strict = _normalize_constraint(coeffs, bound, strict)
+        cur = best.get(coeffs)
+        if cur is None or (bound, not strict) < (cur[0], not cur[1]):
+            best[coeffs] = (bound, strict)
+        return True
+
+    for c in rest:
+        if not add(*c):
+            return None
+    for cp, bp, sp in pos:
+        for cn, bn, sn in neg:
+            a = -cn[var]
+            b = cp[var]
+            coeffs = tuple(a * cp[i] + b * cn[i] for i in range(len(cp)))
+            bound = a * bp + b * bn
+            if not add(coeffs, bound, sp or sn):
+                return None
+    return [(coeffs, bound, strict) for coeffs, (bound, strict) in best.items()]
+
+
+def reference_feasible_point(s):
+    """feasible_point by Fourier-Motzkin elimination and a forward solve: a
+    rational point strictly inside the chamber of s, or None if it is
+    empty. The point must have signature s."""
+    from tropgc import DomainGapWarning, WeightDatum, signature
+
+    cons = _signature_constraints(s)
+    n = s.wall_set.n
+    systems = [cons]
+    for var in range(n - 1, 0, -1):
+        nxt = _fm_eliminate(systems[-1], var)
+        if nxt is None:
+            return None
+        systems.append(nxt)
+    # systems[k] constrains variables x_0..x_{n-1-k}; solve forward.
+    values: list[Fraction] = []
+    for var in range(n):
+        cons = systems[n - 1 - var]
+        lo: Optional[tuple[Fraction, bool]] = None
+        hi: Optional[tuple[Fraction, bool]] = None
+        for coeffs, bound, strict in cons:
+            cv = coeffs[var]
+            if cv == 0:
+                continue
+            acc = Fraction(bound)
+            for i in range(var):
+                acc -= coeffs[i] * values[i]
+            limit = acc / cv
+            if cv > 0:
+                # x_var <= limit (or < limit when strict)
+                if hi is None or limit < hi[0] or \
+                        (limit == hi[0] and strict and not hi[1]):
+                    hi = (limit, strict)
+            else:
+                # x_var >= limit (or > limit when strict)
+                if lo is None or limit > lo[0] or \
+                        (limit == lo[0] and strict and not lo[1]):
+                    lo = (limit, strict)
+        if lo is None or hi is None:
+            return None
+        lo_v, lo_strict = lo
+        hi_v, hi_strict = hi
+        if lo_v > hi_v or (lo_v == hi_v and (lo_strict or hi_strict)):
+            return None
+        if lo_v == hi_v:
+            values.append(lo_v)
+        else:
+            values.append((lo_v + hi_v) / 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DomainGapWarning)
+        point = WeightDatum(s.wall_set.g, tuple(values))
+    if signature(point).signs != s.signs:
+        raise AssertionError("feasibility witness fails its own signature")
+    return point
+
+
 def reference_census(g: int, n: int):
     """The census as enumerate_chambers built it before it searched orbit
     representatives: every signature that is monotone under inclusion is
-    tested by feasible_point over the whole simplex, and each nonempty
-    chamber's orbit is keyed by the signature of its witness sorted
+    tested by reference_feasible_point over the whole simplex, and each
+    nonempty chamber's orbit is keyed by the signature of its witness sorted
     ascending. Chambers are listed by signature within an orbit, and orbits
     by their first chamber."""
     from tropgc import (ChamberCensus, ChamberSignature, apply_permutation,
-                        feasible_point, signature, wall_set)
+                        signature, wall_set)
 
     ws = wall_set(g, n)
     subs = ws.subsets
@@ -360,7 +501,7 @@ def reference_census(g: int, n: int):
     def assign(k: int, signs: list):
         if k == len(subs):
             cand = ChamberSignature(ws, tuple(signs))
-            point = feasible_point(cand)
+            point = reference_feasible_point(cand)
             if point is not None:
                 ascending = sorted(range(1, n + 1),
                                    key=lambda i: point.entries[i - 1])

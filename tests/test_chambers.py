@@ -2,6 +2,7 @@
 
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -33,7 +34,8 @@ from tropgc import (
     wall_set,
 )
 
-from .oracles import reference_census, reference_compare, reference_orbits
+from .oracles import (reference_census, reference_compare,
+                      reference_feasible_point, reference_orbits)
 
 EPS = Fraction(1, 100)
 
@@ -81,6 +83,23 @@ class TestWeightDatum:
     def test_gap_warning(self):
         with pytest.warns(DomainGapWarning):
             datum(0, 1, 1, "9/10")
+
+    @pytest.mark.parametrize("g,entries", [
+        (1, (0.1, 0.9)),
+        (1, (Fraction(1, 2), 0.5)),
+        (1.5, (Fraction(1),)),
+        (1.0, (Fraction(1),)),
+        (True, (Fraction(1),)),
+        ("1", (Fraction(1),)),
+    ])
+    def test_inexact_types_rejected(self, g, entries):
+        # as floats 0.1 + 0.9 exceeds 1, but exactly it lies on the wall
+        with pytest.raises(TypeError):
+            WeightDatum(g, entries)
+
+    def test_exact_types_accepted(self):
+        assert WeightDatum(1, (1, "1/2", Fraction(1, 3))).entries == (
+            Fraction(1), Fraction(1, 2), Fraction(1, 3))
 
 
 class TestWallSet:
@@ -308,6 +327,14 @@ ENTRY_POOL = sorted({Fraction(p, q) for q in (2, 3, 4, 6)
                      for p in range(1, q + 1)})
 
 
+def lift_genus_zero(entries: list) -> None:
+    """Genus 0 needs sum(a) > 2: raise entries to 1 in order until so."""
+    for i in range(len(entries)):
+        if sum(entries) > 2:
+            break
+        entries[i] = Fraction(1)
+
+
 @st.composite
 def oracle_case(draw):
     g = draw(st.integers(min_value=0, max_value=2))
@@ -326,12 +353,8 @@ def oracle_case(draw):
         pair = [rnd.choices(rnd.sample(ENTRY_POOL, rnd.randint(1, 3)), k=n)
                 for _ in range(2)]
     if g == 0:
-        # Genus 0 needs sum(a) > 2; raise entries to 1 in order until so.
         for entries in pair:
-            for i in range(n):
-                if sum(entries) > 2:
-                    break
-                entries[i] = Fraction(1)
+            lift_genus_zero(entries)
     if shape == "orbit":
         # b in the orbit of a: Equal, often at a late witness.
         pair[1] = rnd.sample(pair[0], n)
@@ -407,6 +430,42 @@ class TestCensus:
                 assert signature(point) == s
 
 
+@st.composite
+def monotone_pattern(draw):
+    """An inclusion-monotone sign pattern for g in {0, 1, 2} and n <= 5:
+    the signature of a datum with entries from ENTRY_POOL (so wall points
+    are common), that signature with one wall flipped (Plus on it and its
+    supersets, or Minus on it and its subsets), or the Plus walls above two
+    or three random pairs (empty when two of the pairs are disjoint: the
+    third pair leaves another matching of their four markings all Minus,
+    and the two matchings bound the same sum). Larger n, which has more
+    walls, is drawn more often."""
+    g = draw(st.integers(min_value=0, max_value=2))
+    rnd = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    n = max(rnd.randint(3 if g == 0 else 1, 5) for _ in range(2))
+    entries = rnd.choices(ENTRY_POOL, k=n)
+    if g == 0:
+        lift_genus_zero(entries)
+    ws = wall_set(g, n)
+    subs = ws.subsets
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DomainGapWarning)
+        a = WeightDatum(g, tuple(entries))
+    plus = {k for k, sign in enumerate(signature(a).signs) if sign}
+    shape = rnd.choice(("datum", "flip", "random"))
+    if shape == "flip" and subs:
+        k = rnd.randrange(len(subs))
+        if k in plus:
+            plus -= {t for t, s in enumerate(subs) if s <= subs[k]}
+        else:
+            plus |= {t for t, s in enumerate(subs) if s >= subs[k]}
+    elif shape == "random":
+        pairs = subs[:n * (n - 1) // 2]
+        low = rnd.sample(pairs, min(len(pairs), rnd.randint(2, 3)))
+        plus = {t for t, s in enumerate(subs) if any(s >= w for w in low)}
+    return ChamberSignature(ws, tuple(t in plus for t in range(len(subs))))
+
+
 class TestFeasibility:
     def test_all_plus_inhabited(self):
         s = signature(datum(1, 1, 1, 1))
@@ -415,10 +474,36 @@ class TestFeasibility:
         assert signature(point) == s
 
     def test_genus_zero_all_pairs_minus_empty(self):
-        ws = wall_set(0, 4)
-        s = ChamberSignature(ws, (False,) * len(ws.subsets))
-        assert not is_feasible(s)
-        assert feasible_point(s) is None
+        # all walls Minus; at n = 6 each marking lies in 10 of the 15 walls
+        # of size 4, so 10 * sum(a) < 15, and sum(a) > 2 fails
+        for n in (4, 6):
+            ws = wall_set(0, n)
+            s = ChamberSignature(ws, (False,) * len(ws.subsets))
+            assert not is_feasible(s)
+            assert feasible_point(s) is None
+
+    @settings(max_examples=150, deadline=None)
+    @given(monotone_pattern())
+    def test_matches_fourier_motzkin(self, s):
+        point = feasible_point(s)
+        assert (point is None) == (reference_feasible_point(s) is None)
+        if point is not None:
+            assert signature(point) == s
+
+    @pytest.mark.parametrize("g,n", [(0, 6), (1, 6), (0, 7), (1, 7)])
+    def test_many_markings(self, g, n):
+        # too large for the Fourier-Motzkin oracle, so each witness is
+        # checked by its signature; small denominators put some data on walls
+        rnd = random.Random(f"{g},{n}")
+        for _ in range(4):
+            entries = [Fraction(rnd.randint(1, q), q)
+                       for q in (rnd.randint(2, 12) for _ in range(n))]
+            if g == 0:
+                lift_genus_zero(entries)
+            s = signature(WeightDatum(g, tuple(entries)))
+            point = feasible_point(s)
+            assert point is not None
+            assert signature(point) == s
 
 
 class TestConstructors:

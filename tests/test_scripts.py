@@ -2,8 +2,10 @@
 cache and prints its headline result."""
 
 import os
+import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -11,12 +13,13 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_script(name: str, cache: Path) -> list[str]:
+def run_script(name: str, cache: Path, *args: str) -> list[str]:
     src = str(ROOT / "src")
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, TROPGC_CACHE=str(cache),
                PYTHONPATH=src + os.pathsep + path if path else src)
-    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / name)],
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / name),
+                           *args],
                           env=env, capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -41,3 +44,18 @@ def test_genus_two_script(tmp_path):
     assert lines[i + 1].startswith("  2 * [")
     assert "dim E^3 at (p,q)=(3,-1): 0" in lines
     assert "lower bounds emitted: none" in lines
+
+
+def test_census_points(tmp_path):
+    lines = run_script("run_census.py", tmp_path, "--points", "--max-n", "4")
+    header = next(k for k, line in enumerate(lines)
+                  if line.startswith("g=1 n=4: 96 chambers, 17 orbits"))
+    points = lines[header + 1:]
+    assert len(points) == 17
+    for line in points:
+        match = re.fullmatch(r"  \(([-\d/,]+)\)  \[\d+ Plus walls, "
+                             r"orbit size \d+\]", line)
+        assert match, line
+        entries = [Fraction(x) for x in match.group(1).split(",")]
+        assert len(entries) == 4
+        assert all(0 < x <= 1 for x in entries), line
