@@ -28,7 +28,7 @@ import sys
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, lcm
 from operator import le
 from typing import Iterable, Optional, Sequence
@@ -103,6 +103,12 @@ class WeightDatum:
     @property
     def n(self) -> int:
         return len(self.entries)
+
+    @cached_property
+    def subset_sums(self) -> tuple[list[int], int]:
+        """(sums, den) of _subset_sums(entries), computed once per datum and
+        shared by signature and is_stable; not to be modified."""
+        return _subset_sums(self.entries)
 
     def __str__(self):
         return f"g={self.g}, ({', '.join(format_rational(a) for a in self.entries)})"
@@ -189,7 +195,7 @@ def _subset_sums(entries: Sequence[Fraction]) -> tuple[list[int], int]:
 def signature(a: WeightDatum) -> ChamberSignature:
     """Chamber signature of a weight datum; wall points count as Minus."""
     ws = wall_set(a.g, a.n)
-    sums, den = _subset_sums(a.entries)
+    sums, den = a.subset_sums
     signs = tuple(sums[mask] > den for mask in ws.masks)
     return ChamberSignature(ws, signs)
 

@@ -13,11 +13,12 @@ keyed by (g, n, edge count, purity, signature hash) and store one canonical
 graph encoding per line, after a header line with that key, the line count
 and a SHA-256 of the body, so a truncated, damaged or misplaced file is
 recomputed, not believed. The header is checked on every load; the body of
-a file that passes is decoded and checked line by line once per process (a
-line that is not a canonical encoding also means recomputing), and its
-classes are kept in memory under the body's SHA-256, so identical bytes are
-never decoded twice. A body this process wrote is kept in memory when it is
-written, and is not decoded at all.
+a file that passes is checked line by line once per process: each line is
+parsed into parts and canonicalized, and must equal its form's encoding byte
+for byte, or the file is recomputed. Its classes are kept in memory under
+the body's SHA-256, so identical bytes are never decoded twice. A body this
+process wrote is kept in memory when it is written, and is not decoded at
+all.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from typing import Iterable, Optional, Sequence
 from .chambers import (ChamberSignature, DomainError, WeightDatum,
                        compare_signatures, signature)
 from .graphs import (CanonicalGraph, MarkedGraph, Parts, _canonicalize_parts,
-                     canonicalize, decode_graph, is_stable)
+                     _parse_encoding, canonicalize, is_stable)
 
 CACHE_ENV_VAR = "TROPGC_CACHE"
 DEFAULT_CACHE_DIR = ".tropgc-cache"
@@ -184,7 +185,12 @@ def _cache_load(path: str) -> Optional[tuple[CanonicalGraph, ...]]:
 
 
 def _decode_canonical(line: str) -> CanonicalGraph:
-    cg, _ = canonicalize(decode_graph(line))
+    """The class whose canonical encoding is line, byte for byte (so its
+    genus prefix, marking order and numerals too); ValueError otherwise."""
+    try:
+        cg, _ = _canonicalize_parts(*_parse_encoding(line)[1])
+    except (ValueError, IndexError) as exc:
+        raise ValueError(f"bad graph encoding: {line!r}") from exc
     if cg.encoding != line:
         raise ValueError(f"cache entry is not canonical: {line!r}")
     return cg

@@ -5,8 +5,7 @@ endpoint pairs; loops allowed; the list order is the graph's edge order),
 and a placement of markings 1..n on vertices (each marking is a leg).
 Connectivity is required.
 
-Every constructed graph, including each contraction, uncontraction and
-canonical form, is normalized and validated once, in one pass.
+Every constructed graph is normalized and validated once, in one pass.
 
 Canonical labeling works by brute-force minimization over vertex
 relabelings that respect the (weight, edge degree, marking multiset) color
@@ -20,10 +19,12 @@ transposition, while flipping the two half-edges of a single loop induces
 the identity on edges. A canonical graph's text encoding is computed at
 most once.
 
-Canonical forms are memoized by the (weights, edges, legs) tuples of
-validated graphs. Contractions and uncontractions are looked up by their
-parts first, and a graph is built (and validated) only on a miss; a form is
-likewise looked up before it is built.
+Canonical forms are memoized by (weights, edges, legs) tuples: the parts
+of validated graphs, or range-checked parts whose relabeling is a
+validated form. Contractions, uncontractions and cache lines are
+canonicalized from their parts: on a memo miss the color classes and the
+relabeling are computed from the parts, and a graph is built (and
+validated) only when the canonical form is new, once per form.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations, product
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .chambers import DomainError, WeightDatum
 
@@ -114,17 +115,26 @@ def has_loops(graph: MarkedGraph) -> bool:
 
 
 def is_stable(graph: MarkedGraph, g: int, a: WeightDatum) -> bool:
-    """Every vertex must satisfy 2w(v) - 2 + |v|_E + |v|_A > 0."""
-    if len(graph.legs) != a.n:
+    """Every vertex must satisfy 2w(v) - 2 + |v|_E + |v|_A > 0.
+
+    |v|_A is read off the datum's integer subset sums, so each vertex is
+    tested as (2w(v) - 2 + |v|_E) * den + sums[markings at v] > 0.
+    """
+    legs = graph.legs
+    if len(legs) != a.n:
         raise DomainError("weight datum length differs from leg count")
     if genus(graph) != g:
         raise DomainError(f"graph has genus {genus(graph)}, expected {g}")
-    for v in range(graph.num_vertices):
-        total = 2 * graph.weights[v] - 2 + graph.edge_degree(v)
-        for i, lv in enumerate(graph.legs):
-            if lv == v:
-                total += a.entries[i]
-        if total <= 0:
+    sums, den = a.subset_sums
+    totals = [2 * w - 2 for w in graph.weights]
+    for u, v in graph.edges:
+        totals[u] += 1
+        totals[v] += 1
+    masks = [0] * len(totals)
+    for i, v in enumerate(legs):
+        masks[v] |= 1 << i
+    for total, mask in zip(totals, masks):
+        if total * den + sums[mask] <= 0:
             return False
     return True
 
@@ -172,17 +182,24 @@ class CanonicalGraph:
         return encode_graph(self.graph)
 
 
-def _color_classes(graph: MarkedGraph) -> list[list[int]]:
-    """Vertices grouped by (weight, edge degree, marking multiset), sorted."""
-    degrees = [0] * graph.num_vertices
-    for u, v in graph.edges:
+def _color_classes(weights: tuple[int, ...], edges: tuple[Edge, ...],
+                   legs: tuple[int, ...]) -> Optional[list[list[int]]]:
+    """Vertices grouped by (weight, edge degree, marking multiset), sorted;
+    None when an edge end or a leg names no vertex 0..len(weights)-1."""
+    nv = len(weights)
+    degrees = [0] * nv
+    for u, v in edges:
+        if not (0 <= u < nv and 0 <= v < nv):
+            return None
         degrees[u] += 1
         degrees[v] += 1
-    markings: list[list[int]] = [[] for _ in graph.weights]
-    for i, v in enumerate(graph.legs):
+    markings: list[list[int]] = [[] for _ in weights]
+    for i, v in enumerate(legs):
+        if not 0 <= v < nv:
+            return None
         markings[v].append(i + 1)
     colors: dict[tuple, list[int]] = {}
-    for v, w in enumerate(graph.weights):
+    for v, w in enumerate(weights):
         colors.setdefault((w, degrees[v], tuple(markings[v])), []).append(v)
     return [colors[k] for k in sorted(colors)]
 
@@ -206,21 +223,9 @@ def _permutation_parity(perm: Sequence[int]) -> int:
 
 
 # Canonical form and edge map of every graph canonicalized so far, keyed by
-# the (weights, edges, legs) of that validated graph: its own field tuples.
+# the (weights, edges, legs) of that validated graph (its own field tuples),
+# or by range-checked parts whose relabeling is a validated form.
 _canon_cache: dict[Parts, tuple[CanonicalGraph, Permutation]] = {}
-
-
-def _canonicalize_parts(weights: tuple[int, ...], edges: tuple[Edge, ...],
-                        legs: tuple[int, ...]
-                        ) -> tuple[CanonicalGraph, Permutation]:
-    """canonicalize(MarkedGraph(weights, edges, legs)), with the graph built
-    only on a memo miss. Only validated graphs are memoized, so parts that
-    hit describe a valid graph, and parts that miss are validated by the
-    constructor."""
-    cached = _canon_cache.get((weights, edges, legs))
-    if cached is not None:
-        return cached
-    return canonicalize(MarkedGraph(weights, edges, legs))
 
 
 def canonicalize(graph: MarkedGraph) -> tuple[CanonicalGraph, Permutation]:
@@ -231,13 +236,30 @@ def canonicalize(graph: MarkedGraph) -> tuple[CanonicalGraph, Permutation]:
     parity is well defined modulo automorphisms whenever
     has_odd_edge_automorphism is False.
     """
-    key = (graph.weights, graph.edges, graph.legs)
+    return _canonicalize_parts(graph.weights, graph.edges, graph.legs)
+
+
+def _canonicalize_parts(weights: tuple[int, ...], edges: tuple[Edge, ...],
+                        legs: tuple[int, ...]
+                        ) -> tuple[CanonicalGraph, Permutation]:
+    """canonicalize(MarkedGraph(weights, edges, legs)), without building
+    that graph.
+
+    The relabeling is computed from the parts once their vertex indices are
+    checked to be in range. A vertex bijection keeps weights, connectivity
+    and vertex count, so the parts are valid exactly when their canonical
+    form is: a form already memoized was validated when it was built, and a
+    new form is built and validated here. Parts with an index out of range
+    go to the constructor, which raises its own error.
+    """
+    key = (weights, edges, legs)
     cached = _canon_cache.get(key)
     if cached is not None:
         return cached
-
-    classes = _color_classes(graph)
-    nv = graph.num_vertices
+    classes = _color_classes(weights, edges, legs)
+    if classes is None:
+        return canonicalize(MarkedGraph(weights, edges, legs))
+    nv = len(weights)
     if len(classes) == nv:
         # Singleton colors: one arrangement, and only the identity fixes it.
         ref = [0] * nv  # old vertex -> new position
@@ -245,12 +267,12 @@ def canonicalize(graph: MarkedGraph) -> tuple[CanonicalGraph, Permutation]:
             ref[old] = new
         generators: tuple[Permutation, ...] = ()
     else:
-        ref, generators = _minimal_relabeling(graph, classes)
+        ref, generators = _minimal_relabeling(edges, legs, classes)
 
     # Stable assignment of input edges to canonical slots: sort by mapped
     # edge, breaking ties by input position.
     mapped = []
-    for k, (u, v) in enumerate(graph.edges):
+    for k, (u, v) in enumerate(edges):
         pu, pv = ref[u], ref[v]
         mapped.append(((pu, pv) if pu <= pv else (pv, pu), k))
     mapped.sort()
@@ -258,18 +280,17 @@ def canonicalize(graph: MarkedGraph) -> tuple[CanonicalGraph, Permutation]:
     for slot, (_, k) in enumerate(mapped):
         edge_map[k] = slot
     new_weights = [0] * nv
-    for old, w in enumerate(graph.weights):
+    for old, w in enumerate(weights):
         new_weights[ref[old]] = w
     form = (tuple(new_weights), tuple([e for e, _ in mapped]),
-            tuple(map(ref.__getitem__, graph.legs)))
+            tuple(map(ref.__getitem__, legs)))
     known = _canon_cache.get(form)
     if known is None:
-        # the input itself when already canonical (validated when it was
-        # built), else the form is built and validated once
-        canon = graph if form == key else MarkedGraph(*form)
+        canon = MarkedGraph(*form)  # built and validated once per form
         cg = CanonicalGraph(canon, _has_odd_edge_automorphism(canon.edges,
                                                               generators),
                             generators)
+        # keyed by the graph's own field tuples, which the key then shares
         _canon_cache[(canon.weights, canon.edges, canon.legs)] = (
             cg, tuple(range(len(edge_map))))
     else:
@@ -298,7 +319,8 @@ def _has_odd_edge_automorphism(edges: tuple[Edge, ...],
     return False
 
 
-def _minimal_relabeling(graph: MarkedGraph, classes: list[list[int]]
+def _minimal_relabeling(edges: tuple[Edge, ...], legs: tuple[int, ...],
+                        classes: list[list[int]]
                         ) -> tuple[Permutation, tuple[Permutation, ...]]:
     """Brute force over the arrangements of the color classes: the first
     relabeling (old vertex -> new position) reaching the least (edges, legs)
@@ -308,7 +330,7 @@ def _minimal_relabeling(graph: MarkedGraph, classes: list[list[int]]
     for cls in classes:
         starts.append(pos)
         pos += len(cls)
-    nv = graph.num_vertices
+    nv = pos
 
     best_key = None
     best_perms: list[tuple[int, ...]] = []
@@ -318,10 +340,10 @@ def _minimal_relabeling(graph: MarkedGraph, classes: list[list[int]]
             for offset, old in enumerate(cls_members):
                 relabel[old] = start + offset
         mapped = []
-        for u, v in graph.edges:
+        for u, v in edges:
             pu, pv = relabel[u], relabel[v]
             mapped.append((pu, pv) if pu <= pv else (pv, pu))
-        key = (tuple(sorted(mapped)), tuple(relabel[x] for x in graph.legs))
+        key = (tuple(sorted(mapped)), tuple(relabel[x] for x in legs))
         if best_key is None or key < best_key:
             best_key = key
             best_perms = [tuple(relabel)]
@@ -346,35 +368,44 @@ def edge_map_sign(edge_map: Sequence[int]) -> int:
 
 def encode_graph(graph: MarkedGraph) -> str:
     """Canonical text encoding, e.g. "1;0;edges=(0-0);legs=(1@0,2@0,3@0)"."""
-    w = ",".join(str(x) for x in graph.weights)
-    e = ",".join(f"{u}-{v}" for u, v in graph.edges)
-    l = ",".join(f"{i + 1}@{v}" for i, v in enumerate(graph.legs))
+    w = ",".join(map(str, graph.weights))
+    e = ",".join([f"{u}-{v}" for u, v in graph.edges])
+    l = ",".join([f"{i}@{v}" for i, v in enumerate(graph.legs, 1)])
     return f"{genus(graph)};{w};edges=({e});legs=({l})"
+
+
+def _parse_encoding(text: str) -> tuple[str, Parts]:
+    """The genus prefix (unparsed) and the (weights, edges, legs) written in
+    an encoding, unvalidated. Markings may come in any order but must be
+    1..k, each once. Raises ValueError on text of another shape."""
+    g_part, w_part, e_part, l_part = text.split(";")
+    if not (e_part.startswith("edges=(") and e_part.endswith(")")):
+        raise ValueError("no edges=(...) part")
+    if not (l_part.startswith("legs=(") and l_part.endswith(")")):
+        raise ValueError("no legs=(...) part")
+    weights = tuple(map(int, w_part.split(",")))
+    e_body = e_part[len("edges=("):-1]
+    edges = []
+    for item in e_body.split(",") if e_body else ():
+        u, v = item.split("-")
+        edges.append((int(u), int(v)))
+    l_body = l_part[len("legs=("):-1]
+    items = l_body.split(",") if l_body else []
+    legs_map = {}
+    for item in items:
+        i, v = item.split("@")
+        legs_map[int(i)] = int(v)
+    markings = range(1, len(items) + 1)
+    if sorted(legs_map) != list(markings):
+        raise ValueError("markings are not 1..k, each once")
+    return g_part, (weights, tuple(edges), tuple(map(legs_map.get, markings)))
 
 
 def decode_graph(text: str) -> MarkedGraph:
     """Inverse of encode_graph; validates the genus prefix."""
     try:
-        g_part, w_part, e_part, l_part = text.strip().split(";")
-        if not (e_part.startswith("edges=(") and e_part.endswith(")")):
-            raise ValueError
-        if not (l_part.startswith("legs=(") and l_part.endswith(")")):
-            raise ValueError
-        weights = tuple(int(x) for x in w_part.split(","))
-        e_body = e_part[len("edges=("):-1]
-        edges = []
-        if e_body:
-            for item in e_body.split(","):
-                u, v = item.split("-")
-                edges.append((int(u), int(v)))
-        l_body = l_part[len("legs=("):-1]
-        pairs = [item.split("@") for item in l_body.split(",")] if l_body else []
-        legs_map = {int(m): int(v) for m, v in pairs}
-        # markings are 1..k, each exactly once, in any order
-        if sorted(legs_map) != list(range(1, len(pairs) + 1)):
-            raise ValueError
-        legs = tuple(legs_map[i + 1] for i in range(len(pairs)))
-        graph = MarkedGraph(weights, tuple(edges), legs)
+        g_part, parts = _parse_encoding(text.strip())
+        graph = MarkedGraph(*parts)
         prefix = int(g_part)
     except ValueError as exc:
         raise ValueError(f"bad graph encoding: {text!r}") from exc

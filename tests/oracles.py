@@ -549,3 +549,23 @@ def relabel_legs(graph, sigma: Sequence[int]):
         raise ValueError(f"not a permutation of 1..{n}: {sigma!r}")
     return MarkedGraph(graph.weights, graph.edges,
                        tuple(graph.legs[s[j] - 1] for j in range(n)))
+
+
+def reference_is_stable(graph, g: int, a) -> bool:
+    """is_stable of a MarkedGraph for a WeightDatum, vertex by vertex, with
+    the marking weights summed as Fractions."""
+    from tropgc import DomainError
+    from tropgc.graphs import genus
+
+    if len(graph.legs) != a.n:
+        raise DomainError("weight datum length differs from leg count")
+    if genus(graph) != g:
+        raise DomainError(f"graph has genus {genus(graph)}, expected {g}")
+    for v in range(graph.num_vertices):
+        total = 2 * graph.weights[v] - 2 + graph.edge_degree(v)
+        for i, lv in enumerate(graph.legs):
+            if lv == v:
+                total += a.entries[i]
+        if total <= 0:
+            return False
+    return True

@@ -1,6 +1,8 @@
 """Stable graph enumeration, generator bases, and filtration levels."""
 
+import hashlib
 import os
+import warnings
 from fractions import Fraction
 from functools import lru_cache
 
@@ -16,7 +18,8 @@ from tropgc.enumeration import (
     filtration_levels,
     generator_basis,
 )
-from tropgc.graphs import MarkedGraph, canonicalize, has_loops, is_stable
+from tropgc.graphs import (MarkedGraph, canonicalize, decode_graph,
+                           has_loops, is_stable)
 
 from .oracles import canonical_key, enumerate_classes
 
@@ -158,7 +161,53 @@ class TestFiltrationLevels:
         assert sorted(levels.values()) == [2, 3, 4, 5]
 
 
+# A line of the (1, CLASSICAL3, 3) cache file, and malformed stand-ins for
+# it. Each one parses, or nearly does, but is not that class's canonical
+# encoding byte for byte.
+CACHE_LINE = "1;0,0,0;edges=(0-1,1-2,2-2);legs=(1@0,2@0,3@1)"
+MALFORMED_LINES = {
+    # vertices 0 and 1 swapped: the same class, not in canonical form
+    "relabeled": "1;0,0,0;edges=(0-1,0-2,2-2);legs=(1@1,2@1,3@0)",
+    "genus-prefix": "2;0,0,0;edges=(0-1,1-2,2-2);legs=(1@0,2@0,3@1)",
+    "marking-order": "1;0,0,0;edges=(0-1,1-2,2-2);legs=(2@0,1@0,3@1)",
+    "leading-zero": "1;0,0,0;edges=(0-1,1-2,2-2);legs=(01@0,2@0,3@1)",
+    "plus-sign": "1;0,0,0;edges=(0-1,1-2,2-2);legs=(+1@0,2@0,3@1)",
+    "space": "1;0,0,0;edges=(0-1,1-2,2-2);legs=( 1@0,2@0,3@1)",
+    "negative-leg": "1;0,0,0;edges=(0-1,1-2,2-2);legs=(1@-1,2@0,3@1)",
+    "vertex-out-of-range": "1;0,0,0;edges=(0-1,1-2,2-3);legs=(1@0,2@0,3@1)",
+    "three-ended-edge": "1;0,0,0;edges=(0-1-2,1-2,2-2);legs=(1@0,2@0,3@1)",
+    "empty-weights": "1;;edges=(0-1,1-2,2-2);legs=(1@0,2@0,3@1)",
+}
+
+
 class TestCache:
+    def test_relabeled_line_is_the_same_class(self):
+        line = MALFORMED_LINES["relabeled"]
+        assert canonicalize(decode_graph(line))[0].encoding == CACHE_LINE
+
+    @pytest.mark.parametrize("damage", sorted(MALFORMED_LINES))
+    def test_malformed_line_is_recomputed(self, tmp_path, monkeypatch,
+                                          damage):
+        monkeypatch.setenv("TROPGC_CACHE", str(tmp_path))
+        monkeypatch.setattr(enumeration, "_decoded", {})
+        computed = enumerate_stable_graphs(1, CLASSICAL3, 3).classes
+        [path] = tmp_path.glob("g1_n3_m3_all_*.txt")
+        good = path.read_bytes()
+        header, body = good.split(b"\n", 1)
+        lines = body.decode().splitlines()
+        lines[lines.index(CACHE_LINE)] = MALFORMED_LINES[damage]
+        data = "".join(line + "\n" for line in lines).encode()
+        header = enumeration._cache_header(
+            str(path), data, hashlib.sha256(data).hexdigest())
+        path.write_bytes(header + b"\n" + data)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert enumerate_stable_graphs(1, CLASSICAL3, 3).classes == \
+                computed
+        assert [str(w.message).split(":")[0] for w in caught] == [
+            f"ignoring cache file {path}"]
+        assert path.read_bytes() == good
+
     def test_cache_round_trip(self):
         first = enumerate_stable_graphs(1, CLASSICAL3, 2)
         assert os.listdir(cache_dir())
@@ -170,13 +219,13 @@ class TestCache:
         monkeypatch.setenv("TROPGC_CACHE", str(tmp_path))
         monkeypatch.setattr(enumeration, "_decoded", {})
         decoded = []
-        real_decode = enumeration.decode_graph
+        real_check = enumeration._decode_canonical
 
-        def counting_decode(text):
-            decoded.append(text)
-            return real_decode(text)
+        def counting_check(line):
+            decoded.append(line)
+            return real_check(line)
 
-        monkeypatch.setattr(enumeration, "decode_graph", counting_decode)
+        monkeypatch.setattr(enumeration, "_decode_canonical", counting_check)
         computed = enumerate_stable_graphs(1, CLASSICAL3, 3).classes
         [path] = tmp_path.glob("g1_n3_m3_all_*.txt")
         good = path.read_bytes()
@@ -198,8 +247,8 @@ class TestCache:
             assert enumerate_stable_graphs(1, CLASSICAL3, 3).classes == computed
         assert path.read_bytes() == good
 
-        def no_decode(text):
-            raise AssertionError(f"decoded again: {text}")
+        def no_decode(line):
+            raise AssertionError(f"decoded again: {line}")
 
-        monkeypatch.setattr(enumeration, "decode_graph", no_decode)
+        monkeypatch.setattr(enumeration, "_decode_canonical", no_decode)
         assert enumerate_stable_graphs(1, CLASSICAL3, 3).classes == computed

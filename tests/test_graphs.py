@@ -1,14 +1,16 @@
 """Marked weighted graphs: stability, contraction, canonical forms."""
 
 import random
+import warnings
 from fractions import Fraction
 from itertools import permutations
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from tropgc import DomainError, WeightDatum, apply_permutation, signature
+from tropgc import (DomainError, DomainGapWarning, WeightDatum,
+                    apply_permutation, signature)
 from tropgc import graphs
 from tropgc.graphs import (
     MarkedGraph,
@@ -24,7 +26,8 @@ from tropgc.graphs import (
     is_stable,
 )
 
-from .oracles import _contract, reference_canonicalize, relabel_legs
+from .oracles import (_contract, reference_canonicalize, reference_is_stable,
+                      relabel_legs)
 
 LOOP = MarkedGraph((0,), ((0, 0),), (0, 0, 0))
 LOOP_BRIDGE = MarkedGraph((0, 0), ((0, 0), (0, 1)), (1, 1, 1))
@@ -53,6 +56,20 @@ INVALID = [
     ((0, 0), ((0, 1),), (0, -1, 2), "leg vertex -1 out of range"),
     ((0, 0), (), (), "graph must be connected"),
     ((0, 0, 0), ((0, 1), (1, 0), (2, 2)), (), "graph must be connected"),
+]
+
+# For each INVALID case, a valid graph that its parts would name if indices
+# wrapped around, negative weights lost their sign or a missing edge were
+# there: the lookup must not reach its form.
+WARM = [
+    ((0,), (), ()),
+    ((0, 1), ((0, 1),), ()),
+    ((0,), ((0, 0),), ()),
+    ((0, 0), ((0, 1), (1, 1)), ()),
+    ((0,), (), (0, 0)),
+    ((0, 0), ((0, 1),), (0, 1, 0)),
+    ((0, 0), ((0, 1),), ()),
+    ((0, 0, 0), ((0, 1), (1, 2), (2, 2)), ()),
 ]
 
 
@@ -111,6 +128,16 @@ class TestStability:
     def test_genus_mismatch(self):
         with pytest.raises(DomainError):
             is_stable(LOOP, 2, datum(2, 1, 1, 1))
+
+    def test_vertex_total_zero_is_unstable(self):
+        # vertex 0: -2 + 1 + 1/4 + 3/4 = 0 exactly; vertex 1: -1 + 2 = 1
+        graph = MarkedGraph((0, 0), ((0, 1),), (0, 0, 1, 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DomainGapWarning)
+            a = datum(0, "1/4", "3/4", 1, 1)
+        assert not is_stable(graph, 0, a)
+        assert not reference_is_stable(graph, 0, a)
+        assert is_stable(graph, 0, datum(0, "1/4", "49/60", 1, 1))
 
 
 class TestContraction:
@@ -245,6 +272,41 @@ def connected_graphs(draw):
     return tuple(weights), tuple(edges), tuple(legs)
 
 
+@st.composite
+def graphs_with_data(draw):
+    """A connected graph with at least one leg, and entries k/60 for a
+    datum of its genus, so that vertex totals of exactly 0 are common."""
+    weights, edges, legs = draw(connected_graphs())
+    graph = MarkedGraph(weights, edges, legs or (0,))
+    ks = draw(st.lists(st.integers(1, 60), min_size=len(graph.legs),
+                       max_size=len(graph.legs)))
+    return graph, tuple(ks)
+
+
+class TestStabilityReference:
+    @settings(max_examples=400, deadline=None)
+    @given(graphs_with_data())
+    @example((MarkedGraph((0, 0), ((0, 1),), (0, 0, 1, 1)),
+              (15, 45, 60, 60)))                      # a total of 0
+    @example((MarkedGraph((1, 0), ((0, 1), (1, 1)), (0, 1)),
+              (30, 60)))                              # weight and loop
+    def test_matches_fraction_loop(self, case):
+        graph, ks = case
+        g = genus(graph)
+        assume(60 * (2 * g - 2) + sum(ks) > 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DomainGapWarning)
+            a = WeightDatum(g, tuple(Fraction(k, 60) for k in ks))
+        assert is_stable(graph, g, a) == reference_is_stable(graph, g, a)
+
+    def test_errors_match_fraction_loop(self):
+        for check in (is_stable, reference_is_stable):
+            with pytest.raises(DomainError, match="length differs"):
+                check(LOOP, 1, datum(1, 1, 1))
+            with pytest.raises(DomainError, match="has genus 1, expected 2"):
+                check(LOOP, 2, datum(2, 1, 1, 1))
+
+
 class TestReferenceCanonicalize:
     @settings(max_examples=400, deadline=None)
     @given(connected_graphs())
@@ -317,6 +379,18 @@ class TestPartsLookup:
         with pytest.raises(ValueError) as info:
             _canonicalize_parts(weights, edges, legs)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("invalid,warm", zip(INVALID, WARM))
+    def test_invalid_parts_raise_with_memo_warmed(self, invalid, warm):
+        weights, edges, legs, message = invalid
+        with mock.patch.dict(graphs._canon_cache, clear=True):
+            cg, _ = canonicalize(MarkedGraph(*warm))
+            assert (cg.graph.weights, cg.graph.edges,
+                    cg.graph.legs) in graphs._canon_cache
+            with pytest.raises(ValueError) as info:
+                _canonicalize_parts(weights, edges, legs)
+            assert str(info.value) == message
+            assert (weights, edges, legs) not in graphs._canon_cache
 
 
 class TestEncoding:
