@@ -6,8 +6,9 @@ and then warm in the same fresh temporary graph cache: pure enumeration of
 in all. Prints one line per child: the number of pure classes at each edge
 count m = g .. 3g - 3 + n, the nonzero Betti numbers and the seconds of
 the two stages after enumeration, build_graph_complex and homology
-(homology cases only), the wall seconds of the whole case and the child's
-own peak resident set (ru_maxrss).
+(homology cases only), the wall seconds of the whole case, the child's own
+peak resident set (ru_maxrss) and the number of entries in its canonical
+memo (graphs._canon_cache) at the end.
 
     PYTHONPATH=src python scripts/run_frontier.py
 """
@@ -20,7 +21,7 @@ import time
 from fractions import Fraction
 
 from tropgc import (WeightDatum, build_graph_complex, enumerate_stable_graphs,
-                    homology, max_edges)
+                    graphs, homology, max_edges)
 
 CASES = [(2, 5, False), (3, 2, True), (2, 4, True), (1, 6, True)]
 
@@ -44,8 +45,8 @@ def run(g: int, n: int, with_homology: bool, state: str) -> None:
                  f"build {t1 - t0:.2f} s, homology {t2 - t1:.2f} s")
     seconds = time.perf_counter() - start
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    print(f"{line}; total {seconds:.2f} s, peak RSS {peak_mb:.0f} MB",
-          flush=True)
+    print(f"{line}; total {seconds:.2f} s, peak RSS {peak_mb:.0f} MB, "
+          f"memo {len(graphs._canon_cache)} entries", flush=True)
 
 
 def main() -> None:

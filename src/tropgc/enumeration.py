@@ -4,7 +4,14 @@ Raw generation happens only for the maximal (all-Plus) chamber, where
 stability is the classical condition 2w(v) - 2 + |v|_E + #legs(v) > 0. It
 builds the classes with m edges from those with m - 1 edges by
 uncontracting one edge (split a vertex, or add a loop for a unit of
-weight), from a one-vertex base; see _raw_enumerate_classical.
+weight), from a one-vertex base; see _raw_enumerate_classical. Each class
+is built from its canonical parents only, after McKay ("Isomorph-free
+exhaustive generation", J. Algorithms 1998): an uncontraction is kept only
+if its new edge has the largest invariant (is non-loop, sorted pair of
+endpoint colours) of all its edges, a vertex's colour being its (weight,
+edge degree, markings). That test reads only the candidate's parts, so a
+rejected candidate is never canonicalized and never enters the canonical
+memo.
 
 Any other weight datum filters the classical list through is_stable. This
 is sound because entrywise-smaller weight data have nested stable-graph
@@ -33,8 +40,9 @@ from typing import Iterable, Optional, Sequence
 
 from .chambers import (ChamberSignature, DomainError, WeightDatum,
                        compare_signatures, signature)
-from .graphs import (CanonicalGraph, MarkedGraph, Parts, _canonicalize_parts,
-                     _parse_encoding, canonicalize, is_stable)
+from .graphs import (CanonicalGraph, Edge, MarkedGraph, Parts,
+                     _canonicalize_parts, _parse_encoding, _stable_totals,
+                     _vertex_colors, _vertex_totals, canonicalize, is_stable)
 
 CACHE_ENV_VAR = "TROPGC_CACHE"
 DEFAULT_CACHE_DIR = ".tropgc-cache"
@@ -92,25 +100,28 @@ def _uncontractions(cg: CanonicalGraph) -> Iterable[Parts]:
         items += [2 * m + i for i, x in enumerate(legs) if x == v]
         rest = items[1:]
         for mask in range(1 << len(rest)):
+            n_moved = mask.bit_count()
+            stay = len(items) - n_moved
+            # 2w - 2 + |v|_E + #legs(v) > 0 at both ends of the new edge,
+            # so a side with fewer than two other items needs weight
+            new_weights = range(n_moved < 2, weights[v] + (stay > 1))
+            if not new_weights:
+                continue
             moved = {item for j, item in enumerate(rest) if mask >> j & 1}
-            stay = len(items) - len(moved)
-            for w_new in range(weights[v] + 1):
-                w_old = weights[v] - w_new
-                # 2w - 2 + |v|_E + #legs(v) > 0, counting the new edge
-                if 2 * w_old + stay <= 1 or 2 * w_new + len(moved) <= 1:
-                    continue
-                split_edges = []
-                for e, (u, x) in enumerate(edges):
-                    if 2 * e + 1 in moved:
-                        x = new
-                    # new is the highest vertex, so a moved first end
-                    # becomes the second
-                    split_edges.append((x, new) if 2 * e in moved else (u, x))
-                split_edges.append((v, new))
-                split_legs = tuple(new if 2 * m + i in moved else x
-                                   for i, x in enumerate(legs))
-                yield (weights[:v] + (w_old,) + weights[v + 1:] + (w_new,),
-                       tuple(split_edges), split_legs)
+            split_edges = []
+            for e, (u, x) in enumerate(edges):
+                if 2 * e + 1 in moved:
+                    x = new
+                # new is the highest vertex, so a moved first end becomes
+                # the second
+                split_edges.append((x, new) if 2 * e in moved else (u, x))
+            split_edges.append((v, new))
+            child_edges = tuple(split_edges)
+            child_legs = tuple([new if 2 * m + i in moved else x
+                                for i, x in enumerate(legs)])
+            for w_new in new_weights:
+                yield (weights[:v] + (weights[v] - w_new,) + weights[v + 1:]
+                       + (w_new,), child_edges, child_legs)
 
 
 def _raw_enumerate_classical(g: int, n: int, m: int, pure_only: bool) -> tuple[CanonicalGraph, ...]:
@@ -124,6 +135,21 @@ def _raw_enumerate_classical(g: int, n: int, m: int, pure_only: bool) -> tuple[C
     every leg: of weight g at m = 0 for all graphs, and for pure graphs the
     rose of weight 0 with g loops at m = g, below which there are none. A
     pure graph has weight 0 everywhere, so its uncontractions are pure.
+
+    An uncontraction is canonicalized only if its new edge, the last one,
+    has the largest invariant of all its edges (_new_edge_is_largest);
+    ties go to the dedupe by canonical form. No class C above the base is
+    lost. Let e be an edge of C of largest invariant; a pure C has more
+    than one vertex, so there e is not a loop. Contracting e gives a stable
+    class P with one edge fewer, pure if C is, and _uncontractions(P)
+    yields a child isomorphic to C by an isomorphism that takes the child's
+    new edge to e: splitting one vertex per automorphism orbit, keeping the
+    first item at the old vertex and trying every weight split each only
+    trade a (child, new edge) pair for an isomorphic one. An isomorphism
+    keeps edge invariants, so that child passes. A loop's invariant is
+    below every non-loop edge's, so for pure graphs the test picks the
+    largest among the non-loop edges, the ones whose contraction keeps a
+    graph pure.
     """
     base = g if pure_only else 0
     if m < base:
@@ -136,9 +162,39 @@ def _raw_enumerate_classical(g: int, n: int, m: int, pure_only: bool) -> tuple[C
     found: dict[MarkedGraph, CanonicalGraph] = {}
     for parent in below.classes:
         for child in _uncontractions(parent):
+            if not _new_edge_is_largest(*child):
+                continue
             cg, _ = _canonicalize_parts(*child)
             found.setdefault(cg.graph, cg)
     return tuple(sorted(found.values(), key=lambda cg: cg.encoding))
+
+
+def _edge_invariant(colors: Sequence[tuple], u: int, v: int) -> tuple:
+    """(is non-loop, sorted pair of endpoint colours) of an edge (u, v),
+    given each vertex's colour (_vertex_colors). An isomorphism of graphs
+    keeps vertex colours, so it keeps the invariant of every edge."""
+    cu, cv = colors[u], colors[v]
+    return (u != v, (cu, cv) if cu <= cv else (cv, cu))
+
+
+def _new_edge_is_largest(weights: tuple[int, ...], edges: tuple[Edge, ...],
+                         legs: tuple[int, ...]) -> bool:
+    """Whether the last edge, the one an uncontraction added, has the
+    largest invariant (_edge_invariant) of all edges, ties included.
+
+    A loop's invariant is below that of any non-loop edge, and a graph whose
+    edges are all loops has one vertex, so a new loop is largest exactly
+    when the graph has one vertex; no colour is computed for it.
+    """
+    u, v = edges[-1]
+    if u == v:
+        return len(weights) == 1
+    colors = _vertex_colors(weights, edges, legs)
+    top = _edge_invariant(colors, u, v)
+    for x, y in edges:
+        if x != y and _edge_invariant(colors, x, y) > top:
+            return False
+    return True
 
 
 def _cache_path(g: int, n: int, m: int, pure_only: bool, sig_hash: str) -> str:
@@ -293,11 +349,14 @@ def check_aligned(chain: list[WeightDatum] | tuple[WeightDatum, ...]) -> None:
 def _stability_levels(g: int, chain: Sequence[WeightDatum],
                       basis: Sequence[CanonicalGraph]) -> tuple[int, ...]:
     """Level of each generator of basis: the first chain index (1-based)
-    at which the graph is stable."""
+    at which the graph is stable. Each graph's vertex totals are computed
+    once and tested against the subset sums of each datum in turn."""
     levels = []
     for cg in basis:
+        totals = _vertex_totals(cg.graph, g)
+        n_legs = len(cg.graph.legs)
         for p, a in enumerate(chain, start=1):
-            if is_stable(cg.graph, g, a):
+            if _stable_totals(totals, n_legs, a):
                 levels.append(p)
                 break
         else:

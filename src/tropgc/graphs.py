@@ -120,20 +120,33 @@ def is_stable(graph: MarkedGraph, g: int, a: WeightDatum) -> bool:
     |v|_A is read off the datum's integer subset sums, so each vertex is
     tested as (2w(v) - 2 + |v|_E) * den + sums[markings at v] > 0.
     """
-    legs = graph.legs
-    if len(legs) != a.n:
-        raise DomainError("weight datum length differs from leg count")
+    return _stable_totals(_vertex_totals(graph, g), len(graph.legs), a)
+
+
+def _vertex_totals(graph: MarkedGraph, g: int) -> list[tuple[int, int]]:
+    """(2w(v) - 2 + |v|_E, bit mask of the markings at v) for each vertex
+    v, which is all that stability for any datum needs of the graph;
+    DomainError unless the graph has genus g."""
     if genus(graph) != g:
         raise DomainError(f"graph has genus {genus(graph)}, expected {g}")
-    sums, den = a.subset_sums
     totals = [2 * w - 2 for w in graph.weights]
     for u, v in graph.edges:
         totals[u] += 1
         totals[v] += 1
     masks = [0] * len(totals)
-    for i, v in enumerate(legs):
+    for i, v in enumerate(graph.legs):
         masks[v] |= 1 << i
-    for total, mask in zip(totals, masks):
+    return list(zip(totals, masks))
+
+
+def _stable_totals(vertex_totals: list[tuple[int, int]], n_legs: int,
+                   a: WeightDatum) -> bool:
+    """is_stable of a graph with these _vertex_totals and n_legs legs;
+    DomainError unless a has n_legs entries."""
+    if n_legs != a.n:
+        raise DomainError("weight datum length differs from leg count")
+    sums, den = a.subset_sums
+    for total, mask in vertex_totals:
         if total * den + sums[mask] <= 0:
             return False
     return True
@@ -182,10 +195,11 @@ class CanonicalGraph:
         return encode_graph(self.graph)
 
 
-def _color_classes(weights: tuple[int, ...], edges: tuple[Edge, ...],
-                   legs: tuple[int, ...]) -> Optional[list[list[int]]]:
-    """Vertices grouped by (weight, edge degree, marking multiset), sorted;
-    None when an edge end or a leg names no vertex 0..len(weights)-1."""
+def _vertex_colors(weights: tuple[int, ...], edges: tuple[Edge, ...],
+                   legs: tuple[int, ...]) -> Optional[list[tuple]]:
+    """Each vertex's colour (weight, edge degree, marking tuple), a loop
+    counting twice toward the degree; None when an edge end or a leg names
+    no vertex 0..len(weights)-1."""
     nv = len(weights)
     degrees = [0] * nv
     for u, v in edges:
@@ -193,14 +207,24 @@ def _color_classes(weights: tuple[int, ...], edges: tuple[Edge, ...],
             return None
         degrees[u] += 1
         degrees[v] += 1
-    markings: list[list[int]] = [[] for _ in weights]
-    for i, v in enumerate(legs):
+    markings: list[tuple[int, ...]] = [()] * nv
+    for i, v in enumerate(legs, 1):
         if not 0 <= v < nv:
             return None
-        markings[v].append(i + 1)
+        markings[v] += (i,)
+    return list(zip(weights, degrees, markings))
+
+
+def _color_classes(weights: tuple[int, ...], edges: tuple[Edge, ...],
+                   legs: tuple[int, ...]) -> Optional[list[list[int]]]:
+    """Vertices grouped by colour (_vertex_colors), sorted by colour; None
+    when an edge end or a leg names no vertex 0..len(weights)-1."""
+    vertex_colors = _vertex_colors(weights, edges, legs)
+    if vertex_colors is None:
+        return None
     colors: dict[tuple, list[int]] = {}
-    for v, w in enumerate(weights):
-        colors.setdefault((w, degrees[v], tuple(markings[v])), []).append(v)
+    for v, color in enumerate(vertex_colors):
+        colors.setdefault(color, []).append(v)
     return [colors[k] for k in sorted(colors)]
 
 
@@ -400,15 +424,3 @@ def _parse_encoding(text: str) -> tuple[str, Parts]:
         raise ValueError("markings are not 1..k, each once")
     return g_part, (weights, tuple(edges), tuple(map(legs_map.get, markings)))
 
-
-def decode_graph(text: str) -> MarkedGraph:
-    """Inverse of encode_graph; validates the genus prefix."""
-    try:
-        g_part, parts = _parse_encoding(text.strip())
-        graph = MarkedGraph(*parts)
-        prefix = int(g_part)
-    except ValueError as exc:
-        raise ValueError(f"bad graph encoding: {text!r}") from exc
-    if genus(graph) != prefix:
-        raise ValueError(f"genus prefix {g_part} does not match graph in {text!r}")
-    return graph

@@ -551,6 +551,25 @@ def relabel_legs(graph, sigma: Sequence[int]):
                        tuple(graph.legs[s[j] - 1] for j in range(n)))
 
 
+def decode_graph(text: str):
+    """The MarkedGraph written in an encode_graph text, read with the
+    library's own parser (graphs._parse_encoding, which the cache path
+    uses); ValueError on text of another shape or a wrong genus prefix."""
+    from tropgc import MarkedGraph
+    from tropgc.graphs import _parse_encoding, genus
+
+    try:
+        g_part, parts = _parse_encoding(text.strip())
+        graph = MarkedGraph(*parts)
+        prefix = int(g_part)
+    except ValueError as exc:
+        raise ValueError(f"bad graph encoding: {text!r}") from exc
+    if genus(graph) != prefix:
+        raise ValueError(f"genus prefix {g_part} does not match graph in "
+                         f"{text!r}")
+    return graph
+
+
 def reference_is_stable(graph, g: int, a) -> bool:
     """is_stable of a MarkedGraph for a WeightDatum, vertex by vertex, with
     the marking weights summed as Fractions."""

@@ -7,9 +7,10 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tropgc import DomainError, WeightDatum, enumerate_stable_graphs, max_edges
-from tropgc import enumeration
+from tropgc import enumeration, graphs
 from tropgc.enumeration import (
     CELLULAR,
     GRAPH,
@@ -18,10 +19,9 @@ from tropgc.enumeration import (
     filtration_levels,
     generator_basis,
 )
-from tropgc.graphs import (MarkedGraph, canonicalize, decode_graph,
-                           has_loops, is_stable)
+from tropgc.graphs import MarkedGraph, canonicalize, has_loops, is_stable
 
-from .oracles import canonical_key, enumerate_classes
+from .oracles import canonical_key, decode_graph, enumerate_classes
 
 EPS = Fraction(1, 100)
 CLASSICAL3 = WeightDatum(1, (Fraction(1),) * 3)
@@ -159,6 +159,89 @@ class TestFiltrationLevels:
         levels = filtration_levels(1, FIVE_CHAMBER, 0)
         assert levels[canonicalize(LOOP_BRIDGE)[0]] == 2
         assert sorted(levels.values()) == [2, 3, 4, 5]
+
+
+# (g, n) cases generated cold with and without the canonical-parent test
+PARENT_TEST_CASES = [(2, 3), (1, 5), (3, 1), (0, 7)]
+
+
+def cold_generation(cache, monkeypatch, g, n, pure):
+    """The classes at every edge count, generated in the empty cache
+    directory cache, and the bytes of every file written there."""
+    monkeypatch.setenv("TROPGC_CACHE", str(cache))
+    monkeypatch.setattr(enumeration, "_decoded", {})
+    a = WeightDatum(g, (Fraction(1),) * n)
+    classes = tuple(enumerate_stable_graphs(g, a, m, pure).classes
+                    for m in range(max_edges(g, n) + 1))
+    return classes, {p.name: p.read_bytes() for p in cache.iterdir()}
+
+
+def sorted_edge_invariants(weights, edges, legs):
+    colors = graphs._vertex_colors(weights, edges, legs)
+    return sorted(enumeration._edge_invariant(colors, u, v)
+                  for u, v in edges)
+
+
+@lru_cache(maxsize=None)
+def generated_classes():
+    """Every all-graph class of (1,4) and every pure class of (2,3)."""
+    classes = []
+    for g, n, pure in ((1, 4, False), (2, 3, True)):
+        a = WeightDatum(g, (Fraction(1),) * n)
+        for m in range(max_edges(g, n) + 1):
+            classes += enumerate_stable_graphs(g, a, m, pure).classes
+    return tuple(classes)
+
+
+class TestCanonicalParents:
+    @pytest.mark.parametrize("pure", [True, False], ids=["pure", "all"])
+    @pytest.mark.parametrize("g,n", PARENT_TEST_CASES)
+    def test_same_classes_and_cache_as_every_candidate(
+            self, tmp_path, monkeypatch, g, n, pure):
+        kept = cold_generation(tmp_path / "kept", monkeypatch, g, n, pure)
+        monkeypatch.setattr(enumeration, "_new_edge_is_largest",
+                            lambda weights, edges, legs: True)
+        every = cold_generation(tmp_path / "every", monkeypatch, g, n, pure)
+        assert kept == every
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_edge_invariants_survive_relabeling(self, data):
+        cg = data.draw(st.sampled_from(generated_classes()))
+        weights, edges, legs = cg.graph.weights, cg.graph.edges, cg.graph.legs
+        new = data.draw(st.permutations(range(len(weights))))
+        relabeled = [0] * len(weights)
+        for old, w in enumerate(weights):
+            relabeled[new[old]] = w
+        moved_edges = data.draw(st.permutations(
+            [(new[u], new[v]) for u, v in edges]))
+        assert sorted_edge_invariants(
+            tuple(relabeled), tuple(moved_edges),
+            tuple(new[x] for x in legs)) == \
+            sorted_edge_invariants(weights, edges, legs)
+
+    def test_cold_pure_genus_two_canonicalizes_under_half(self, tmp_path,
+                                                          monkeypatch):
+        candidates, canonicalized = [], []
+        real_uncontractions = enumeration._uncontractions
+        real_canonicalize = enumeration._canonicalize_parts
+
+        def counted_uncontractions(cg):
+            for child in real_uncontractions(cg):
+                candidates.append(child)
+                yield child
+
+        def counted_canonicalize(*parts):
+            canonicalized.append(parts)
+            return real_canonicalize(*parts)
+
+        monkeypatch.setattr(enumeration, "_uncontractions",
+                            counted_uncontractions)
+        monkeypatch.setattr(enumeration, "_canonicalize_parts",
+                            counted_canonicalize)
+        cold_generation(tmp_path, monkeypatch, 2, 3, True)
+        assert len(candidates) == 1362
+        assert len(canonicalized) < len(candidates) / 2
 
 
 # A line of the (1, CLASSICAL3, 3) cache file, and malformed stand-ins for

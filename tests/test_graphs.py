@@ -18,7 +18,6 @@ from tropgc.graphs import (
     _contracted_parts,
     canonicalize,
     contract_edge,
-    decode_graph,
     encode_graph,
     genus,
     has_loops,
@@ -26,8 +25,8 @@ from tropgc.graphs import (
     is_stable,
 )
 
-from .oracles import (_contract, reference_canonicalize, reference_is_stable,
-                      relabel_legs)
+from .oracles import (_contract, decode_graph, reference_canonicalize,
+                      reference_is_stable, relabel_legs)
 
 LOOP = MarkedGraph((0,), ((0, 0),), (0, 0, 0))
 LOOP_BRIDGE = MarkedGraph((0, 0), ((0, 0), (0, 1)), (1, 1, 1))
