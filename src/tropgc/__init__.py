@@ -16,8 +16,7 @@ from .chambers import (ChamberCensus, ChamberSignature, DomainError,
                        parse_rational, parse_weights, permute_signature,
                        signature, signature_json, wall_set)
 from .complexes import (ChainComplex, HomologyReport, build_cellular_complex,
-                        build_graph_complex, build_relative_complex, homology,
-                        moduli_label, split_AB)
+                        build_graph_complex, homology, moduli_label, split_AB)
 from .enumeration import (enumerate_stable_graphs, filtration_levels,
                           generator_basis, max_edges)
 from .graphs import (CanonicalGraph, MarkedGraph, canonicalize, contract_edge,
@@ -25,9 +24,10 @@ from .graphs import (CanonicalGraph, MarkedGraph, canonicalize, contract_edge,
 from .linalg import RationalMatrix, kernel_basis, rank, subspace_dims
 from .spectral import (DecompositionReport, FilteredComplex, PageTable,
                        align_chain, build_filtered_complex,
-                       decomposition_report, e1_relative_check,
-                       filtered_from_raw, infinity_table, page_dim,
-                       page_table, parse_filtration_json, spectral_json)
+                       build_relative_complex, decomposition_report,
+                       e1_relative_check, filtered_from_raw, infinity_table,
+                       page_dim, page_table, parse_filtration_json,
+                       spectral_json)
 
 __all__ = [
     "CanonicalGraph", "ChainComplex", "ChamberCensus", "ChamberSignature",

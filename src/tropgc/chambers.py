@@ -106,8 +106,8 @@ class WeightDatum:
 
     @cached_property
     def subset_sums(self) -> tuple[list[int], int]:
-        """(sums, den) of _subset_sums(entries), computed once per datum and
-        shared by signature and is_stable; not to be modified."""
+        """(sums, den) of _subset_sums(entries), computed once per datum for
+        signature, stability and chamber comparison; not to be modified."""
         return _subset_sums(self.entries)
 
     def __str__(self):
@@ -264,10 +264,10 @@ def compare_signatures(s1: ChamberSignature, s2: ChamberSignature) -> OrderResul
     return OrderResult("Incomparable", None)
 
 
-def _sign_table(entries: Sequence[Fraction]) -> bytes:
+def _sign_table(a: WeightDatum) -> bytes:
     """table[mask] = 1 iff the subset sum over mask exceeds 1, padded with
     zeros to at least 256 bytes, the length bytes.translate needs."""
-    sums, den = _subset_sums(entries)
+    sums, den = a.subset_sums
     return bytes(s > den for s in sums).ljust(256, b"\0")
 
 
@@ -357,10 +357,10 @@ def compare_up_to_symmetry(a: WeightDatum, b: WeightDatum,
     spread = [int.from_bytes(b"".join(one if m >> i & 1 else zero
                                       for m in masks), order)
               for i in range(n)]
-    sa = _sign_table(a.entries)
+    sa = _sign_table(a)
     # the identity's images are the masks themselves
     want = read(sum(s << i for i, s in enumerate(spread)).to_bytes(size, order),
-                _sign_table(b.entries))
+                _sign_table(b))
     wanted = int.from_bytes(want, order)
     unwanted = ~wanted
     k = max(n - 3, 0)

@@ -21,8 +21,9 @@ from .chambers import (DomainError, WeightDatum, compare_up_to_symmetry,
                        enumerate_chambers, format_rational, parse_weights,
                        signature, signature_json)
 from .complexes import (build_cellular_complex, build_graph_complex,
-                        build_relative_complex, homology, split_AB)
-from .spectral import filtered_from_raw, parse_filtration_json, spectral_json
+                        homology, split_AB)
+from .spectral import (build_relative_complex, filtered_from_raw,
+                       parse_filtration_json, spectral_json)
 
 HOMOLOGY_KINDS = ("graph", "cellular", "a-part", "b-part", "relative")
 

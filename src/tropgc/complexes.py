@@ -9,8 +9,9 @@ Two complexes are assembled here, with exact rational boundary matrices:
   boundary the signed sum of all edge contractions, loops included.
 
 The others are restrict slices of these: the loopless pure part of the
-cellular complex and its complement, and the relative graph complex of a
-nested pair of weight data.
+cellular complex and its complement here, and in spectral.py the level
+slices of a filtered graph complex, which include the relative graph
+complex of a nested pair of weight data (level 2 of the pair's filtration).
 
 The boundary of a generator with canonical edges e_1 < ... < e_m is
 sum_i (-1)^i [G/e_i], each contraction canonicalized; the coefficient picks
@@ -31,10 +32,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-from .chambers import (DomainError, WeightDatum, compare_signatures,
-                       format_rational, signature)
+from .chambers import DomainError, WeightDatum, format_rational
 from .graphs import (CanonicalGraph, _canonicalize_parts, _contracted_parts,
-                     edge_map_sign, has_loops, is_pure, is_stable)
+                     edge_map_sign, has_loops, is_pure)
 from .enumeration import CELLULAR, GRAPH, degree_range, generator_basis
 from .linalg import RationalMatrix, column_pivots
 
@@ -113,17 +113,13 @@ def _boundary_entries(basis_high: tuple[CanonicalGraph, ...],
 
 
 def _assemble(kind: str, g: int, a: WeightDatum, degrees: list[int],
-              bases: list[tuple[CanonicalGraph, ...]],
-              contract_loops: bool) -> ChainComplex:
+              bases: list[tuple[CanonicalGraph, ...]]) -> ChainComplex:
     boundaries = []
-    for i, k in enumerate(degrees):
-        rows = len(bases[i - 1]) if i > 0 else 0
-        if i == 0:
-            boundaries.append(RationalMatrix.zero(0, len(bases[0])))
-            continue
-        row_of = {cg.encoding: r for r, cg in enumerate(bases[i - 1])}
-        entries = _boundary_entries(bases[i], row_of, contract_loops)
-        boundaries.append(RationalMatrix(rows, len(bases[i]), entries))
+    for i in range(len(degrees)):
+        below = bases[i - 1] if i else ()
+        row_of = {cg.encoding: r for r, cg in enumerate(below)}
+        entries = _boundary_entries(bases[i], row_of, kind == CELLULAR)
+        boundaries.append(RationalMatrix(len(below), len(bases[i]), entries))
     return ChainComplex(kind, g, a, tuple(degrees),
                         tuple(bases), tuple(boundaries))
 
@@ -132,7 +128,7 @@ def build_graph_complex(g: int, a: WeightDatum) -> ChainComplex:
     """The graph complex of (g, a): pure stable graphs, loop terms dropped."""
     degrees = list(degree_range(g, a.n, GRAPH))
     bases = [generator_basis(g, a, k, GRAPH) for k in degrees]
-    return _assemble(GRAPH, g, a, degrees, bases, contract_loops=False)
+    return _assemble(GRAPH, g, a, degrees, bases)
 
 
 def build_cellular_complex(g: int, a: WeightDatum) -> ChainComplex:
@@ -142,7 +138,7 @@ def build_cellular_complex(g: int, a: WeightDatum) -> ChainComplex:
     bases = [generator_basis(g, a, k, CELLULAR) for k in degrees]
     if all(not b for k, b in zip(degrees, bases) if k >= 0):
         raise DomainError("the moduli space is empty: no stable graph has an edge")
-    return _assemble(CELLULAR, g, a, degrees, bases, contract_loops=True)
+    return _assemble(CELLULAR, g, a, degrees, bases)
 
 
 def restrict(c: ChainComplex, keep: Sequence[Sequence[bool]],
@@ -181,19 +177,6 @@ def split_AB(c: ChainComplex) -> tuple[ChainComplex, ChainComplex]:
             raise AssertionError(
                 "the A/B split of the cellular complex is not boundary-closed")
     return a_part, b_part
-
-
-def build_relative_complex(g: int, upper: WeightDatum,
-                           lower: WeightDatum) -> ChainComplex:
-    """The graph complex of upper sliced to generators not stable for lower,
-    with boundary components into lower-stable classes deleted."""
-    rel = compare_signatures(signature(lower), signature(upper))
-    if rel.relation not in ("Equal", "Less"):
-        raise DomainError(
-            f"weight data are not nested: lower compares as {rel.relation}")
-    c = build_graph_complex(g, upper)
-    return restrict(c, [[not is_stable(cg.graph, g, lower) for cg in basis]
-                        for basis in c.bases], RELATIVE)
 
 
 @dataclass
@@ -255,19 +238,12 @@ def homology(c: ChainComplex) -> HomologyReport:
         if betti[k] < 0:
             raise AssertionError("negative Betti number")
     g, a = c.g, c.weights
+    shift = 2 * g - 1 if c.kind in (GRAPH, RELATIVE) else 0
+    delta = [{"degree": k + shift, "dim": betti[k]} for k in c.degrees]
     topweight: list[dict] = []
-    delta: list[dict] = []
     if c.kind == GRAPH:
         w = 6 * g - 6 + 2 * a.n
-        for k in c.degrees:
-            topweight.append({"degree": 4 * g - 6 + 2 * a.n - k,
-                              "weight": w, "dim": betti[k]})
-            delta.append({"degree": k + 2 * g - 1, "dim": betti[k]})
-    elif c.kind in (CELLULAR, A_PART, B_PART):
-        for k in c.degrees:
-            delta.append({"degree": k, "dim": betti[k]})
-    elif c.kind == RELATIVE:
-        for k in c.degrees:
-            delta.append({"degree": k + 2 * g - 1, "dim": betti[k]})
+        topweight = [{"degree": 4 * g - 6 + 2 * a.n - k, "weight": w,
+                      "dim": betti[k]} for k in c.degrees]
     return HomologyReport(c.kind, g, a, c.degrees, dims, betti,
                           topweight, delta)

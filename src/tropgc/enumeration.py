@@ -63,11 +63,6 @@ def signature_hash(sig: ChamberSignature) -> str:
 class GraphClassSet:
     """Deduplicated stable graph classes with a fixed edge count."""
 
-    g: int
-    n: int
-    m: int
-    pure_only: bool
-    signature_hash: str
     classes: tuple[CanonicalGraph, ...]
 
 
@@ -286,18 +281,17 @@ def enumerate_stable_graphs(g: int, a: WeightDatum, m: int,
     if not (0 <= m <= max_edges(g, n)):
         raise DomainError(f"edge count {m} outside 0..{max_edges(g, n)}")
     sig = signature(a)
-    sig_hash = signature_hash(sig)
-    path = _cache_path(g, n, m, pure_only, sig_hash)
+    path = _cache_path(g, n, m, pure_only, signature_hash(sig))
     cached = _cache_load(path)
     if cached is not None:
-        return GraphClassSet(g, n, m, pure_only, sig_hash, cached)
+        return GraphClassSet(cached)
     if all(sig.signs):
         classes = _raw_enumerate_classical(g, n, m, pure_only)
     else:
         top = enumerate_stable_graphs(g, _classical_datum(g, n), m, pure_only)
         classes = tuple(cg for cg in top.classes if is_stable(cg.graph, g, a))
     _cache_store(path, classes)
-    return GraphClassSet(g, n, m, pure_only, sig_hash, classes)
+    return GraphClassSet(classes)
 
 
 def _classical_datum(g: int, n: int) -> WeightDatum:

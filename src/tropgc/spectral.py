@@ -21,6 +21,10 @@ clearing (Chen and Kerber, "Persistent homology computation with a twist",
 EuroCG 2011), which skips columns that would reduce to zero and leaves the
 pairs unchanged. The infinity table decomposes the Betti numbers of the
 base complex degree by degree.
+
+Page 1 at level p is the homology of the level-p slice of the base, the
+complex of p relative to p - 1; so the relative graph complex of a nested
+pair (lower, upper) is built here, as level 2 of the pair's filtration.
 """
 
 from __future__ import annotations
@@ -91,6 +95,12 @@ class FilteredComplex:
         i = self.base._index(k)
         return self.levels[i] if i is not None else ()
 
+    def step(self, p: int) -> ChainComplex:
+        """The level-p slice of the base: its generators first stable at
+        index p, with boundary entries into lower levels deleted."""
+        return restrict(self.base, [[lev == p for lev in row]
+                                    for row in self.levels], RELATIVE)
+
     @cached_property
     def pairs(self) -> dict[int, list[tuple[int, int]]]:
         """Degree d -> the (column level, row level) of every pivot of the
@@ -119,6 +129,14 @@ def build_filtered_complex(g: int, chain: Sequence[WeightDatum]
                     "boundary raises the filtration level: contraction must "
                     "preserve stability")
     return f
+
+
+def build_relative_complex(g: int, upper: WeightDatum,
+                           lower: WeightDatum) -> ChainComplex:
+    """The graph complex of upper sliced to generators not stable for lower,
+    with boundary components into lower-stable classes deleted; lower must
+    lie in a chamber at or below that of upper."""
+    return build_filtered_complex(g, (lower, upper)).step(2)
 
 
 def filtered_from_raw(g: int, raw: Sequence[WeightDatum]) -> FilteredComplex:
@@ -227,8 +245,7 @@ def e1_relative_check(f: FilteredComplex) -> bool:
     """The first page must equal stepwise relative homology: E^1_{p,q} is
     Betti_{p+q} of the slice of the base to its level-exactly-p generators."""
     for p in range(1, f.num_levels + 1):
-        keep = [[lev == p for lev in row] for row in f.levels]
-        step_betti = homology(restrict(f.base, keep, RELATIVE)).betti
+        step_betti = homology(f.step(p)).betti
         for d in f.base.degrees:
             if page_dim(f, 1, p, d - p) != step_betti[d]:
                 return False

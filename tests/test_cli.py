@@ -147,6 +147,16 @@ class TestHomologyCommand:
         assert data["betti"] == {"-1": 0, "0": 1, "1": 0}
         assert data["lower"] == ["1/3", "1/3", "33/100"]
 
+    def test_relative_lower_above_weights_is_domain_error(self, capsys):
+        rc, out, err = run(capsys, ["homology", "--g", "1",
+                                    "--weights", "1/6,1/6,1/6",
+                                    "--kind", "relative",
+                                    "--lower", "1,1,1"])
+        assert rc == 1
+        assert out == ""
+        assert [line for line in err.splitlines()
+                if line.startswith("error:")] == [err.splitlines()[-1]]
+
     def test_relative_requires_lower(self, capsys):
         rc, _, err = run(capsys, ["homology", "--g", "1",
                                   "--weights", "1,1,1",

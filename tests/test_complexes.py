@@ -188,8 +188,7 @@ class TestGraphHomology:
         bases = [generator_basis(1, CLASSICAL4, k) for k in degrees]
         bases[degrees.index(0)] = bases[degrees.index(0)][1:]
         with pytest.raises(AssertionError, match="missing from the basis"):
-            _assemble(GRAPH, 1, CLASSICAL4, degrees, bases,
-                      contract_loops=False)
+            _assemble(GRAPH, 1, CLASSICAL4, degrees, bases)
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_genus_one_closed_form(self, n):
