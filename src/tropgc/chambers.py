@@ -14,7 +14,7 @@ Permutations are written in one-line notation (sigma[i-1] = sigma(i), values
 1..n) and act by apply_permutation(sigma, A)_i = A_{sigma(i)}.
 
 Walls are bit masks over positions 1..n, and permuted signatures are read
-off the image masks sigma(S) (_wall_images). compare_up_to_symmetry packs
+off the image masks sigma(S) (_permuted_signs). compare_up_to_symmetry packs
 the image masks of all walls into one integer, one byte per wall for
 n <= 8, so a permutation costs one OR and one bytes.translate through a
 sign table (wider cells for n >= 9 are read through memoryview.cast).
@@ -116,15 +116,16 @@ class WeightDatum:
 
 @dataclass(frozen=True)
 class WallSet:
-    """All wall subsets for (g, n), ordered by size then lexicographically."""
+    """All wall subsets for (g, n), ordered by size then lexicographically;
+    masks[k] is the bit mask of subsets[k], bit i - 1 for position i."""
 
     g: int
     n: int
     subsets: tuple[frozenset[int], ...]
 
-    @property
+    @cached_property
     def masks(self) -> tuple[int, ...]:
-        return _wall_masks(self.g, self.n)
+        return tuple(sum(1 << (i - 1) for i in s) for s in self.subsets)
 
 
 @lru_cache(maxsize=None)
@@ -139,26 +140,6 @@ def wall_set(g: int, n: int) -> WallSet:
     return WallSet(g, n, tuple(subsets))
 
 
-@lru_cache(maxsize=None)
-def _wall_masks(g: int, n: int) -> tuple[int, ...]:
-    ws = wall_set(g, n)
-    return tuple(sum(1 << (i - 1) for i in s) for s in ws.subsets)
-
-
-@lru_cache(maxsize=None)
-def _mask_index(g: int, n: int) -> dict[int, int]:
-    return {m: k for k, m in enumerate(_wall_masks(g, n))}
-
-
-def _wall_images(bits: Sequence[int], parts: Iterable[int]) -> list[int]:
-    """For each part (a mask over positions 1..len(bits)), the OR of
-    bits[i - 1] over its positions i."""
-    table = [0]
-    for bit in bits:
-        table += [t | bit for t in table]
-    return list(map(table.__getitem__, parts))
-
-
 @dataclass(frozen=True)
 class ChamberSignature:
     """Plus/Minus pattern of every wall inequality sum_{i in S} a_i > 1."""
@@ -169,15 +150,16 @@ class ChamberSignature:
     def __post_init__(self):
         if len(self.signs) != len(self.wall_set.subsets):
             raise ValueError("sign count does not match wall count")
-        subs = self.wall_set.subsets
-        for k, s in enumerate(subs):
-            if not self.signs[k]:
-                continue
-            for t in range(k + 1, len(subs)):
-                if s < subs[t] and not self.signs[t]:
-                    raise ValueError(
-                        f"signature not monotone: {format_subset(s)} is Plus "
-                        f"but superset {format_subset(subs[t])} is Minus")
+        ws = self.wall_set
+        minus = [(t, sup) for t, sup, plus
+                 in zip(ws.masks, ws.subsets, self.signs) if not plus]
+        for m, s, plus in zip(ws.masks, ws.subsets, self.signs):
+            if plus:
+                for t, sup in minus:
+                    if m & t == m:
+                        raise ValueError(
+                            f"signature not monotone: {format_subset(s)} is "
+                            f"Plus but superset {format_subset(sup)} is Minus")
 
 
 def _subset_sums(entries: Sequence[Fraction]) -> tuple[list[int], int]:
@@ -234,13 +216,24 @@ def apply_permutation(sigma: Sequence[int], a: WeightDatum) -> WeightDatum:
         return WeightDatum(a.g, tuple(a.entries[s[i] - 1] for i in range(a.n)))
 
 
+def _permuted_signs(sigma: Sequence[int], sig: ChamberSignature
+                    ) -> tuple[bool, ...]:
+    """The signs of sigma . sig, for a valid sigma: at each wall S, the sign
+    of sig at sigma(S). image[mask] = sigma(mask) is built one position at
+    a time."""
+    masks = sig.wall_set.masks
+    sign_at = dict(zip(masks, sig.signs))
+    image = [0]
+    for i in sigma:
+        bit = 1 << (i - 1)
+        image += [t | bit for t in image]
+    return tuple([sign_at[image[m]] for m in masks])
+
+
 def permute_signature(sigma: Sequence[int], sig: ChamberSignature) -> ChamberSignature:
     """Signature of the permuted datum: new sign at S = old sign at sigma(S)."""
-    ws = sig.wall_set
-    s = _check_permutation(sigma, ws.n)
-    index = _mask_index(ws.g, ws.n)
-    images = _wall_images([1 << (i - 1) for i in s], ws.masks)
-    return ChamberSignature(ws, tuple(sig.signs[index[m]] for m in images))
+    s = _check_permutation(sigma, sig.wall_set.n)
+    return ChamberSignature(sig.wall_set, _permuted_signs(s, sig))
 
 
 def compare_signatures(s1: ChamberSignature, s2: ChamberSignature) -> OrderResult:
@@ -342,7 +335,7 @@ def compare_up_to_symmetry(a: WeightDatum, b: WeightDatum,
     if a.g != b.g or a.n != b.n:
         raise DomainError("weight data must share genus and length")
     n = a.n
-    masks = _wall_masks(a.g, n)
+    masks = wall_set(a.g, n).masks
     cell = 1 if n <= 8 else 2 if n <= 16 else 4
     size = cell * len(masks)
     if cell == 1:
@@ -578,23 +571,16 @@ def _expand_orbit(rep: ChamberSignature, point: WeightDatum
     each wall S, and must be the signature of apply_permutation(sigma,
     point)."""
     n = rep.wall_set.n
-    masks = rep.wall_set.masks
-    sign_at = dict(zip(masks, rep.signs))
-
-    def permuted(sigma: Sequence[int]) -> tuple[bool, ...]:
-        images = _wall_images([1 << (i - 1) for i in sigma], masks)
-        return tuple(map(sign_at.__getitem__, images))
-
     # tie class of each marking: a run of neighbours whose swap fixes rep
     tie = [0]
     for i in range(1, n):
         swap = list(range(1, n + 1))
         swap[i - 1], swap[i] = i + 1, i
-        tie.append(tie[-1] + (permuted(swap) != rep.signs))
+        tie.append(tie[-1] + (_permuted_signs(swap, rep) != rep.signs))
     members = []
     for sigma in _ordered_arrangements(tie, (), n):
         member = signature(apply_permutation(sigma, point))
-        if member.signs != permuted(sigma):
+        if member.signs != _permuted_signs(sigma, rep):
             raise AssertionError("orbit member misses its permuted witness")
         members.append(member)
     return tuple(sorted(members, key=lambda s: s.signs))
@@ -604,20 +590,14 @@ def make_minimal(g: int, n: int) -> WeightDatum:
     """The datum (eps, ..., eps) with eps = 1/(2n), inside the lowest chamber."""
     if g < 1:
         raise DomainError("minimal weights require g >= 1")
-    if n < 1:
-        raise DomainError("need n >= 1")
-    eps = Fraction(1, 2 * n)
-    return WeightDatum(g, (eps,) * n)
+    return make_heavy_light(g, n, 0)
 
 
 def make_F(g: int, n: int) -> WeightDatum:
     """The datum (1/n + delta)^n with delta = 1/(2n^2); only the full set is Plus."""
     if g < 1:
         raise DomainError("F weights require g >= 1")
-    if n < 1:
-        raise DomainError("need n >= 1")
-    val = Fraction(1, n) + Fraction(1, 2 * n * n)
-    return WeightDatum(g, (val,) * n)
+    return make_floor(g, n, n)
 
 
 def make_floor(g: int, n: int, l: int) -> WeightDatum:
@@ -632,6 +612,8 @@ def make_floor(g: int, n: int, l: int) -> WeightDatum:
 
 def make_heavy_light(g: int, n: int, m: int) -> WeightDatum:
     """m heavy weights equal to 1 and n - m light weights equal to 1/(2n)."""
+    if n < 1:
+        raise DomainError("need n >= 1")
     if not (0 <= m <= n):
         raise DomainError("need 0 <= m <= n")
     if g == 0 and m < 2:

@@ -117,6 +117,8 @@ def build_filtered_complex(g: int, chain: Sequence[WeightDatum]
                            ) -> FilteredComplex:
     """Filtration of G for the last datum by an already-aligned chain."""
     chain = list(chain)
+    if not chain:
+        raise DomainError("empty weight chain")
     check_aligned(chain)
     base = build_graph_complex(g, chain[-1])
     levels = tuple(_stability_levels(g, chain, basis) for basis in base.bases)
@@ -213,11 +215,11 @@ def decomposition_report(f: FilteredComplex) -> DecompositionReport:
     """Check Σ_p dim E^inf_{p,k-p} = Betti_k and emit top-weight labels
     plus lower-bound lines for the nonzero stable entries."""
     einf = infinity_table(f)
-    betti = homology(f.base).betti
-    g = f.g
-    n = f.chain[-1].n
-    weight = 6 * g - 6 + 2 * n
-    name = moduli_label(g, f.chain[-1])
+    hom = homology(f.base)
+    betti = hom.betti
+    # degree k -> its cohomological degree and weight
+    top = dict(zip(hom.degrees, hom.topweight))
+    name = moduli_label(f.g, f.chain[-1])
     rows, topweight = [], []
     for k in f.base.degrees:
         s = sum(einf.dims.get((p, k - p), 0)
@@ -226,18 +228,19 @@ def decomposition_report(f: FilteredComplex) -> DecompositionReport:
             raise AssertionError(
                 f"decomposition mismatch in degree {k}: pages sum to {s}, "
                 f"Betti is {betti[k]}")
-        degree = 4 * g - 6 + 2 * n - k
+        degree = top[k]["degree"]
         rows.append({"degree": k, "einfinity_sum": s, "betti": betti[k],
-                     "cohomological_degree": degree, "weight": weight})
+                     "cohomological_degree": degree,
+                     "weight": top[k]["weight"]})
         topweight.append({"degree": degree, "dim": betti[k]})
     lower_bounds = []
     for (p, q), v in sorted(einf.dims.items()):
         if v > 0:
-            degree = 4 * g - 6 + 2 * n - (p + q)
+            degree = top[p + q]["degree"]
             lower_bounds.append({
                 "p": p, "q": q, "cohomological_degree": degree, "dim": v,
                 "label": f"dim H^{degree}({name};Q) >= {v}"})
-    return DecompositionReport(g, f.chain, einf, betti, rows,
+    return DecompositionReport(f.g, f.chain, einf, betti, rows,
                                list(reversed(topweight)), lower_bounds, True)
 
 

@@ -114,6 +114,13 @@ class TestWallSet:
         ws = wall_set(0, 5)
         assert all(2 <= len(s) <= 3 for s in ws.subsets)
 
+    @pytest.mark.parametrize("g,n", [(0, 5), (1, 4), (2, 3)])
+    def test_masks_are_subset_bits(self, g, n):
+        ws = wall_set(g, n)
+        assert len(ws.masks) == len(ws.subsets)
+        for mask, s in zip(ws.masks, ws.subsets):
+            assert {i for i in range(1, n + 1) if mask >> (i - 1) & 1} == s
+
 
 class TestSignature:
     def test_classical_all_plus(self):
@@ -134,6 +141,23 @@ class TestSignature:
         signs = tuple(s == frozenset({1, 2}) for s in ws.subsets)
         with pytest.raises(ValueError):
             ChamberSignature(ws, signs)
+
+    @pytest.mark.parametrize("g,n", [(1, 3), (2, 3), (0, 4), (1, 4)])
+    def test_accepts_exactly_monotone_patterns(self, g, n):
+        ws = wall_set(g, n)
+        w = len(ws.subsets)
+        for bits in range(1 << w):
+            signs = tuple(bool(bits >> k & 1) for k in range(w))
+            monotone = not any(
+                signs[i] and not signs[j] and s < t
+                for i, s in enumerate(ws.subsets)
+                for j, t in enumerate(ws.subsets))
+            try:
+                ChamberSignature(ws, signs)
+            except ValueError:
+                assert not monotone, signs
+            else:
+                assert monotone, signs
 
 
 class TestApplyPermutation:
@@ -519,6 +543,18 @@ class TestConstructors:
 
     def test_minimal_is_all_minus(self):
         assert not any(signature(make_minimal(1, 3)).signs)
+
+    def test_heavy_light_needs_a_marking(self):
+        with pytest.raises(DomainError, match="need n >= 1"):
+            make_heavy_light(1, 0, 0)
+
+    @pytest.mark.parametrize("g,n", [(1, 1), (1, 3), (2, 4), (3, 6)])
+    def test_minimal_is_heavy_light_without_heavy(self, g, n):
+        assert make_minimal(g, n) == make_heavy_light(g, n, 0)
+
+    @pytest.mark.parametrize("g,n", [(1, 2), (1, 3), (2, 5), (4, 8)])
+    def test_F_is_top_floor(self, g, n):
+        assert make_F(g, n) == make_floor(g, n, n)
 
     def test_F_pairs_below_total_above(self):
         sig = signature(make_F(1, 3))

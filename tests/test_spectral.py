@@ -9,6 +9,7 @@ from tropgc import (
     DomainError,
     WeightDatum,
     align_chain,
+    build_filtered_complex,
     build_graph_complex,
     build_relative_complex,
     compare_up_to_symmetry,
@@ -86,6 +87,10 @@ class TestAlign:
     def test_empty_chain_rejected(self):
         with pytest.raises(DomainError):
             align_chain(1, [])
+
+    def test_empty_filtration_rejected(self):
+        with pytest.raises(DomainError, match="empty weight chain"):
+            build_filtered_complex(1, [])
 
     def test_genus_mismatch_rejected(self):
         with pytest.raises(DomainError):
