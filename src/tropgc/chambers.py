@@ -80,7 +80,7 @@ class WeightDatum:
             raise TypeError(f"genus must be an int: {self.g!r}")
         for x in self.entries:
             # a float is a binary approximation: 0.1 + 0.9 > 1 as Fractions
-            if not isinstance(x, (int, str, Fraction)):
+            if isinstance(x, bool) or not isinstance(x, (int, str, Fraction)):
                 raise TypeError(f"not an exact rational: {x!r}")
         object.__setattr__(self, "entries",
                            tuple(Fraction(x) for x in self.entries))

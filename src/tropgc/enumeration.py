@@ -13,7 +13,7 @@ edge degree, markings). That test reads only the candidate's parts, so a
 rejected candidate is never canonicalized and never enters the canonical
 memo.
 
-Any other weight datum filters the classical list through is_stable. This
+Any other weight datum filters the classical list by _stability_levels. This
 is sound because entrywise-smaller weight data have nested stable-graph
 sets, and it lets chamber-equal data share one cache entry: cache files are
 keyed by (g, n, edge count, purity, signature hash) and store one canonical
@@ -41,8 +41,8 @@ from typing import Iterable, Optional, Sequence
 from .chambers import (ChamberSignature, DomainError, WeightDatum,
                        compare_signatures, signature)
 from .graphs import (CanonicalGraph, Edge, MarkedGraph, Parts,
-                     _canonicalize_parts, _parse_encoding, _stable_totals,
-                     _vertex_colors, _vertex_totals, canonicalize, is_stable)
+                     _canonicalize_parts, _parse_encoding, _stability_levels,
+                     _vertex_colors, canonicalize)
 
 CACHE_ENV_VAR = "TROPGC_CACHE"
 DEFAULT_CACHE_DIR = ".tropgc-cache"
@@ -289,7 +289,8 @@ def enumerate_stable_graphs(g: int, a: WeightDatum, m: int,
         classes = _raw_enumerate_classical(g, n, m, pure_only)
     else:
         top = enumerate_stable_graphs(g, _classical_datum(g, n), m, pure_only)
-        classes = tuple(cg for cg in top.classes if is_stable(cg.graph, g, a))
+        levels = _stability_levels(g, (a,), [cg.graph for cg in top.classes])
+        classes = tuple(cg for cg, p in zip(top.classes, levels) if p == 1)
     _cache_store(path, classes)
     return GraphClassSet(classes)
 
@@ -340,24 +341,6 @@ def check_aligned(chain: list[WeightDatum] | tuple[WeightDatum, ...]) -> None:
                 f"{rel.relation} ({chain[p]} vs {chain[p + 1]})")
 
 
-def _stability_levels(g: int, chain: Sequence[WeightDatum],
-                      basis: Sequence[CanonicalGraph]) -> tuple[int, ...]:
-    """Level of each generator of basis: the first chain index (1-based)
-    at which the graph is stable. Each graph's vertex totals are computed
-    once and tested against the subset sums of each datum in turn."""
-    levels = []
-    for cg in basis:
-        totals = _vertex_totals(cg.graph, g)
-        n_legs = len(cg.graph.legs)
-        for p, a in enumerate(chain, start=1):
-            if _stable_totals(totals, n_legs, a):
-                levels.append(p)
-                break
-        else:
-            raise AssertionError("generator unstable at the top of the chain")
-    return tuple(levels)
-
-
 def filtration_levels(g: int, chain: list[WeightDatum] | tuple[WeightDatum, ...],
                       degree: int) -> dict[CanonicalGraph, int]:
     """Level of each graph-complex generator of the top chamber: the first
@@ -366,4 +349,5 @@ def filtration_levels(g: int, chain: list[WeightDatum] | tuple[WeightDatum, ...]
         raise DomainError("empty weight chain")
     check_aligned(chain)
     basis = generator_basis(g, chain[-1], degree)
-    return dict(zip(basis, _stability_levels(g, chain, basis)))
+    return dict(zip(basis, _stability_levels(g, chain,
+                                             [cg.graph for cg in basis])))

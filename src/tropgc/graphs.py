@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations, product
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .chambers import DomainError, WeightDatum
 
@@ -115,41 +115,44 @@ def has_loops(graph: MarkedGraph) -> bool:
 
 
 def is_stable(graph: MarkedGraph, g: int, a: WeightDatum) -> bool:
-    """Every vertex must satisfy 2w(v) - 2 + |v|_E + |v|_A > 0.
+    """Every vertex must satisfy 2w(v) - 2 + |v|_E + |v|_A > 0."""
+    return _stability_levels(g, (a,), (graph,)) == (1,)
 
-    |v|_A is read off the datum's integer subset sums, so each vertex is
-    tested as (2w(v) - 2 + |v|_E) * den + sums[markings at v] > 0.
+
+def _stability_levels(g: int, chain: Sequence[WeightDatum],
+                      graphs: Iterable[MarkedGraph]) -> tuple[int, ...]:
+    """For each graph, the first index p (from 1) at which it is stable for
+    chain[p - 1], or 0 if it is stable for none. DomainError unless each
+    graph has genus g, then unless each datum has one entry per leg.
+
+    A vertex is tested as (2w(v) - 2 + |v|_E) * den + sums[markings at v] > 0
+    with each datum's integer subset sums, its totals built once per graph.
     """
-    return _stable_totals(_vertex_totals(graph, g), len(graph.legs), a)
-
-
-def _vertex_totals(graph: MarkedGraph, g: int) -> list[tuple[int, int]]:
-    """(2w(v) - 2 + |v|_E, bit mask of the markings at v) for each vertex
-    v, which is all that stability for any datum needs of the graph;
-    DomainError unless the graph has genus g."""
-    if genus(graph) != g:
-        raise DomainError(f"graph has genus {genus(graph)}, expected {g}")
-    totals = [2 * w - 2 for w in graph.weights]
-    for u, v in graph.edges:
-        totals[u] += 1
-        totals[v] += 1
-    masks = [0] * len(totals)
-    for i, v in enumerate(graph.legs):
-        masks[v] |= 1 << i
-    return list(zip(totals, masks))
-
-
-def _stable_totals(vertex_totals: list[tuple[int, int]], n_legs: int,
-                   a: WeightDatum) -> bool:
-    """is_stable of a graph with these _vertex_totals and n_legs legs;
-    DomainError unless a has n_legs entries."""
-    if n_legs != a.n:
-        raise DomainError("weight datum length differs from leg count")
-    sums, den = a.subset_sums
-    for total, mask in vertex_totals:
-        if total * den + sums[mask] <= 0:
-            return False
-    return True
+    data = [a.subset_sums for a in chain]
+    lengths = {a.n for a in chain}
+    levels = []
+    for graph in graphs:
+        if genus(graph) != g:
+            raise DomainError(f"graph has genus {genus(graph)}, expected {g}")
+        if lengths != {len(graph.legs)}:
+            raise DomainError("weight datum length differs from leg count")
+        totals = [2 * w - 2 for w in graph.weights]
+        for u, v in graph.edges:
+            totals[u] += 1
+            totals[v] += 1
+        masks = [0] * len(totals)
+        for i, v in enumerate(graph.legs):
+            masks[v] |= 1 << i
+        for p, (sums, den) in enumerate(data, 1):
+            for total, mask in zip(totals, masks):
+                if total * den + sums[mask] <= 0:
+                    break
+            else:
+                levels.append(p)
+                break
+        else:
+            levels.append(0)
+    return tuple(levels)
 
 
 def contract_edge(graph: MarkedGraph, e: int) -> MarkedGraph:

@@ -14,9 +14,8 @@ d_{c-l} (the pairing lemma; Cohen-Steiner, Edelsbrunner and Morozov, "Vines
 and vineyards", 2006). Both its cells are gone from page c - l + 1 on, so
 dim E^r_{p,d-p} is the number of level-p cells of degree d, less the
 degree-d pairs with c = p and l > p - r and the degree-(d+1) pairs with
-l = p and c < p + r. A pair that meets level p has c - l <= p - 1 (column
-at p, l >= 1) or c - l <= N - p (row at p, c <= N), so the pages stabilize
-at r* = max(p, N-p+1). The degrees are reduced from the top down with
+l = p and c < p + r. Every pair has 1 <= l <= c <= N, so d_r = 0 for r >= N
+and page N is E^infinity. The degrees are reduced from the top down with
 clearing (Chen and Kerber, "Persistent homology computation with a twist",
 EuroCG 2011), which skips columns that would reduce to zero and leaves the
 pairs unchanged. The infinity table decomposes the Betti numbers of the
@@ -38,7 +37,8 @@ from .chambers import (DomainError, WeightDatum, apply_permutation,
                        parse_rational)
 from .complexes import (RELATIVE, ChainComplex, boundary_pivots,
                         build_graph_complex, homology, moduli_label, restrict)
-from .enumeration import _stability_levels, check_aligned
+from .enumeration import check_aligned
+from .graphs import _stability_levels
 
 Permutation = tuple[int, ...]
 
@@ -121,7 +121,10 @@ def build_filtered_complex(g: int, chain: Sequence[WeightDatum]
         raise DomainError("empty weight chain")
     check_aligned(chain)
     base = build_graph_complex(g, chain[-1])
-    levels = tuple(_stability_levels(g, chain, basis) for basis in base.bases)
+    levels = tuple(_stability_levels(g, chain, [cg.graph for cg in basis])
+                   for basis in base.bases)
+    if any(0 in row for row in levels):
+        raise AssertionError("generator unstable at the top of the chain")
     f = FilteredComplex(g, tuple(chain), base, levels)
     for i, k in enumerate(base.degrees):
         below = f.level_row(k - 1)
@@ -180,21 +183,11 @@ def page_table(f: FilteredComplex, r: int) -> PageTable:
 
 
 def infinity_table(f: FilteredComplex) -> PageTable:
-    """E^infinity via the stabilization bound r* = max(p, N-p+1), with a
-    stationarity check at r*+1."""
-    n_levels = f.num_levels
-    dims = {}
-    for d in f.base.degrees:
-        for p in range(1, n_levels + 1):
-            q = d - p
-            r_star = max(p, n_levels - p + 1)
-            v = page_dim(f, r_star, p, q)
-            if v != page_dim(f, r_star + 1, p, q):
-                raise AssertionError(
-                    f"page dimension not stationary at r={r_star}, "
-                    f"(p,q)=({p},{q})")
-            dims[(p, q)] = v
-    return PageTable(None, dims)
+    """E^infinity, read as page N = f.num_levels. build_filtered_complex
+    checks that no boundary entry raises the level, so every pivot row lies
+    at or below its column's level: each pair has 1 <= l <= c <= N and is
+    gone from page c - l + 1 <= N on, and no page after N changes."""
+    return PageTable(None, page_table(f, f.num_levels).dims)
 
 
 @dataclass

@@ -97,6 +97,15 @@ class TestWeightDatum:
         with pytest.raises(TypeError):
             WeightDatum(g, entries)
 
+    @pytest.mark.parametrize("entries", [
+        (True, True),
+        (Fraction(1, 2), False),
+    ])
+    def test_bool_entries_rejected(self, entries):
+        # bool is an int subclass, so True would be read as the weight 1
+        with pytest.raises(TypeError, match="not an exact rational"):
+            WeightDatum(1, entries)
+
     def test_exact_types_accepted(self):
         assert WeightDatum(1, (1, "1/2", Fraction(1, 3))).entries == (
             Fraction(1), Fraction(1, 2), Fraction(1, 3))

@@ -306,6 +306,65 @@ class TestStabilityReference:
                 check(LOOP, 2, datum(2, 1, 1, 1))
 
 
+
+@st.composite
+def graphs_with_chains(draw):
+    """A connected graph with at least one leg and three entrywise
+    non-decreasing k/60 entry tuples, the entries of a nested chain."""
+    graph, ks = draw(graphs_with_data())
+    more = [draw(st.lists(st.integers(1, 60), min_size=len(ks),
+                          max_size=len(ks))) for _ in range(2)]
+    columns = [sorted(column) for column in zip(ks, *more)]
+    return graph, [tuple(column[p] for column in columns) for p in range(3)]
+
+
+class TestStabilityLevels:
+    @settings(max_examples=300, deadline=None)
+    @given(graphs_with_chains())
+    @example((MarkedGraph((0, 0), ((0, 1),), (0, 0, 1, 1)),
+              [(15, 15, 15, 15), (15, 45, 60, 60), (60, 60, 60, 60)]))
+    @example((GRAPHONE, [(1, 1, 1), (1, 40, 40), (60, 60, 60)]))  # level 2
+    @example((MarkedGraph((1, 0), ((0, 1),), (1,)),
+              [(1,), (30,), (60,)]))                  # a leaf: level 0
+    def test_first_level_of_reference_stability(self, case):
+        graph, rows = case
+        g = genus(graph)
+        assume(60 * (2 * g - 2) + sum(rows[0]) > 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DomainGapWarning)
+            chain = [WeightDatum(g, tuple(Fraction(k, 60) for k in row))
+                     for row in rows]
+        stable = [reference_is_stable(graph, g, a) for a in chain]
+        want = stable.index(True) + 1 if True in stable else 0
+        assert graphs._stability_levels(g, chain, [graph]) == (want,)
+        # stability is monotone along an entrywise non-decreasing chain
+        assert stable == sorted(stable)
+
+    def test_one_level_per_graph_and_zero_for_none(self):
+        chain = [datum(1, "1/100", "1/100", "1/100"),
+                 datum(1, "1/100", "2/3", "2/3"), datum(1, 1, 1, 1)]
+        one_vertex = MarkedGraph((1,), (), (0, 0, 0))
+        # markings 1 and 2 on the leaf of GRAPHONE: 1/100 + 2/3 < 1
+        swapped = MarkedGraph((0, 0), ((0, 0), (0, 1)), (1, 1, 0))
+        assert graphs._stability_levels(
+            1, chain, [one_vertex, GRAPHONE, swapped]) == (1, 2, 3)
+        assert graphs._stability_levels(1, chain[:2], [swapped, LOOP]) == \
+            (0, 1)
+
+    def test_errors_in_order(self):
+        # genus is checked before the datum length, graph by graph
+        with pytest.raises(DomainError, match="has genus 1, expected 2"):
+            graphs._stability_levels(2, [datum(2, 1, 1)], [LOOP])
+        with pytest.raises(DomainError, match="length differs"):
+            graphs._stability_levels(1, [datum(1, 1, 1)], [LOOP])
+        with pytest.raises(DomainError, match="has genus 0, expected 1"):
+            graphs._stability_levels(1, [datum(1, 1, 1, 1)],
+                                     [LOOP, MarkedGraph((0,), (), (0,) * 3)])
+        with pytest.raises(DomainError, match="length differs"):
+            graphs._stability_levels(
+                1, [datum(1, 1, 1, 1), datum(1, 1, 1)], [LOOP])
+
+
 class TestReferenceCanonicalize:
     @settings(max_examples=400, deadline=None)
     @given(connected_graphs())

@@ -175,6 +175,29 @@ class TestPageTables:
         assert page_dim(floor_g2, 3, 3, -1) == 0
 
 
+
+# (1,5): the lowest chamber, the floor chamber Plus iff |S| >= 4, and the
+# heavy/light chamber with two heavy markings
+G1N5_RAW = [make_minimal(1, 5), WeightDatum(1, (Fraction(3, 10),) * 5),
+            make_heavy_light(1, 5, 2)]
+
+
+class TestInfinityIsPageN:
+    @pytest.mark.parametrize("name", ["five_chamber", "g1n5", "floor_g2"])
+    def test_pages_from_n_on_are_infinity(self, name, request):
+        # a boundary never raises the level, so every pair has
+        # 1 <= l <= c <= N and d_r = 0 for r >= N
+        f = (filtered_from_raw(1, G1N5_RAW) if name == "g1n5"
+             else request.getfixturevalue(name))
+        n = f.num_levels
+        assert n == len(f.chain) > 1
+        assert all(1 <= l <= c <= n
+                   for pairs in f.pairs.values() for c, l in pairs)
+        einf = infinity_table(f).dims
+        for r in (n, n + 1, n + 2):
+            assert page_table(f, r).dims == einf
+
+
 class TestDecomposition:
     def test_five_chamber_report(self, five_chamber):
         report = decomposition_report(five_chamber)
