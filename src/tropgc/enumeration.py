@@ -1,31 +1,27 @@
 """Exhaustive enumeration of stable graph isomorphism classes, with caching.
 
-Raw generation happens only for the maximal (all-Plus) chamber, where
-stability is the classical condition 2w(v) - 2 + |v|_E + #legs(v) > 0. It
-builds the classes with m edges from those with m - 1 edges by
+Every weight datum A is served by one routine, _generate: it builds the
+A-stable classes with m edges from the A-stable classes with m - 1 edges by
 uncontracting one edge (split a vertex, or add a loop for a unit of
-weight), from a one-vertex base; see _raw_enumerate_classical. Each class
-is built from its canonical parents only, after McKay ("Isomorph-free
-exhaustive generation", J. Algorithms 1998): an uncontraction is kept only
-if its new edge has the largest invariant (is non-loop, sorted pair of
-endpoint colours) of all its edges, a vertex's colour being its (weight,
-edge degree, markings). That test reads only the candidate's parts, so a
-rejected candidate is never canonicalized and never enters the canonical
-memo.
+weight), from a one-vertex base. Each class is built from its canonical
+parents only, after McKay ("Isomorph-free exhaustive generation", J.
+Algorithms 1998): an uncontraction is kept only if its new edge has the
+largest invariant (is non-loop, sorted pair of endpoint colours) of all its
+edges, a vertex's colour being its (weight, edge degree, markings). That
+test reads only the candidate's parts, so a rejected candidate is never
+canonicalized and never enters the canonical memo.
 
-Any other weight datum filters the classical list by _stability_levels. This
-is sound because entrywise-smaller weight data have nested stable-graph
-sets, and it lets chamber-equal data share one cache entry: cache files are
-keyed by (g, n, edge count, purity, signature hash) and store one canonical
-graph encoding per line, after a header line with that key, the line count
-and a SHA-256 of the body, so a truncated, damaged or misplaced file is
-recomputed, not believed. The header is checked on every load; the body of
-a file that passes is checked line by line once per process: each line is
-parsed into parts and canonicalized, and must equal its form's encoding byte
-for byte, or the file is recomputed. Its classes are kept in memory under
-the body's SHA-256, so identical bytes are never decoded twice. A body this
-process wrote is kept in memory when it is written, and is not decoded at
-all.
+Stability depends on A only through its chamber, so chamber-equal data
+share one cache entry: cache files are keyed by (g, n, edge count, purity,
+signature hash) and store one canonical graph encoding per line, after a
+header line with that key, the line count and a SHA-256 of the body, so a
+truncated, damaged or misplaced file is recomputed, not believed. The
+header is checked on every load; the body of a file that passes is checked
+line by line once per process: each line is parsed into parts and
+canonicalized, and must equal its form's encoding byte for byte, or the
+file is recomputed. Its classes are kept in memory under the body's
+SHA-256, so identical bytes are never decoded twice. A body this process
+wrote is kept in memory when it is written, and is not decoded at all.
 """
 
 from __future__ import annotations
@@ -35,7 +31,6 @@ import os
 import tempfile
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .chambers import (ChamberSignature, DomainError, WeightDatum,
@@ -70,14 +65,18 @@ def max_edges(g: int, n: int) -> int:
     return 3 * g - 3 + n
 
 
-def _uncontractions(cg: CanonicalGraph) -> Iterable[Parts]:
-    """The (weights, edges, legs) of the stable graphs with one more edge
-    than cg.graph that contract to it, each edge written low end first.
+def _uncontractions(cg: CanonicalGraph, sums: Sequence[int],
+                    den: int) -> Iterable[Parts]:
+    """The (weights, edges, legs) of the A-stable graphs with one more edge
+    than cg.graph that contract to it, each edge written low end first, for
+    the weight datum A with integer subset sums (sums, den)
+    (WeightDatum.subset_sums).
 
     One vertex v per automorphism orbit gets a loop in exchange for a unit
-    of weight, or is split: its weight is shared in every way, and a subset
-    of its edge ends and legs, never the first, moves to a new vertex joined
-    to v, so a subset and its complement are not both tried.
+    of weight, which keeps its stability total, or is split: its weight is
+    shared in every way, and a subset of its edge ends and legs, never the
+    first, moves to a new vertex joined to v, so a subset and its complement
+    are not both tried. A split is rejected before its parts are built.
     """
     graph = cg.graph
     weights, edges, legs = graph.weights, graph.edges, graph.legs
@@ -92,14 +91,21 @@ def _uncontractions(cg: CanonicalGraph) -> Iterable[Parts]:
                    edges + ((v, v),), legs)
         items = [2 * e + k for e, ends in enumerate(edges)
                  for k in (0, 1) if ends[k] == v]
-        items += [2 * m + i for i, x in enumerate(legs) if x == v]
+        # a vertex is A-stable when the shares of its items (den per edge
+        # end, sums[1 << i] for marking i) exceed (2 - 2w) * den, so a side
+        # of the new edge whose items share at most den needs weight
+        shares = [den] * len(items)
+        for i, x in enumerate(legs):
+            if x == v:
+                items.append(2 * m + i)
+                shares.append(sums[1 << i])
+        total = sum(shares)
         rest = items[1:]
-        for mask in range(1 << len(rest)):
-            n_moved = mask.bit_count()
-            stay = len(items) - n_moved
-            # 2w - 2 + |v|_E + #legs(v) > 0 at both ends of the new edge,
-            # so a side with fewer than two other items needs weight
-            new_weights = range(n_moved < 2, weights[v] + (stay > 1))
+        moved_shares = [0]  # by mask over rest
+        for share in shares[1:]:
+            moved_shares += [s + share for s in moved_shares]
+        for mask, s in enumerate(moved_shares):
+            new_weights = range(s <= den, weights[v] + (total - s > den))
             if not new_weights:
                 continue
             moved = {item for j, item in enumerate(rest) if mask >> j & 1}
@@ -119,44 +125,50 @@ def _uncontractions(cg: CanonicalGraph) -> Iterable[Parts]:
                        + (w_new,), child_edges, child_legs)
 
 
-def _raw_enumerate_classical(g: int, n: int, m: int, pure_only: bool) -> tuple[CanonicalGraph, ...]:
-    """All classes stable for the weight datum (1, ..., 1), genus g, m edges.
+def _generate(g: int, a: WeightDatum, m: int,
+              pure_only: bool) -> tuple[CanonicalGraph, ...]:
+    """All classes stable for the weight datum a, genus g, m edges.
 
-    Contracting an edge keeps a graph stable, and contracting a non-loop
-    edge keeps it pure; a graph whose edges are all loops has one vertex.
-    So above the base level, the classes with m edges are the canonical
-    forms of the uncontractions of the classes with m - 1 edges, taken from
-    enumerate_stable_graphs (and its cache). The base is one vertex with
-    every leg: of weight g at m = 0 for all graphs, and for pure graphs the
-    rose of weight 0 with g loops at m = g, below which there are none. A
-    pure graph has weight 0 everywhere, so its uncontractions are pure.
+    A vertex's stability total is (2w(v) - 2 + |v|_E) * den + sums[markings
+    at v], with a's integer subset sums. Contracting a non-loop edge gives
+    the merged vertex the sum of its ends' totals, and contracting a loop
+    keeps its vertex's total, so contracting an edge keeps a graph a-stable,
+    and contracting a non-loop edge keeps it pure; a graph whose edges are
+    all loops has one vertex. So above the base level, the classes with m
+    edges are the canonical forms of the a-stable uncontractions of the
+    classes with m - 1 edges, taken from enumerate_stable_graphs (and its
+    cache) for the same datum. The base is one vertex with every leg: of
+    weight g at m = 0 for all graphs, and for pure graphs the rose of weight
+    0 with g loops at m = g, below which there are none. Its total is
+    (2g - 2 + sum(a)) * den, positive for every WeightDatum. A pure graph
+    has weight 0 everywhere, so its uncontractions are pure.
 
     An uncontraction is canonicalized only if its new edge, the last one,
     has the largest invariant of all its edges (_new_edge_is_largest);
     ties go to the dedupe by canonical form. No class C above the base is
     lost. Let e be an edge of C of largest invariant; a pure C has more
-    than one vertex, so there e is not a loop. Contracting e gives a stable
-    class P with one edge fewer, pure if C is, and _uncontractions(P)
-    yields a child isomorphic to C by an isomorphism that takes the child's
-    new edge to e: splitting one vertex per automorphism orbit, keeping the
-    first item at the old vertex and trying every weight split each only
-    trade a (child, new edge) pair for an isomorphic one. An isomorphism
-    keeps edge invariants, so that child passes. A loop's invariant is
-    below every non-loop edge's, so for pure graphs the test picks the
-    largest among the non-loop edges, the ones whose contraction keeps a
-    graph pure.
+    than one vertex, so there e is not a loop. Contracting e gives an
+    a-stable class P with one edge fewer, pure if C is, and
+    _uncontractions(P) yields a child isomorphic to C by an isomorphism
+    that takes the child's new edge to e: splitting one vertex per
+    automorphism orbit, keeping the first item at the old vertex and trying
+    every weight split each only trade a (child, new edge) pair for an
+    isomorphic one, and the child is a-stable as C is. An isomorphism keeps
+    edge invariants, so that child passes. A loop's invariant is below
+    every non-loop edge's, so for pure graphs the test picks the largest
+    among the non-loop edges, the ones whose contraction keeps a graph pure.
     """
     base = g if pure_only else 0
     if m < base:
         return ()
     if m == base:
-        vertex = MarkedGraph((g - m,), ((0, 0),) * m, (0,) * n)
+        vertex = MarkedGraph((g - m,), ((0, 0),) * m, (0,) * a.n)
         return (canonicalize(vertex)[0],)
-    below = enumerate_stable_graphs(g, _classical_datum(g, n), m - 1,
-                                    pure_only)
+    below = enumerate_stable_graphs(g, a, m - 1, pure_only)
+    sums, den = a.subset_sums
     found: dict[MarkedGraph, CanonicalGraph] = {}
     for parent in below.classes:
-        for child in _uncontractions(parent):
+        for child in _uncontractions(parent, sums, den):
             if not _new_edge_is_largest(*child):
                 continue
             cg, _ = _canonicalize_parts(*child)
@@ -280,23 +292,12 @@ def enumerate_stable_graphs(g: int, a: WeightDatum, m: int,
     n = a.n
     if not (0 <= m <= max_edges(g, n)):
         raise DomainError(f"edge count {m} outside 0..{max_edges(g, n)}")
-    sig = signature(a)
-    path = _cache_path(g, n, m, pure_only, signature_hash(sig))
-    cached = _cache_load(path)
-    if cached is not None:
-        return GraphClassSet(cached)
-    if all(sig.signs):
-        classes = _raw_enumerate_classical(g, n, m, pure_only)
-    else:
-        top = enumerate_stable_graphs(g, _classical_datum(g, n), m, pure_only)
-        levels = _stability_levels(g, (a,), [cg.graph for cg in top.classes])
-        classes = tuple(cg for cg, p in zip(top.classes, levels) if p == 1)
-    _cache_store(path, classes)
+    path = _cache_path(g, n, m, pure_only, signature_hash(signature(a)))
+    classes = _cache_load(path)
+    if classes is None:
+        classes = _generate(g, a, m, pure_only)
+        _cache_store(path, classes)
     return GraphClassSet(classes)
-
-
-def _classical_datum(g: int, n: int) -> WeightDatum:
-    return WeightDatum(g, (Fraction(1),) * n)
 
 
 GRAPH = "graph"

@@ -18,6 +18,7 @@ from tropgc import (
     enumerate_stable_graphs,
     homology,
     make_floor,
+    make_heavy_light,
     moduli_label,
     rank,
     split_AB,
@@ -51,6 +52,18 @@ SIX_DEGREE_TWO = [
                 legs)
     for legs in [(4, 0, 1), (0, 4, 1), (0, 1, 4)]
 ]
+
+
+def check_cellular_route(g, a, betti):
+    """Chan-Galatius-Payne: the reduced homology of the cellular complex,
+    and of its A part, is the graph-complex homology betti shifted by
+    2g - 1, and the B part is acyclic."""
+    cell = build_cellular_complex(g, a)
+    shifted = {k: betti.get(k - (2 * g - 1), 0) for k in cell.degrees}
+    a_part, b_part = split_AB(cell)
+    assert homology(cell).betti == shifted
+    assert homology(a_part).betti == shifted
+    assert not any(homology(b_part).betti.values())
 
 
 class TestGraphComplex:
@@ -228,13 +241,17 @@ class TestGraphHomology:
         assert rep.dims == {k: dims.get(k, 0) for k in rep.degrees}
         assert rep.betti == {k: betti.get(k, 0) for k in rep.degrees}
         if g < 4:
-            cell = build_cellular_complex(g, a)
-            shifted = {k: rep.betti.get(k - (2 * g - 1), 0)
-                       for k in cell.degrees}
-            a_part, b_part = split_AB(cell)
-            assert homology(cell).betti == shifted
-            assert homology(a_part).betti == shifted
-            assert not any(homology(b_part).betti.values())
+            check_cellular_route(g, a, rep.betti)
+
+    @pytest.mark.parametrize("heavy,betti", [(0, {1: 6, 3: 3}), (1, {3: 3})])
+    def test_light_genus_two_four_markings(self, heavy, betti):
+        """(2,4) with 0 or 1 heavy markings (make_heavy_light), each chamber
+        generated from its own stable parents: Betti numbers computed by
+        this program, checked by the cellular route."""
+        a = make_heavy_light(2, 4, heavy)
+        rep = homology(build_graph_complex(2, a))
+        assert rep.betti == {k: betti.get(k, 0) for k in rep.degrees}
+        check_cellular_route(2, a, rep.betti)
 
     @pytest.mark.parametrize("g,a", [
         (1, CLASSICAL2), (1, CLASSICAL3), (1, MINIMAL3), (1, NEAR_F3),

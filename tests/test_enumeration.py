@@ -7,9 +7,11 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from tropgc import DomainError, WeightDatum, enumerate_stable_graphs, max_edges
+from tropgc import (DomainError, DomainGapWarning, WeightDatum,
+                    enumerate_stable_graphs, make_heavy_light, max_edges,
+                    signature)
 from tropgc import enumeration, graphs
 from tropgc.enumeration import (
     CELLULAR,
@@ -21,7 +23,8 @@ from tropgc.enumeration import (
 )
 from tropgc.graphs import MarkedGraph, canonicalize, has_loops, is_stable
 
-from .oracles import canonical_key, decode_graph, enumerate_classes
+from .oracles import (canonical_key, decode_graph, enumerate_classes,
+                      reference_is_stable)
 
 EPS = Fraction(1, 100)
 CLASSICAL3 = WeightDatum(1, (Fraction(1),) * 3)
@@ -119,6 +122,49 @@ class TestOracleAgreement:
                for cg in enumerate_stable_graphs(1, NEAR_F3, 2).classes}
         want = set(enumerate_classes(1, NEAR_F3.entries, 2))
         assert got == want
+
+
+# (g, n) of the random data whose direct lists are checked against the
+# filtered classical list; (2, 5) is left out for time (its classical
+# all-graph lists take about 10 s cold)
+FILTER_CASES = [(g, n) for g in range(3) for n in range(1, 6)
+                if 2 * g - 2 + n > 0 and (g, n) != (2, 5)]
+
+
+class TestDirectGeneration:
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_equals_filtered_classical_list(self, data):
+        """Each datum's classes, generated from its own stable parents, are
+        the classical classes that reference_is_stable keeps, with the same
+        encodings in the same order, at every edge count, pure and all."""
+        g, n = data.draw(st.sampled_from(FILTER_CASES))
+        ks = data.draw(st.lists(st.integers(1, 60), min_size=n, max_size=n))
+        assume(60 * (2 * g - 2) + sum(ks) > 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DomainGapWarning)
+            a = WeightDatum(g, tuple(Fraction(k, 60) for k in ks))
+        classical = WeightDatum(g, (Fraction(1),) * n)
+        for pure in (True, False):
+            for m in range(max_edges(g, n) + 1):
+                top = enumerate_stable_graphs(g, classical, m, pure).classes
+                want = [cg.encoding for cg in top
+                        if reference_is_stable(cg.graph, g, a)]
+                got = [cg.encoding for cg in
+                       enumerate_stable_graphs(g, a, m, pure).classes]
+                assert got == want
+
+    def test_light_chamber_writes_only_its_own_files(self, tmp_path,
+                                                     monkeypatch):
+        monkeypatch.setenv("TROPGC_CACHE", str(tmp_path))
+        monkeypatch.setattr(enumeration, "_decoded", {})
+        a = make_heavy_light(1, 5, 0)
+        for m in range(max_edges(1, 5) + 1):
+            enumerate_stable_graphs(1, a, m)
+        own = enumeration.signature_hash(signature(a))
+        names = sorted(p.name for p in tmp_path.iterdir())
+        assert names == [f"g1_n5_m{m}_all_{own}.txt"
+                         for m in range(max_edges(1, 5) + 1)]
 
 
 class TestGeneratorBasis:
@@ -226,8 +272,8 @@ class TestCanonicalParents:
         real_uncontractions = enumeration._uncontractions
         real_canonicalize = enumeration._canonicalize_parts
 
-        def counted_uncontractions(cg):
-            for child in real_uncontractions(cg):
+        def counted_uncontractions(cg, *stability):
+            for child in real_uncontractions(cg, *stability):
                 candidates.append(child)
                 yield child
 

@@ -29,6 +29,7 @@ from tropgc import (
     spectral_json,
 )
 from tropgc.complexes import RELATIVE, restrict
+from tropgc.enumeration import check_aligned
 
 EPS = Fraction(1, 100)
 CLASSICAL3 = WeightDatum(1, (Fraction(1),) * 3)
@@ -46,6 +47,14 @@ FLOOR_G2_RAW = [
     WeightDatum(2, (Fraction(1),) * 3),
 ]
 HEAVY_LIGHT_RAW = [make_heavy_light(1, 3, m) for m in (0, 1, 2)]
+# (1,5): the lowest chamber, the floor chamber Plus iff |S| >= 4, and the
+# heavy/light chamber with two heavy markings
+G1N5_RAW = [make_minimal(1, 5), WeightDatum(1, (Fraction(3, 10),) * 5),
+            make_heavy_light(1, 5, 2)]
+EIGHTH = Fraction(1, 8)
+# aligning it relabels the first datum
+WITNESS_RAW = [WeightDatum(1, (EIGHTH, Fraction(1), EIGHTH, EIGHTH)),
+               WeightDatum(1, (Fraction(1), EIGHTH, Fraction(1), EIGHTH))]
 
 
 @pytest.fixture(scope="module")
@@ -97,12 +106,18 @@ class TestAlign:
             align_chain(2, [CLASSICAL3])
 
     def test_nontrivial_witness_composes(self):
-        eighth = Fraction(1, 8)
-        raw = [WeightDatum(1, (eighth, Fraction(1), eighth, eighth)),
-               WeightDatum(1, (Fraction(1), eighth, Fraction(1), eighth))]
-        aligned, taus = align_chain(1, raw)
+        aligned, taus = align_chain(1, WITNESS_RAW)
         assert taus[0] == (1, 3, 2, 4)
-        assert aligned[0].entries == (eighth, eighth, Fraction(1), eighth)
+        assert aligned[0].entries == (EIGHTH, EIGHTH, Fraction(1), EIGHTH)
+
+    @pytest.mark.parametrize("g,raw", [
+        (1, FIVE_CHAMBER_RAW), (2, FLOOR_G2_RAW), (1, HEAVY_LIGHT_RAW),
+        (1, G1N5_RAW), (1, WITNESS_RAW)],
+        ids=["five_chamber", "floor_g2", "heavy_light", "g1n5", "witness"])
+    def test_aligned_chain_is_nested(self, g, raw):
+        # align_chain leaves the nesting check to build_filtered_complex
+        aligned, _ = align_chain(g, raw)
+        check_aligned(aligned)
 
 
 class TestFilteredComplex:
@@ -173,13 +188,6 @@ class TestPageTables:
         # against the absolute-cycle condition on page 3.
         assert page_dim(floor_g2, 2, 3, -1) == 3
         assert page_dim(floor_g2, 3, 3, -1) == 0
-
-
-
-# (1,5): the lowest chamber, the floor chamber Plus iff |S| >= 4, and the
-# heavy/light chamber with two heavy markings
-G1N5_RAW = [make_minimal(1, 5), WeightDatum(1, (Fraction(3, 10),) * 5),
-            make_heavy_light(1, 5, 2)]
 
 
 class TestInfinityIsPageN:
