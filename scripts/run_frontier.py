@@ -5,11 +5,14 @@ and then warm in the same fresh temporary graph cache: pure enumeration of
 classical (2,5), graph-complex homology of classical (3,2), (2,4) and
 (1,6), and of (1,7) with no heavy marking (make_heavy_light), ten children
 in all. Prints one line per child: the number of pure classes at each edge
-count m = g .. 3g - 3 + n, the nonzero Betti numbers and the seconds of
-the two stages after enumeration, build_graph_complex and homology
-(homology cases only), the wall seconds of the whole case, the child's own
-peak resident set (ru_maxrss) and the number of entries in its canonical
-memo (graphs._canon_cache) at the end.
+count m = g .. 3g - 3 + n, the seconds of the enumeration (on a warm line,
+the cache load), the nonzero Betti numbers and the seconds of the two
+stages after it, build_graph_complex and homology (homology cases only),
+the wall seconds of the whole case, the child's own peak resident set and
+the number of entries in its canonical memo (graphs._canon_cache) at the
+end. The peak is VmHWM from /proc/self/status where that exists, since on
+Linux ru_maxrss also carries the spawning parent's peak across fork and
+exec; elsewhere it is ru_maxrss.
 
     PYTHONPATH=src python scripts/run_frontier.py
 """
@@ -42,7 +45,8 @@ def run(g: int, n: int, heavy: int, with_homology: bool, state: str) -> None:
     counts = [len(enumerate_stable_graphs(g, a, m, pure_only=True).classes)
               for m in range(g, max_edges(g, n) + 1)]
     line = (f"{state}: {name} pure classes at m = {g}..{max_edges(g, n)}: "
-            f"{' '.join(map(str, counts))}")
+            f"{' '.join(map(str, counts))}; "
+            f"enumerate {time.perf_counter() - start:.2f} s")
     if with_homology:
         t0 = time.perf_counter()
         complex_ = build_graph_complex(g, a)
@@ -53,9 +57,20 @@ def run(g: int, n: int, heavy: int, with_homology: bool, state: str) -> None:
         line += (f"; {nonzero or 'all Betti numbers 0'}; "
                  f"build {t1 - t0:.2f} s, homology {t2 - t1:.2f} s")
     seconds = time.perf_counter() - start
-    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    print(f"{line}; total {seconds:.2f} s, peak RSS {peak_mb:.0f} MB, "
+    print(f"{line}; total {seconds:.2f} s, peak RSS {peak_rss_mb():.0f} MB, "
           f"memo {len(graphs._canon_cache)} entries", flush=True)
+
+
+def peak_rss_mb() -> float:
+    """This process's peak resident set in MB: VmHWM, else ru_maxrss."""
+    try:
+        with open("/proc/self/status") as fh:
+            for field in fh:
+                if field.startswith("VmHWM:"):
+                    return int(field.split()[1]) / 1024
+    except OSError:
+        pass
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
 def main() -> None:

@@ -17,11 +17,18 @@ signature hash) and store one canonical graph encoding per line, after a
 header line with that key, the line count and a SHA-256 of the body, so a
 truncated, damaged or misplaced file is recomputed, not believed. The
 header is checked on every load; the body of a file that passes is checked
-line by line once per process: each line is parsed into parts and
-canonicalized, and must equal its form's encoding byte for byte, or the
-file is recomputed. Its classes are kept in memory under the body's
-SHA-256, so identical bytes are never decoded twice. A body this process
-wrote is kept in memory when it is written, and is not decoded at all.
+line by line once per process, in one strict pass per line
+(graphs._decode_canonical): the line must be in the grammar that
+encode_graph writes (no sign, space, underscore, leading zero or empty
+item), with markings 1..k in order and a genus prefix equal to b1 plus the
+total weight; the parts it names must be a valid graph (indices in range,
+connected) and equal their own canonical form, confirmed in place when no
+two vertices share a colour. A line that fails any of these, or a body that
+does not end in a newline, makes the file recomputed. An accepted line is
+then its form's encoding, and is kept as that. Its classes are kept in
+memory under the body's SHA-256, so identical bytes are never decoded
+twice. A body this process wrote is kept in memory when it is written, and
+is not decoded at all.
 """
 
 from __future__ import annotations
@@ -36,8 +43,8 @@ from typing import Iterable, Optional, Sequence
 from .chambers import (ChamberSignature, DomainError, WeightDatum,
                        compare_signatures, signature)
 from .graphs import (CanonicalGraph, Edge, MarkedGraph, Parts,
-                     _canonicalize_parts, _parse_encoding, _stability_levels,
-                     _vertex_colors, canonicalize)
+                     _canonicalize_parts, _decode_canonical,
+                     _stability_levels, _vertex_colors, canonicalize)
 
 CACHE_ENV_VAR = "TROPGC_CACHE"
 DEFAULT_CACHE_DIR = ".tropgc-cache"
@@ -237,26 +244,15 @@ def _cache_load(path: str) -> Optional[tuple[CanonicalGraph, ...]]:
             raise ValueError("its header is missing or does not match its "
                              "name or contents")
         if digest not in _decoded:
-            _decoded[digest] = tuple(
-                _decode_canonical(line)
-                for line in body.decode("ascii").splitlines())
+            lines = body.decode("ascii").split("\n")
+            if lines.pop():  # text after the last newline
+                raise ValueError("its last line has no newline")
+            _decoded[digest] = tuple(map(_decode_canonical, lines))
     except ValueError as exc:
         warnings.warn(f"ignoring cache file {path}: {exc}; recomputing",
                       stacklevel=2)
         return None
     return _decoded[digest]
-
-
-def _decode_canonical(line: str) -> CanonicalGraph:
-    """The class whose canonical encoding is line, byte for byte (so its
-    genus prefix, marking order and numerals too); ValueError otherwise."""
-    try:
-        cg, _ = _canonicalize_parts(*_parse_encoding(line)[1])
-    except (ValueError, IndexError) as exc:
-        raise ValueError(f"bad graph encoding: {line!r}") from exc
-    if cg.encoding != line:
-        raise ValueError(f"cache entry is not canonical: {line!r}")
-    return cg
 
 
 def _cache_store(path: str, classes: tuple[CanonicalGraph, ...]) -> None:

@@ -17,18 +17,30 @@ trivial, so no search runs. Besides vertex automorphisms, a swap of two
 parallel edges (or of two loops at one vertex) induces an odd edge
 transposition, while flipping the two half-edges of a single loop induces
 the identity on edges. A canonical graph's text encoding is computed at
-most once.
+most once, or is the cache line that the form was read from.
 
 Canonical forms are memoized by (weights, edges, legs) tuples: the parts
 of validated graphs, or range-checked parts whose relabeling is a
 validated form. Contractions, uncontractions and cache lines are
 canonicalized from their parts: on a memo miss the color classes and the
 relabeling are computed from the parts, and a graph is built (and
-validated) only when the canonical form is new, once per form.
+validated) only when the canonical form is new, once per form. Parts whose
+colors strictly increase along the vertex order, with their edges sorted
+low end first, are confirmed to be their own form in place, with no color
+classes, relabeling or sort.
+
+An encoding is written by encode_graph and read only by _decode_canonical,
+which checks a cache line in one strict pass: it accepts exactly the text
+encode_graph writes for a canonical form (numerals as str() writes them,
+markings 1..k in order, the genus prefix), confirms that the parts read are
+their own canonical form (in place for a graph without tied colors) and
+keeps the line as the form's encoding.
 """
 
 from __future__ import annotations
 
+import operator
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations, product
@@ -218,19 +230,6 @@ def _vertex_colors(weights: tuple[int, ...], edges: tuple[Edge, ...],
     return list(zip(weights, degrees, markings))
 
 
-def _color_classes(weights: tuple[int, ...], edges: tuple[Edge, ...],
-                   legs: tuple[int, ...]) -> Optional[list[list[int]]]:
-    """Vertices grouped by colour (_vertex_colors), sorted by colour; None
-    when an edge end or a leg names no vertex 0..len(weights)-1."""
-    vertex_colors = _vertex_colors(weights, edges, legs)
-    if vertex_colors is None:
-        return None
-    colors: dict[tuple, list[int]] = {}
-    for v, color in enumerate(vertex_colors):
-        colors.setdefault(color, []).append(v)
-    return [colors[k] for k in sorted(colors)]
-
-
 def _permutation_parity(perm: Sequence[int]) -> int:
     """+1 for even, -1 for odd."""
     seen = [False] * len(perm)
@@ -278,14 +277,29 @@ def _canonicalize_parts(weights: tuple[int, ...], edges: tuple[Edge, ...],
     form is: a form already memoized was validated when it was built, and a
     new form is built and validated here. Parts with an index out of range
     go to the constructor, which raises its own error.
+
+    When the vertex colours strictly increase along the vertex order, each
+    colour class is one vertex and sorting the classes keeps every vertex in
+    place, so the relabeling is the identity; when the edges are also
+    written low end first and sorted, the stable sort below keeps them in
+    place too. Then the parts are their own form, the edge map is the
+    identity, and neither is computed.
     """
     key = (weights, edges, legs)
     cached = _canon_cache.get(key)
     if cached is not None:
         return cached
-    classes = _color_classes(weights, edges, legs)
-    if classes is None:
+    colors = _vertex_colors(weights, edges, legs)
+    if colors is None:
         return canonicalize(MarkedGraph(weights, edges, legs))
+    if (all(map(operator.lt, colors, colors[1:]))
+            and all(u <= v for u, v in edges)
+            and all(map(operator.le, edges, edges[1:]))):
+        return _new_form(key, ())
+    groups: dict[tuple, list[int]] = {}
+    for v, color in enumerate(colors):
+        groups.setdefault(color, []).append(v)
+    classes = [groups[color] for color in sorted(groups)]
     nv = len(weights)
     if len(classes) == nv:
         # Singleton colors: one arrangement, and only the identity fixes it.
@@ -311,19 +325,25 @@ def _canonicalize_parts(weights: tuple[int, ...], edges: tuple[Edge, ...],
         new_weights[ref[old]] = w
     form = (tuple(new_weights), tuple([e for e, _ in mapped]),
             tuple(map(ref.__getitem__, legs)))
-    known = _canon_cache.get(form)
-    if known is None:
-        canon = MarkedGraph(*form)  # built and validated once per form
-        cg = CanonicalGraph(canon, _has_odd_edge_automorphism(canon.edges,
-                                                              generators),
-                            generators)
-        # keyed by the graph's own field tuples, which the key then shares
-        _canon_cache[(canon.weights, canon.edges, canon.legs)] = (
-            cg, tuple(range(len(edge_map))))
-    else:
-        cg = known[0]  # the same form, reached from another input
+    # the form is memoized if another input reached it first
+    cg = (_canon_cache.get(form) or _new_form(form, generators))[0]
     result = (cg, tuple(edge_map))
     _canon_cache[key] = result
+    return result
+
+
+def _new_form(form: Parts, generators: tuple[Permutation, ...]
+              ) -> tuple[CanonicalGraph, Permutation]:
+    """The canonical graph with these parts and vertex automorphism
+    generators, built and validated (once per form), memoized with the
+    identity edge map, which is returned with it."""
+    canon = MarkedGraph(*form)
+    cg = CanonicalGraph(canon, _has_odd_edge_automorphism(canon.edges,
+                                                          generators),
+                        generators)
+    result = (cg, tuple(range(len(canon.edges))))
+    # keyed by the graph's own field tuples, which the key then shares
+    _canon_cache[(canon.weights, canon.edges, canon.legs)] = result
     return result
 
 
@@ -401,29 +421,48 @@ def encode_graph(graph: MarkedGraph) -> str:
     return f"{genus(graph)};{w};edges=({e});legs=({l})"
 
 
-def _parse_encoding(text: str) -> tuple[str, Parts]:
-    """The genus prefix (unparsed) and the (weights, edges, legs) written in
-    an encoding, unvalidated. Markings may come in any order but must be
-    1..k, each once. Raises ValueError on text of another shape."""
-    g_part, w_part, e_part, l_part = text.split(";")
-    if not (e_part.startswith("edges=(") and e_part.endswith(")")):
-        raise ValueError("no edges=(...) part")
-    if not (l_part.startswith("legs=(") and l_part.endswith(")")):
-        raise ValueError("no legs=(...) part")
-    weights = tuple(map(int, w_part.split(",")))
-    e_body = e_part[len("edges=("):-1]
-    edges = []
-    for item in e_body.split(",") if e_body else ():
-        u, v = item.split("-")
-        edges.append((int(u), int(v)))
-    l_body = l_part[len("legs=("):-1]
-    items = l_body.split(",") if l_body else []
-    legs_map = {}
-    for item in items:
-        i, v = item.split("@")
-        legs_map[int(i)] = int(v)
-    markings = range(1, len(items) + 1)
-    if sorted(legs_map) != list(markings):
-        raise ValueError("markings are not 1..k, each once")
-    return g_part, (weights, tuple(edges), tuple(map(legs_map.get, markings)))
+# The text encode_graph writes, around numerals as str() writes them, in
+# ASCII digits.
+_N = "(?:0|[1-9][0-9]*)"
+_ENCODING = re.compile(
+    rf"({_N});({_N}(?:,{_N})*);edges=\(((?:{_N}-{_N}(?:,{_N}-{_N})*)?)\);"
+    rf"legs=\(((?:{_N}@{_N}(?:,{_N}@{_N})*)?)\)")
 
+
+def _decode_canonical(line: str) -> CanonicalGraph:
+    """The class whose canonical encoding is line, byte for byte, with line
+    as its encoding unless that was already computed. ValueError "bad graph
+    encoding" for text outside the grammar _ENCODING or parts that are not
+    a valid graph (an index out of range, or disconnected); ValueError
+    "encoding is not canonical" for markings other than 1..k in order, a
+    genus prefix other than b1 + sum of weights, or parts other than their
+    own canonical form.
+
+    An accepted line is encode_graph(form): each numeral in the grammar is
+    what str() writes for its value, the form's weights, edges and legs are
+    the parts read, in order, its markings are 1..k in order as encode_graph
+    numbers them, and its genus is the prefix. Conversely, encode_graph
+    writes every canonical form in the grammar, and a form is its own form.
+    """
+    match = _ENCODING.fullmatch(line)
+    if match is None:
+        raise ValueError(f"bad graph encoding: {line!r}")
+    g_text, w_text, e_text, l_text = match.groups()
+    weights = tuple(map(int, w_text.split(",")))
+    ends = e_text.replace("-", ",").split(",") if e_text else ()
+    edges = tuple(zip(map(int, ends[::2]), map(int, ends[1::2])))
+    marked = l_text.replace("@", ",").split(",") if l_text else ()
+    legs = tuple(map(int, marked[1::2]))
+    if (list(map(int, marked[::2])) != list(range(1, len(legs) + 1))
+            or int(g_text) != len(edges) - len(weights) + 1 + sum(weights)):
+        raise ValueError(f"encoding is not canonical: {line!r}")
+    try:
+        cg, _ = _canonicalize_parts(weights, edges, legs)
+    except ValueError as exc:
+        raise ValueError(f"bad graph encoding: {line!r}") from exc
+    graph = cg.graph
+    if (graph.weights, graph.edges, graph.legs) != (weights, edges, legs):
+        raise ValueError(f"encoding is not canonical: {line!r}")
+    # set the cached property, unless it is set, to the equal line
+    vars(cg).setdefault("encoding", line)
+    return cg

@@ -551,15 +551,42 @@ def relabel_legs(graph, sigma: Sequence[int]):
                        tuple(graph.legs[s[j] - 1] for j in range(n)))
 
 
+def parse_encoding(text: str) -> tuple[str, Key]:
+    """The genus prefix (unparsed) and the (weights, edges, legs) written in
+    an encoding, unvalidated. Markings may come in any order but must be
+    1..k, each once. Raises ValueError on text of another shape."""
+    g_part, w_part, e_part, l_part = text.split(";")
+    if not (e_part.startswith("edges=(") and e_part.endswith(")")):
+        raise ValueError("no edges=(...) part")
+    if not (l_part.startswith("legs=(") and l_part.endswith(")")):
+        raise ValueError("no legs=(...) part")
+    weights = tuple(map(int, w_part.split(",")))
+    e_body = e_part[len("edges=("):-1]
+    edges = []
+    for item in e_body.split(",") if e_body else ():
+        u, v = item.split("-")
+        edges.append((int(u), int(v)))
+    l_body = l_part[len("legs=("):-1]
+    items = l_body.split(",") if l_body else []
+    legs_map = {}
+    for item in items:
+        i, v = item.split("@")
+        legs_map[int(i)] = int(v)
+    markings = range(1, len(items) + 1)
+    if sorted(legs_map) != list(markings):
+        raise ValueError("markings are not 1..k, each once")
+    return g_part, (weights, tuple(edges), tuple(map(legs_map.get, markings)))
+
+
 def decode_graph(text: str):
-    """The MarkedGraph written in an encode_graph text, read with the
-    library's own parser (graphs._parse_encoding, which the cache path
-    uses); ValueError on text of another shape or a wrong genus prefix."""
+    """The MarkedGraph written in an encode_graph text, markings in any
+    order (parse_encoding); ValueError on text of another shape or a wrong
+    genus prefix."""
     from tropgc import MarkedGraph
-    from tropgc.graphs import _parse_encoding, genus
+    from tropgc.graphs import genus
 
     try:
-        g_part, parts = _parse_encoding(text.strip())
+        g_part, parts = parse_encoding(text.strip())
         graph = MarkedGraph(*parts)
         prefix = int(g_part)
     except ValueError as exc:

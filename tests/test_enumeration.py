@@ -5,13 +5,14 @@ import os
 import warnings
 from fractions import Fraction
 from functools import lru_cache
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from tropgc import (DomainError, DomainGapWarning, WeightDatum,
-                    enumerate_stable_graphs, make_heavy_light, max_edges,
-                    signature)
+                    enumerate_stable_graphs, make_floor, make_heavy_light,
+                    max_edges, signature)
 from tropgc import enumeration, graphs
 from tropgc.enumeration import (
     CELLULAR,
@@ -21,7 +22,8 @@ from tropgc.enumeration import (
     filtration_levels,
     generator_basis,
 )
-from tropgc.graphs import MarkedGraph, canonicalize, has_loops, is_stable
+from tropgc.graphs import (MarkedGraph, canonicalize, encode_graph, has_loops,
+                          is_stable)
 
 from .oracles import (canonical_key, decode_graph, enumerate_classes,
                       reference_is_stable)
@@ -306,6 +308,15 @@ MALFORMED_LINES = {
     "vertex-out-of-range": "1;0,0,0;edges=(0-1,1-2,2-3);legs=(1@0,2@0,3@1)",
     "three-ended-edge": "1;0,0,0;edges=(0-1-2,1-2,2-2);legs=(1@0,2@0,3@1)",
     "empty-weights": "1;;edges=(0-1,1-2,2-2);legs=(1@0,2@0,3@1)",
+    # int() reads "0_1" and "1\t" as 1, so only the grammar rejects these
+    "underscore": "1;0,0,0;edges=(0-1,1-2,2-2);legs=(1@0,2@0,3@0_1)",
+    "tab": "1;0,0,0;edges=(0-1,1-2,2-2);legs=(1@0,2@0,3@1\t)",
+    "trailing-comma": "1;0,0,0;edges=(0-1,1-2,2-2);legs=(1@0,2@0,3@1,)",
+    # canonical text and vertex order, edges out of order: only the
+    # in-place order test rejects it
+    "edges-swapped": "1;0,0,0;edges=(1-2,0-1,2-2);legs=(1@0,2@0,3@1)",
+    # written with a CRLF line end
+    "carriage-return": CACHE_LINE + "\r",
 }
 
 
@@ -381,3 +392,72 @@ class TestCache:
 
         monkeypatch.setattr(enumeration, "_decode_canonical", no_decode)
         assert enumerate_stable_graphs(1, CLASSICAL3, 3).classes == computed
+
+    def test_body_without_final_newline_is_recomputed(self, tmp_path,
+                                                       monkeypatch):
+        monkeypatch.setenv("TROPGC_CACHE", str(tmp_path))
+        monkeypatch.setattr(enumeration, "_decoded", {})
+        computed = enumerate_stable_graphs(1, CLASSICAL3, 3).classes
+        [path] = tmp_path.glob("g1_n3_m3_all_*.txt")
+        good = path.read_bytes()
+        data = good.split(b"\n", 1)[1][:-1]
+        header = enumeration._cache_header(
+            str(path), data, hashlib.sha256(data).hexdigest())
+        path.write_bytes(header + b"\n" + data)
+        with pytest.warns(UserWarning, match="no newline") as caught:
+            assert enumerate_stable_graphs(1, CLASSICAL3, 3).classes == \
+                computed
+        assert len(caught) == 1
+        assert path.read_bytes() == good
+
+
+@lru_cache(maxsize=None)
+def decoder_classes():
+    """Every class of (1,4) (all and pure), of pure (2,3), of the (0,7)
+    heavy/light datum with 4 heavy markings and of the pure (1,5) floor
+    datum at level 4."""
+    classical4 = WeightDatum(1, (Fraction(1),) * 4)
+    cases = ((classical4, False), (classical4, True),
+             (WeightDatum(2, (Fraction(1),) * 3), True),
+             (make_heavy_light(0, 7, 4), False), (make_floor(1, 5, 4), True))
+    classes = []
+    for a, pure in cases:
+        for m in range(max_edges(a.g, a.n) + 1):
+            classes += enumerate_stable_graphs(a.g, a, m, pure).classes
+    return tuple(classes)
+
+
+# characters a single-character edit of a cache line inserts or writes
+EDIT_CHARS = "0123456789,;-@()+ _"
+
+
+class TestDecodeCanonical:
+    def test_every_class_decodes_to_itself(self):
+        classes = decoder_classes()
+        with mock.patch.dict(graphs._canon_cache, clear=True):
+            for cg in classes:
+                line = cg.encoding
+                decoded = graphs._decode_canonical(line)
+                assert decoded is not cg
+                assert decoded == cg
+                assert decoded.encoding is line
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_edited_line_is_rejected_or_its_own_encoding(self, data):
+        # encode_graph, not the decoder's grammar, is the oracle: an edit
+        # may only be accepted as the encoding of the form it decodes to.
+        line = data.draw(st.sampled_from(decoder_classes())).encoding
+        edit = data.draw(st.sampled_from(("insert", "delete", "replace")))
+        at = data.draw(st.integers(0, len(line) - (edit != "insert")))
+        new = ("" if edit == "delete"
+               else data.draw(st.sampled_from(EDIT_CHARS)))
+        edited = line[:at] + new + line[at + (edit != "insert"):]
+        cold = data.draw(st.booleans(), label="cold memo")
+        with mock.patch.dict(graphs._canon_cache, clear=cold):
+            try:
+                decoded = graphs._decode_canonical(edited)
+            except ValueError:
+                return
+        assert encode_graph(decoded.graph) == edited
+        assert decoded.encoding == edited
