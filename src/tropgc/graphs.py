@@ -43,7 +43,7 @@ import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import permutations, product
+from itertools import chain, permutations, product
 from typing import Iterable, Optional, Sequence
 
 from .chambers import DomainError, WeightDatum
@@ -77,9 +77,14 @@ class MarkedGraph:
     legs: tuple[int, ...]  # legs[i] = vertex carrying marking i + 1
 
     def __post_init__(self):
-        weights = tuple(map(int, self.weights))
-        edges = tuple([(u, v) if u <= v else (v, u) for u, v in self.edges])
-        legs = tuple(map(int, self.legs))
+        weights, edges, legs = (tuple(self.weights), tuple(self.edges),
+                                tuple(self.legs))
+        for x in chain(weights, chain.from_iterable(edges), legs):
+            # int() would read 1.5, Fraction(3, 2) and True as 1
+            if type(x) is not int:
+                raise TypeError(f"weights, edge ends and legs must be ints, "
+                                f"not {x!r}")
+        edges = tuple([(u, v) if u <= v else (v, u) for u, v in edges])
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "legs", legs)

@@ -90,9 +90,27 @@ class TestConstruction:
             MarkedGraph(weights, edges, legs)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("weights,edges,legs,bad", [
+        ((1.5,), (), (0,), 1.5),
+        ((Fraction(3, 2),), (), (0,), Fraction(3, 2)),
+        ((True,), (), (0,), True),
+        ((1,), (), (0.7,), 0.7),
+        ((0, 0), ((0.0, 1),), (), 0.0),
+        ((0, 0), ((1, "0"),), (), "0"),
+        # not the one-vertex genus-1 graph 1;1;edges=();legs=(1@0)
+        ((1.5,), (), (0.7,), 1.5),
+    ])
+    def test_rejects_non_int_parts(self, weights, edges, legs, bad):
+        with pytest.raises(TypeError) as info:
+            MarkedGraph(weights, edges, legs)
+        assert str(info.value) == ("weights, edge ends and legs must be "
+                                   f"ints, not {bad!r}")
+
     def test_edges_stored_sorted_per_edge(self):
         g = MarkedGraph((0, 0), ((1, 0), (0, 1)), (0, 1))
         assert g.edges == ((0, 1), (0, 1))
+        # lists are stored as tuples
+        assert MarkedGraph([0, 0], [[1, 0], [0, 1]], [0, 1]) == g
 
 
 

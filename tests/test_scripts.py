@@ -1,6 +1,8 @@
 """Smoke tests of the example scripts: each runs to completion in a fresh
-cache and prints its headline result."""
+cache and prints its headline result. The frontier script's pin check is
+tested on its own, since the full run takes about 25 s."""
 
+import importlib.util
 import os
 import re
 import subprocess
@@ -59,3 +61,54 @@ def test_census_points(tmp_path):
         entries = [Fraction(x) for x in match.group(1).split(",")]
         assert len(entries) == 4
         assert all(0 < x <= 1 for x in entries), line
+
+
+def load_frontier():
+    spec = importlib.util.spec_from_file_location(
+        "run_frontier", ROOT / "scripts" / "run_frontier.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+FRONTIER = load_frontier()
+
+
+def case_id(case) -> str:
+    return "g{}n{}h{}".format(*case[:3])
+
+
+def missed_pins():
+    """Each case with its class counts or Betti numbers missing one pin, as
+    (case, counts, betti)."""
+    for case in FRONTIER.CASES:
+        counts, betti = case[3], case[4]
+        yield pytest.param(case, counts[:-1] + [counts[-1] + 1], betti,
+                           id=f"{case_id(case)}-class-count")
+        if betti:
+            k = max(betti)
+            yield pytest.param(case, counts, {**betti, k: betti[k] + 1},
+                               id=f"{case_id(case)}-betti-changed")
+        if betti is not None:
+            extra = {**betti, min(betti, default=0) - 1: 1}
+            yield pytest.param(case, counts, extra,
+                               id=f"{case_id(case)}-betti-extra")
+
+
+@pytest.mark.parametrize("case", FRONTIER.CASES, ids=case_id)
+def test_frontier_pins_pass(case):
+    FRONTIER.check(case, "cold", case[3], case[4])
+
+
+@pytest.mark.parametrize("case,counts,betti", missed_pins())
+def test_frontier_missed_pin(case, counts, betti):
+    with pytest.raises(SystemExit) as info:
+        FRONTIER.check(case, "warm", counts, betti)
+    g, n, heavy, pinned_counts, pinned_betti = case
+    name = f"({g},{n})" if heavy == n else f"({g},{n}) heavy {heavy}"
+    if counts != pinned_counts:
+        what, expected, got = "pure classes", pinned_counts, counts
+    else:
+        what, expected, got = "Betti numbers", pinned_betti, betti
+    assert str(info.value) == (f"{name} warm: expected {what} {expected}, "
+                               f"got {got}")
