@@ -5,7 +5,12 @@ endpoint pairs; loops allowed; the list order is the graph's edge order),
 and a placement of markings 1..n on vertices (each marking is a leg).
 Connectivity is required.
 
-Every constructed graph is normalized and validated once, in one pass.
+Every constructed graph is normalized and validated once, in one pass:
+the constructor makes its parts tuples, writes each edge low end first and
+checks ints only, at least one vertex, no negative weight, every index in
+range and connectivity. Parts canonicalized without a graph get only a
+range check before their relabeling (_vertex_colors); the other checks run
+when their canonical form is built, once per form (_new_form).
 
 Canonical labeling works by brute-force minimization over vertex
 relabelings that respect the (weight, edge degree, marking multiset) color
@@ -17,7 +22,9 @@ trivial, so no search runs. Besides vertex automorphisms, a swap of two
 parallel edges (or of two loops at one vertex) induces an odd edge
 transposition, while flipping the two half-edges of a single loop induces
 the identity on edges. A canonical graph's text encoding is computed at
-most once, or is the cache line that the form was read from.
+most once, or is the cache line that the form was read from. Every
+identity edge map that canonicalization returns is one shared tuple per
+edge count, whose sign edge_map_sign gives without a parity.
 
 Canonical forms are memoized by (weights, edges, legs) tuples: the parts
 of validated graphs, or range-checked parts whose relabeling is a
@@ -277,11 +284,14 @@ def _canonicalize_parts(weights: tuple[int, ...], edges: tuple[Edge, ...],
     that graph.
 
     The relabeling is computed from the parts once their vertex indices are
-    checked to be in range. A vertex bijection keeps weights, connectivity
-    and vertex count, so the parts are valid exactly when their canonical
-    form is: a form already memoized was validated when it was built, and a
-    new form is built and validated here. Parts with an index out of range
-    go to the constructor, which raises its own error.
+    checked to be in range (_vertex_colors); that is the only check the
+    parts get here. A vertex bijection keeps weights, connectivity and
+    vertex count, so the parts are valid exactly when their canonical form
+    is: a form already memoized was validated when it was built, and a new
+    form is built by the constructor, which runs every check, in _new_form.
+    Parts with an index out of range go to the constructor, which raises its
+    own error. An edge map equal to the identity is returned as the shared
+    identity of its edge count.
 
     When the vertex colours strictly increase along the vertex order, each
     colour class is one vertex and sorting the classes keeps every vertex in
@@ -332,7 +342,9 @@ def _canonicalize_parts(weights: tuple[int, ...], edges: tuple[Edge, ...],
             tuple(map(ref.__getitem__, legs)))
     # the form is memoized if another input reached it first
     cg = (_canon_cache.get(form) or _new_form(form, generators))[0]
-    result = (cg, tuple(edge_map))
+    edge_map = tuple(edge_map)
+    identity = _identity_edge_map(len(edge_map))
+    result = (cg, identity if edge_map == identity else edge_map)
     _canon_cache[key] = result
     return result
 
@@ -341,15 +353,32 @@ def _new_form(form: Parts, generators: tuple[Permutation, ...]
               ) -> tuple[CanonicalGraph, Permutation]:
     """The canonical graph with these parts and vertex automorphism
     generators, built and validated (once per form), memoized with the
-    identity edge map, which is returned with it."""
+    shared identity edge map of its edge count, which is returned with it.
+
+    The constructor runs all of its checks here, the index ranges and the
+    edge normalization too, although _canonicalize_parts has established
+    both, so that every graph is built by one path.
+    """
     canon = MarkedGraph(*form)
     cg = CanonicalGraph(canon, _has_odd_edge_automorphism(canon.edges,
                                                           generators),
                         generators)
-    result = (cg, tuple(range(len(canon.edges))))
+    result = (cg, _identity_edge_map(len(canon.edges)))
     # keyed by the graph's own field tuples, which the key then shares
     _canon_cache[(canon.weights, canon.edges, canon.legs)] = result
     return result
+
+
+# _identity_edge_map(m) for every m asked for so far, at index m.
+_identities: list[Permutation] = []
+
+
+def _identity_edge_map(m: int) -> Permutation:
+    """The identity map of m edges, one shared tuple per m: a canonical form
+    reaches itself by it, and edge_map_sign tells it apart by identity."""
+    while len(_identities) <= m:
+        _identities.append(tuple(range(len(_identities))))
+    return _identities[m]
 
 
 def _has_odd_edge_automorphism(edges: tuple[Edge, ...],
@@ -415,6 +444,11 @@ def _minimal_relabeling(edges: tuple[Edge, ...], legs: tuple[int, ...],
 
 
 def edge_map_sign(edge_map: Sequence[int]) -> int:
+    """The sign of an edge map: +1 without a parity for the shared identity
+    of its edge count (_identity_edge_map)."""
+    m = len(edge_map)
+    if m < len(_identities) and edge_map is _identities[m]:
+        return 1
     return _permutation_parity(edge_map)
 
 

@@ -1,13 +1,17 @@
 """Exact sparse linear algebra over the rationals.
 
-Matrices normalize each entry once, when they are built: an integral value
-is stored as an int and any other as a fractions.Fraction. Every operation
-is exact; no floating point appears anywhere. Graph complex boundaries are
-integral, so their products (the d o d check) and their reductions run on
-int throughout. There is one elimination, column_pivots: a fraction-free,
-left-to-right column reduction that clears each column to a primitive
-integer vector and reduces it against earlier pivot columns until its
-lowest row is new. The rank is the number of pivots. By the pairing lemma
+Matrices normalize each entry once, when they are built: an int is kept as
+it is, any other integral value is stored as an int and any other as a
+fractions.Fraction. Every operation is exact; no floating point appears
+anywhere. Graph complex boundaries are integral, so their products (the
+d o d check) and their reductions run on int throughout. There is one
+elimination, column_pivots: a fraction-free, left-to-right column reduction
+that clears each column to a primitive integer vector (denominators only in
+a column holding a Fraction) and reduces it against earlier pivot columns
+until its lowest row is new. Each pivot column is stored with a positive
+pivot entry, so a later column reduced against it with a unit pivot ratio
+is updated in place; column signs never move a pivot row. The rank is the
+number of pivots. By the pairing lemma
 of persistence (Cohen-Steiner, Edelsbrunner and Morozov, "Vines and
 vineyards", 2006), with columns and rows ordered by a filtration, the rank
 of every lower-left block is the number of pivots inside it. A column known
@@ -58,7 +62,7 @@ class RationalMatrix:
         for (i, j), x in items:
             if not (0 <= i < rows and 0 <= j < cols):
                 raise ValueError(f"entry ({i},{j}) outside {rows}x{cols} matrix")
-            v = _exact(x)
+            v = x if type(x) is int else _exact(x)
             if v:
                 clean[(i, j)] = v
         object.__setattr__(self, "_entries", clean)
@@ -113,12 +117,15 @@ def column_pivots(m: RationalMatrix, order: Optional[Iterable[int]] = None,
     """Left-to-right column reduction of m: {column: (pivot row, column)}.
 
     Columns are taken in `order` (default: left to right) as primitive
-    integer vectors. Each is reduced against the earlier pivot columns until
-    its lowest row, the maximum under `row_key` (default: the row index), is
-    not yet a pivot row, or until it vanishes; only pivot columns are
-    returned, with their reduced entries {row: integer}. The update
-    new = (p/g) * column - (c/g) * pivot_column, g = gcd(p, c), followed by
-    content removal keeps all arithmetic in Z.
+    integer vectors; denominators are cleared only in a column holding a
+    Fraction. Each is reduced against the earlier pivot columns until its
+    lowest row, the maximum under `row_key` (default: the row index), is not
+    yet a pivot row, or until it vanishes; only pivot columns are returned,
+    with their reduced entries {row: integer} and a positive pivot entry.
+    The update new = (p/g) * column - (c/g) * pivot_column, g = gcd(p, c),
+    followed by content removal keeps all arithmetic in Z; as p > 0, it
+    runs in place when p/g = 1. Scaling a column moves no pivot row, so
+    the sign of a stored pivot column changes no pivot.
     """
     cols: dict[int, dict[int, Scalar]] = {}
     for (i, j), v in m._entries.items():
@@ -126,18 +133,22 @@ def column_pivots(m: RationalMatrix, order: Optional[Iterable[int]] = None,
     by_row: dict[int, dict[int, int]] = {}
     pivots: dict[int, tuple[int, dict[int, int]]] = {}
     for j in range(m.cols) if order is None else order:
-        col = _primitive(cols.get(j, {}))
+        # popped, so col is not shared and can be updated in place
+        col = cols.pop(j, {})
+        col = (_content_free(col) if all(type(v) is int for v in col.values())
+               else _primitive(col))
         while col:
             low = max(col, key=row_key)
             prev = by_row.get(low)
             if prev is None:
+                if col[low] < 0:
+                    col = {i: -v for i, v in col.items()}
                 by_row[low] = col
                 pivots[j] = (low, col)
                 break
             p, c = prev[low], col[low]
             g = gcd(p, c)
             p, c = p // g, c // g
-            # col is not shared yet, so with p = 1 it is updated in place
             new = {i: p * v for i, v in col.items()} if p != 1 else col
             for i, v in prev.items():
                 w = new.get(i, 0) - c * v

@@ -16,9 +16,11 @@ from tropgc import (
     build_graph_complex,
     build_relative_complex,
     enumerate_stable_graphs,
+    filtered_from_raw,
     homology,
     make_floor,
     make_heavy_light,
+    make_minimal,
     moduli_label,
     rank,
     split_AB,
@@ -379,6 +381,46 @@ class TestClearing:
         assert homology(c).betti == {
             k: c.dim(k) - len(cleared_pivots[k])
             - len(cleared_pivots.get(k + 1, ())) for k in c.degrees}
+
+
+def _digest(obj) -> str:
+    return hashlib.sha256(repr(obj).encode()).hexdigest()
+
+
+def _chain_digests(c, levels=None):
+    """SHA-256 of every boundary's sorted entries, and of every
+    boundary_pivots {column: pivot row}, degree by degree."""
+    return (_digest([sorted(b.entries().items()) for b in c.boundaries]),
+            _digest([(k, sorted(lows.items()))
+                     for k, lows in boundary_pivots(c, levels)]))
+
+
+class TestPinnedBoundaries:
+    """Boundary signs and pivots, pinned as digests of the output of an
+    earlier version: any changed sign, entry or pivot row fails."""
+
+    def test_heavy_light_0_7_4(self):
+        c = build_graph_complex(0, make_heavy_light(0, 7, 4))
+        assert _chain_digests(c) == (
+            "0b3bbba61fb04fc3446981ef8aa59f821505479c89a1a49933c7d266197e6d01",
+            "9e4c1ddb4ad4d28ae4078c25fbe3c3035d3f24053367050cdfa090668c29b65f")
+
+    def test_classical_1_4(self):
+        c = build_graph_complex(1, CLASSICAL4)
+        assert _chain_digests(c) == (
+            "20fa4edc5e775c2d6516858d7d4abb925eb662dc5ac644d8b018b0a3b430c7a8",
+            "5cde9227e89364fb2deb4e29efe2567cb7178f548353a5b5f725645a6f42b089")
+
+    def test_filtered_1_5_pairs(self):
+        # the chain shape of the spectral-warm-g1n5 benchmark workload
+        f = filtered_from_raw(1, [make_minimal(1, 5), make_floor(1, 5, 4),
+                                  make_heavy_light(1, 5, 2)])
+        assert _chain_digests(f.base, f.levels) == (
+            "45bd8048fec45bdad1f0c9345223abb111fa6badff0480d7e001c7f78ba2c4eb",
+            "743a0d8d0fefe91eb96957fd1b7361df4c5f8f2da84c15df2f99fc1c5ca30261")
+        pairs = sorted((k, sorted(v)) for k, v in f.pairs.items())
+        assert _digest(pairs) == (
+            "557147863447a1acafee4cad54038e1690abe15311852e8639518b8f484a0fb5")
 
 
 class TestRelative:

@@ -315,6 +315,9 @@ MALFORMED_LINES = {
     # canonical text and vertex order, edges out of order: only the
     # in-place order test rejects it
     "edges-swapped": "1;0,0,0;edges=(1-2,0-1,2-2);legs=(1@0,2@0,3@1)",
+    # in the grammar, genus prefix right, colours and edges in order: only
+    # the connectivity check rejects it
+    "disconnected": "0;0,0;edges=(1-1);legs=(1@0,2@1,3@1)",
     # written with a CRLF line end
     "carriage-return": CACHE_LINE + "\r",
 }

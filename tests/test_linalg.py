@@ -306,6 +306,19 @@ class TestRandomized:
                 assert sum(x * y for x, y in zip(row, vec)) == 0
 
     @settings(max_examples=120, deadline=None)
+    @given(st.lists(st.lists(st.integers(-3, 3), min_size=4, max_size=4),
+                    min_size=1, max_size=5), st.data())
+    def test_pivots_ignore_column_signs(self, rows, data):
+        m = RationalMatrix.from_rows(rows)
+        j = data.draw(st.integers(0, m.cols - 1))
+        flipped = RationalMatrix(m.rows, m.cols, {
+            (i, k): -v if k == j else v for (i, k), v in m.entries().items()})
+        pivots = column_pivots(m)
+        assert ({k: low for k, (low, _) in pivots.items()}
+                == {k: low for k, (low, _) in column_pivots(flipped).items()})
+        assert all(col[low] > 0 for low, col in pivots.values())
+
+    @settings(max_examples=120, deadline=None)
     @given(leveled_matrix)
     def test_pivots_count_every_block_rank(self, case):
         # block ranks of a one-step complex C_1 -> C_0 with these levels
