@@ -4,7 +4,6 @@ Prints every spectral sequence page, the limit page, and the resulting
 top-weight decomposition with its lower-bound lines.
 """
 
-import argparse
 from fractions import Fraction
 
 from tropgc import (
@@ -28,16 +27,13 @@ CHAIN = [
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--max-page", type=int, default=5)
-    args = parser.parse_args()
-
     f = filtered_from_raw(1, CHAIN)
     print("chain:")
     for p, a in enumerate(f.chain, start=1):
         entries = ",".join(format_rational(x) for x in a.entries)
         print(f"  A_{p} = ({entries})")
-    for r in range(0, args.max_page + 1):
+    # page N = f.num_levels is already E^infinity (spectral.infinity_table)
+    for r in range(0, f.num_levels + 1):
         print(f"page r={r}: {page_table(f, r).nonzero() or 'zero'}")
     print(f"limit page: {infinity_table(f).nonzero() or 'zero'}")
 

@@ -11,10 +11,9 @@ from .chambers import (ChamberCensus, ChamberSignature, DomainError,
                        apply_permutation, compare_signatures,
                        compare_up_to_symmetry, enumerate_chambers,
                        feasible_point, format_rational, identity_permutation,
-                       is_feasible, make_F, make_floor, make_heavy_light,
-                       make_minimal,
-                       parse_rational, parse_weights, permute_signature,
-                       signature, signature_json, wall_set)
+                       is_feasible, make_floor, make_heavy_light,
+                       make_minimal, parse_rational, parse_weights,
+                       permute_signature, signature, signature_json, wall_set)
 from .complexes import (ChainComplex, HomologyReport, build_cellular_complex,
                         build_graph_complex, homology, moduli_label, split_AB)
 from .enumeration import (enumerate_stable_graphs, filtration_levels,
@@ -25,9 +24,8 @@ from .linalg import RationalMatrix, kernel_basis, rank, subspace_dims
 from .spectral import (DecompositionReport, FilteredComplex, PageTable,
                        align_chain, build_filtered_complex,
                        build_relative_complex, decomposition_report,
-                       e1_relative_check, filtered_from_raw, infinity_table,
-                       page_dim, page_table, parse_filtration_json,
-                       spectral_json)
+                       filtered_from_raw, infinity_table, page_dim,
+                       page_table, parse_filtration_json, spectral_json)
 
 __all__ = [
     "CanonicalGraph", "ChainComplex", "ChamberCensus", "ChamberSignature",
@@ -37,13 +35,13 @@ __all__ = [
     "align_chain", "apply_permutation", "build_cellular_complex",
     "build_filtered_complex", "build_graph_complex", "build_relative_complex",
     "canonicalize", "compare_signatures", "compare_up_to_symmetry",
-    "contract_edge", "decomposition_report", "e1_relative_check",
+    "contract_edge", "decomposition_report",
     "enumerate_chambers", "enumerate_stable_graphs", "feasible_point",
     "filtered_from_raw", "filtration_levels", "format_rational",
     "generator_basis", "homology", "identity_permutation",
     "infinity_table", "is_feasible", "is_stable", "kernel_basis",
-    "make_F", "make_floor",
-    "make_heavy_light", "make_minimal", "max_edges", "moduli_label",
+    "make_floor", "make_heavy_light", "make_minimal", "max_edges",
+    "moduli_label",
     "page_dim", "page_table", "parse_filtration_json", "parse_rational",
     "parse_weights", "permute_signature", "rank", "signature",
     "signature_json", "spectral_json", "split_AB", "subspace_dims",

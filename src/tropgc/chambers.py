@@ -6,7 +6,7 @@ the walls sum_{i in S} a_i = 1 over index subsets S with 2 <= |S| <= n (for
 g >= 1) or 2 <= |S| <= n - 2 (for g = 0). This module computes chamber
 signatures, the partial order on chambers and on chambers up to the S_n
 action, enumerates realizable chambers for small n, and builds the standard
-named weight data (minimal, F, floor, heavy/light).
+named weight data (minimal, floor, heavy/light).
 
 Convention: weights lying exactly on a wall are assigned the Minus side,
 since stability for such data agrees with the adjacent lower chamber.
@@ -78,12 +78,12 @@ class WeightDatum:
     def __post_init__(self):
         if not isinstance(self.g, int) or isinstance(self.g, bool):
             raise TypeError(f"genus must be an int: {self.g!r}")
-        for x in self.entries:
+        entries = tuple(self.entries)
+        for x in entries:
             # a float is a binary approximation: 0.1 + 0.9 > 1 as Fractions
-            if isinstance(x, bool) or not isinstance(x, (int, str, Fraction)):
+            if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
                 raise TypeError(f"not an exact rational: {x!r}")
-        object.__setattr__(self, "entries",
-                           tuple(Fraction(x) for x in self.entries))
+        object.__setattr__(self, "entries", tuple(map(Fraction, entries)))
         if self.g < 0:
             raise DomainError("genus must be nonnegative")
         if len(self.entries) < 1:
@@ -591,13 +591,6 @@ def make_minimal(g: int, n: int) -> WeightDatum:
     if g < 1:
         raise DomainError("minimal weights require g >= 1")
     return make_heavy_light(g, n, 0)
-
-
-def make_F(g: int, n: int) -> WeightDatum:
-    """The datum (1/n + delta)^n with delta = 1/(2n^2); only the full set is Plus."""
-    if g < 1:
-        raise DomainError("F weights require g >= 1")
-    return make_floor(g, n, n)
 
 
 def make_floor(g: int, n: int, l: int) -> WeightDatum:

@@ -119,10 +119,6 @@ class MarkedGraph:
     def num_edges(self) -> int:
         return len(self.edges)
 
-    def edge_degree(self, v: int) -> int:
-        """Number of edge half-edges at v; a loop contributes 2."""
-        return sum((u == v) + (w == v) for u, w in self.edges)
-
 
 def genus(graph: MarkedGraph) -> int:
     """First Betti number plus the total vertex weight."""

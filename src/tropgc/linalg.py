@@ -34,12 +34,10 @@ Vector = tuple[Scalar, ...]
 
 
 def _exact(x) -> Scalar:
-    """x as an int when it is integral, else as a Fraction; x may be an int,
-    a Fraction or a string such as "3/4", and anything else is rejected."""
-    if isinstance(x, int):
+    """x as an int when it is integral, else as a Fraction; x must be an int
+    or a Fraction, and anything else, a bool included, is rejected."""
+    if isinstance(x, int) and not isinstance(x, bool):
         return int(x)
-    if isinstance(x, str):
-        x = Fraction(x)
     if isinstance(x, Fraction):
         return x.numerator if x.denominator == 1 else x
     raise TypeError(f"not an exact rational: {x!r}")
@@ -52,7 +50,7 @@ class RationalMatrix:
     __slots__ = ("rows", "cols", "_entries")
 
     def __init__(self, rows: int, cols: int,
-                 entries: Mapping[tuple[int, int], Scalar | str] = ()):
+                 entries: Mapping[tuple[int, int], Scalar] = ()):
         if rows < 0 or cols < 0:
             raise ValueError("negative matrix dimensions")
         object.__setattr__(self, "rows", rows)

@@ -235,17 +235,6 @@ def decomposition_report(f: FilteredComplex) -> DecompositionReport:
                                list(reversed(topweight)), lower_bounds, True)
 
 
-def e1_relative_check(f: FilteredComplex) -> bool:
-    """The first page must equal stepwise relative homology: E^1_{p,q} is
-    Betti_{p+q} of the slice of the base to its level-exactly-p generators."""
-    for p in range(1, f.num_levels + 1):
-        step_betti = homology(f.step(p)).betti
-        for d in f.base.degrees:
-            if page_dim(f, 1, p, d - p) != step_betti[d]:
-                return False
-    return True
-
-
 def spectral_json(f: FilteredComplex, pages: Sequence[int] = ()) -> dict:
     """The full machine-readable payload for one filtration."""
     report = decomposition_report(f)

@@ -70,13 +70,16 @@ def canonical_key(weights, edges, legs) -> Key:
                for p in permutations(range(v)))
 
 
+def edge_degree(edges, v: int) -> int:
+    """Number of edge half-edges at v; a loop contributes 2."""
+    return sum((a == v) + (b == v) for a, b in edges)
+
+
 def _vertex_stable(g: int, entries: Sequence[Fraction],
                    weights, edges, legs) -> bool:
     v = len(weights)
     for x in range(v):
-        total = Fraction(2 * weights[x] - 2)
-        for a, b in edges:
-            total += (a == x) + (b == x)
+        total = Fraction(2 * weights[x] - 2 + edge_degree(edges, x))
         for i, lv in enumerate(legs):
             if lv == x:
                 total += entries[i]
@@ -599,19 +602,14 @@ def decode_graph(text: str):
 
 def reference_is_stable(graph, g: int, a) -> bool:
     """is_stable of a MarkedGraph for a WeightDatum, vertex by vertex, with
-    the marking weights summed as Fractions."""
+    the marking weights summed as Fractions; the genus and the degrees are
+    read off the bare weights, edges and legs."""
     from tropgc import DomainError
-    from tropgc.graphs import genus
 
-    if len(graph.legs) != a.n:
+    weights, edges, legs = graph.weights, graph.edges, graph.legs
+    if len(legs) != a.n:
         raise DomainError("weight datum length differs from leg count")
-    if genus(graph) != g:
-        raise DomainError(f"graph has genus {genus(graph)}, expected {g}")
-    for v in range(graph.num_vertices):
-        total = 2 * graph.weights[v] - 2 + graph.edge_degree(v)
-        for i, lv in enumerate(graph.legs):
-            if lv == v:
-                total += a.entries[i]
-        if total <= 0:
-            return False
-    return True
+    h = len(edges) - len(weights) + 1 + sum(weights)
+    if h != g:
+        raise DomainError(f"graph has genus {h}, expected {g}")
+    return _vertex_stable(g, a.entries, weights, edges, legs)

@@ -18,7 +18,6 @@ from tropgc import (
     build_relative_complex,
     compare_up_to_symmetry,
     decomposition_report,
-    e1_relative_check,
     enumerate_chambers,
     enumerate_stable_graphs,
     feasible_point,
@@ -37,6 +36,7 @@ from tropgc.graphs import MarkedGraph, canonicalize, is_stable
 
 from .oracles import (_contract, canonical_key, dense_rank,
                       enumerate_classes, express, odd_class, to_rows)
+from .pages import e1_relative_check
 
 EPS = Fraction(1, 100)
 CLASSICAL = {n: WeightDatum(1, (Fraction(1),) * n) for n in (1, 2, 3, 4)}

@@ -22,7 +22,6 @@ from tropgc import (
     format_rational,
     identity_permutation,
     is_feasible,
-    make_F,
     make_floor,
     make_heavy_light,
     make_minimal,
@@ -91,6 +90,8 @@ class TestWeightDatum:
         (1.0, (Fraction(1),)),
         (True, (Fraction(1),)),
         ("1", (Fraction(1),)),
+        (1, (1, "1/2")),
+        (1, (" 1e-1 ", Fraction(1))),
     ])
     def test_inexact_types_rejected(self, g, entries):
         # as floats 0.1 + 0.9 exceeds 1, but exactly it lies on the wall
@@ -107,8 +108,14 @@ class TestWeightDatum:
             WeightDatum(1, entries)
 
     def test_exact_types_accepted(self):
-        assert WeightDatum(1, (1, "1/2", Fraction(1, 3))).entries == (
+        assert WeightDatum(1, (1, Fraction(1, 2), Fraction(1, 3))).entries == (
             Fraction(1), Fraction(1, 2), Fraction(1, 3))
+
+    @pytest.mark.parametrize("make", [list, lambda xs: (x for x in xs)],
+                             ids=["list", "generator"])
+    def test_entries_read_once(self, make):
+        # the type check must not use up a generator before it is stored
+        assert WeightDatum(1, make([1, 1])).entries == (Fraction(1),) * 2
 
 
 class TestWallSet:
@@ -544,7 +551,11 @@ class TestConstructors:
         assert signature(make_floor(1, 3, 2)) == signature(datum(1, 1, 1, 1))
 
     def test_floor_n_is_F(self):
-        assert signature(make_floor(1, 3, 3)) == signature(make_F(1, 3))
+        # F is the chamber whose only Plus wall is the full set
+        for g, n in [(1, 2), (1, 3), (2, 5), (4, 8)]:
+            subsets = wall_set(g, n).subsets
+            assert signature(make_floor(g, n, n)).signs == tuple(
+                len(s) == n for s in subsets)
 
     def test_heavy_light_top_is_classical(self):
         assert signature(make_heavy_light(1, 4, 3)) == \
@@ -561,12 +572,8 @@ class TestConstructors:
     def test_minimal_is_heavy_light_without_heavy(self, g, n):
         assert make_minimal(g, n) == make_heavy_light(g, n, 0)
 
-    @pytest.mark.parametrize("g,n", [(1, 2), (1, 3), (2, 5), (4, 8)])
-    def test_F_is_top_floor(self, g, n):
-        assert make_F(g, n) == make_floor(g, n, n)
-
     def test_F_pairs_below_total_above(self):
-        sig = signature(make_F(1, 3))
+        sig = signature(make_floor(1, 3, 3))
         assert sig.signs == signature(datum(1, "1/2", "1/2", "1/2")).signs
 
 

@@ -14,7 +14,6 @@ from tropgc import (
     build_relative_complex,
     compare_up_to_symmetry,
     decomposition_report,
-    e1_relative_check,
     enumerate_chambers,
     feasible_point,
     filtered_from_raw,
@@ -30,6 +29,8 @@ from tropgc import (
 )
 from tropgc.complexes import RELATIVE, restrict
 from tropgc.enumeration import check_aligned
+
+from .pages import e1_relative_check
 
 EPS = Fraction(1, 100)
 CLASSICAL3 = WeightDatum(1, (Fraction(1),) * 3)
