@@ -37,6 +37,9 @@ CASES = [
     (1, 6, 6, [1, 88, 1052, 3995, 5835, 2865], {4: 60}),
     (1, 7, 0, [1, 63, 301, 1050, 1680, 1260, 360],
      {-1: 1, 1: 15, 3: 15, 5: 1}),
+    # the two rows below: computed by this program
+    (3, 3, 3, [1, 35, 297, 1079, 1904, 1621, 535], {3: 1}),
+    (4, 1, 1, [1, 12, 65, 173, 260, 193, 67], {}),
 ]
 
 

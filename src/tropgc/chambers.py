@@ -42,7 +42,7 @@ class DomainGapWarning(UserWarning):
     """Weight datum has 0 < 2g - 2 + sum(a) <= 1, a contested boundary zone."""
 
 
-_RATIONAL_RE = re.compile(r"^-?\d+(?:/[1-9]\d*)?$")
+_RATIONAL_RE = re.compile(r"^-?[0-9]+(?:/[1-9][0-9]*)?$")
 
 
 def parse_rational(text: str) -> Fraction:

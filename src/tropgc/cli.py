@@ -163,6 +163,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "page", None) is not None and args.page < 0:
+        parser.error("argument --page: page index must be nonnegative")
     handlers = {"chambers": _cmd_chambers, "homology": _cmd_homology,
                 "spectral": _cmd_spectral}
     try:

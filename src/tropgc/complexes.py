@@ -1,6 +1,7 @@
 """Chain complexes of stable graphs and their homology.
 
-Two complexes are assembled here, with exact rational boundary matrices:
+Two complexes are assembled here, each boundary an integer matrix built
+column by column, one column per generator:
 
 * the graph complex of a weight datum: pure stable graphs, degree
   |E| - 2g, boundary the signed sum of non-loop edge contractions;
@@ -45,7 +46,7 @@ RELATIVE = "relative"
 
 @dataclass
 class ChainComplex:
-    """Per-degree generator bases and boundary matrices over Q."""
+    """Per-degree generator bases and integer boundary matrices."""
 
     kind: str
     g: int
@@ -89,12 +90,13 @@ class ChainComplex:
         return self.boundaries[i]
 
 
-def _boundary_entries(basis_high: tuple[CanonicalGraph, ...],
+def _boundary_columns(basis_high: tuple[CanonicalGraph, ...],
                       row_of: dict[str, int], contract_loops: bool
-                      ) -> dict[tuple[int, int], int]:
-    entries: dict[tuple[int, int], int] = {}
-    for col, cg in enumerate(basis_high):
+                      ) -> list[dict[int, int]]:
+    columns = []
+    for cg in basis_high:
         graph = cg.graph
+        col: dict[int, int] = {}
         for i, (u, v) in enumerate(graph.edges):
             if u == v and not contract_loops:
                 continue
@@ -107,9 +109,9 @@ def _boundary_entries(basis_high: tuple[CanonicalGraph, ...],
                     f"contraction target {target.encoding} is missing from "
                     "the basis: the stable graph enumeration is incomplete")
             sign = edge_map_sign(emap)  # times (-1)^(i+1), i from 0
-            key = (row, col)
-            entries[key] = entries.get(key, 0) + (sign if i % 2 else -sign)
-    return entries
+            col[row] = col.get(row, 0) + (sign if i % 2 else -sign)
+        columns.append(col)
+    return columns
 
 
 def _assemble(kind: str, g: int, a: WeightDatum, degrees: list[int],
@@ -118,8 +120,8 @@ def _assemble(kind: str, g: int, a: WeightDatum, degrees: list[int],
     for i in range(len(degrees)):
         below = bases[i - 1] if i else ()
         row_of = {cg.encoding: r for r, cg in enumerate(below)}
-        entries = _boundary_entries(bases[i], row_of, kind == CELLULAR)
-        boundaries.append(RationalMatrix(len(below), len(bases[i]), entries))
+        columns = _boundary_columns(bases[i], row_of, kind == CELLULAR)
+        boundaries.append(RationalMatrix(len(below), len(bases[i]), columns))
     return ChainComplex(kind, g, a, tuple(degrees),
                         tuple(bases), tuple(boundaries))
 
@@ -151,11 +153,11 @@ def restrict(c: ChainComplex, keep: Sequence[Sequence[bool]],
     bases, mats = [], []
     for i, col_of in enumerate(kept):
         row_of = kept[i - 1] if i else {}
-        entries = {(row_of[r], col_of[col]): v
-                   for (r, col), v in c.boundaries[i].entries().items()
-                   if col in col_of and r in row_of}
+        columns = c.boundaries[i].columns
         bases.append(tuple(c.bases[i][j] for j in col_of))
-        mats.append(RationalMatrix(len(row_of), len(col_of), entries))
+        mats.append(RationalMatrix(len(row_of), len(col_of), [
+            {row_of[r]: v for r, v in columns[j].items() if r in row_of}
+            for j in col_of]))
     return ChainComplex(kind, c.g, c.weights, c.degrees,
                         tuple(bases), tuple(mats))
 
@@ -173,7 +175,8 @@ def split_AB(c: ChainComplex) -> tuple[ChainComplex, ChainComplex]:
     a_part = restrict(c, in_a, A_PART)
     b_part = restrict(c, [[not a for a in flags] for flags in in_a], B_PART)
     for whole, a, b in zip(c.boundaries, a_part.boundaries, b_part.boundaries):
-        if len(a.entries()) + len(b.entries()) != len(whole.entries()):
+        if (sum(map(len, a.columns + b.columns))
+                != sum(map(len, whole.columns))):
             raise AssertionError(
                 "the A/B split of the cellular complex is not boundary-closed")
     return a_part, b_part

@@ -126,8 +126,8 @@ def build_filtered_complex(g: int, chain: Sequence[WeightDatum]
     f = FilteredComplex(g, tuple(chain), base, levels)
     for i, k in enumerate(base.degrees):
         below = f.level_row(k - 1)
-        for (r, c) in base.boundaries[i].entries():
-            if below[r] > levels[i][c]:
+        for level, col in zip(levels[i], base.boundaries[i].columns):
+            if max(map(below.__getitem__, col), default=0) > level:
                 raise AssertionError(
                     "boundary raises the filtration level: contraction must "
                     "preserve stability")

@@ -529,13 +529,15 @@ def transpose(m):
     """The transpose of a RationalMatrix."""
     from tropgc import RationalMatrix
 
-    return RationalMatrix(m.cols, m.rows,
-                          {(j, i): v for (i, j), v in m.entries().items()})
+    columns = [{} for _ in range(m.rows)]
+    for (i, j), v in m.entries().items():
+        columns[i][j] = v
+    return RationalMatrix(m.cols, m.rows, columns)
 
 
-def to_rows(m) -> list[list[Fraction]]:
-    """A RationalMatrix as dense rows of Fractions."""
-    out = [[Fraction(0)] * m.cols for _ in range(m.rows)]
+def to_rows(m) -> list[list[int]]:
+    """A RationalMatrix as dense integer rows."""
+    out = [[0] * m.cols for _ in range(m.rows)]
     for (i, j), v in m.entries().items():
         out[i][j] = v
     return out

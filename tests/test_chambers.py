@@ -51,7 +51,9 @@ class TestRationalParsing:
     def test_normalization(self):
         assert parse_rational("2/4") == Fraction(1, 2)
 
-    @pytest.mark.parametrize("bad", ["", "1/0", "1.5", "a", "1 /2", "--3"])
+    # \d would take non-ASCII digits, which Fraction reads as numbers
+    @pytest.mark.parametrize("bad", ["", "1/0", "1.5", "a", "1 /2", "--3",
+                                     "\uff11", "\u0661/2", "\uff11/3"])
     def test_rejects_bad_literals(self, bad):
         with pytest.raises(ValueError):
             parse_rational(bad)

@@ -228,6 +228,19 @@ class TestSpectralCommand:
         assert out == ""
         assert err.startswith("error:")
 
+    def test_negative_page_is_usage_error(self, capsys, filtration_file,
+                                          monkeypatch):
+        # rejected while parsing arguments, before any complex is built
+        def build(*_args):
+            raise AssertionError("built a filtered complex")
+        monkeypatch.setattr("tropgc.cli.filtered_from_raw", build)
+        with pytest.raises(SystemExit) as exc:
+            main(["spectral", "--input", filtration_file, "--page", "-1"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "page index must be nonnegative" in captured.err
+
     def test_missing_file(self, capsys, tmp_path):
         rc, _, err = run(capsys, ["spectral", "--input",
                                   str(tmp_path / "absent.json")])
@@ -267,6 +280,12 @@ class TestErrorHandling:
                                   "--weights", "1,apple,1"])
         assert rc == 2
         assert "usage error" in err
+
+    def test_non_ascii_digits_are_usage_error(self, capsys):
+        rc, out, err = run(capsys, ["homology", "--g", "1",
+                                    "--weights", "\uff11,\uff11,\uff11"])
+        assert (rc, out) == (2, "")
+        assert "usage error: invalid rational literal" in err
 
     def test_out_of_domain_weight(self, capsys):
         rc, _, err = run(capsys, ["chambers", "signature", "--g", "1",

@@ -124,7 +124,8 @@ class TestGraphHomology:
         plain = build_graph_complex(1, CLASSICAL3)
         negated = tuple(
             RationalMatrix(m.rows, m.cols,
-                           {ij: -v for ij, v in m.entries().items()})
+                           [{i: -v for i, v in col.items()}
+                            for col in m.columns])
             for m in plain.boundaries)
         assert negated != plain.boundaries
         # the constructor re-checks that the negated boundaries square to zero
@@ -326,7 +327,7 @@ class TestSplitAB:
         c = ChainComplex(CELLULAR, 1, CLASSICAL2, (0, 1),
                          ((a_gen,), (b_gen,)),
                          (RationalMatrix.zero(0, 1),
-                          RationalMatrix(1, 1, {(0, 0): 1})))
+                          RationalMatrix(1, 1, [{0: 1}])))
         with pytest.raises(AssertionError, match="not boundary-closed"):
             split_AB(c)
 
@@ -412,15 +413,54 @@ class TestPinnedBoundaries:
             "5cde9227e89364fb2deb4e29efe2567cb7178f548353a5b5f725645a6f42b089")
 
     def test_filtered_1_5_pairs(self):
-        # the chain shape of the spectral-warm-g1n5 benchmark workload
-        f = filtered_from_raw(1, [make_minimal(1, 5), make_floor(1, 5, 4),
-                                  make_heavy_light(1, 5, 2)])
+        f = spectral_warm_chain()
         assert _chain_digests(f.base, f.levels) == (
             "45bd8048fec45bdad1f0c9345223abb111fa6badff0480d7e001c7f78ba2c4eb",
             "743a0d8d0fefe91eb96957fd1b7361df4c5f8f2da84c15df2f99fc1c5ca30261")
         pairs = sorted((k, sorted(v)) for k, v in f.pairs.items())
         assert _digest(pairs) == (
             "557147863447a1acafee4cad54038e1690abe15311852e8639518b8f484a0fb5")
+
+    def test_filtered_1_5_steps(self):
+        f = spectral_warm_chain()
+        assert [_chain_digests(f.step(p))
+                for p in range(1, f.num_levels + 1)] == [
+            ("ca660a587f9d9180ee5733f49d06f38cea09b5da765d5fd019633c0de7fe62d6",
+             "8339ccb0de3ba4d1ce85d92b81056c3ef1d5217267fcec1edd4bb8e62a8ee124"),
+            ("3482831bbf3671456d84e8d6717f3cf0eb0522a5a8c64c2ed01d75042513588d",
+             "d878b1e3b7b35bbc79fe3e7c89fd09f5ed27fb4665b88010d909af29ce2beb95"),
+            ("b7b07aa1856caf4333852c9c83ba97a3e84d8ad6159fb6f95af531d56157ad83",
+             "7a27db2db5e42b5c250f62ef55b18fca43a314049f880f5ee28758324a59d5a8")]
+
+    def test_cellular_1_4_split(self):
+        a_part, b_part = split_AB(build_cellular_complex(1, CLASSICAL4))
+        assert _chain_digests(a_part) == (
+            "329da78a83b68132fd76845b624c9ee8591c5bdf0d2356e287a537dfc6338426",
+            "a0cfbea7e29a0a6f3409acfb227f38126b97b240517abad6c35ef199da334513")
+        assert _chain_digests(b_part) == (
+            "ca2c2ee71d355725a254e1ff53d0b1bc6f63b55c53a8082a3fcc05ab95db6ee3",
+            "1dc35e3d00dad31b524f5fb12d409ffaf3a1332163cc4937b74fefce0bc79224")
+
+
+def spectral_warm_chain():
+    """The chain shape of the spectral-warm-g1n5 benchmark workload."""
+    return filtered_from_raw(1, [make_minimal(1, 5), make_floor(1, 5, 4),
+                                 make_heavy_light(1, 5, 2)])
+
+
+class TestColumnPath:
+    def test_build_check_and_reduce_read_no_entries(self, monkeypatch):
+        # entries() is a (row, col) view for readers outside the pipeline;
+        # assembly, slicing, the checks and the reductions walk columns
+        def refuse(self):
+            raise AssertionError("entries() read on the column path")
+
+        monkeypatch.setattr(RationalMatrix, "entries", refuse)
+        f = spectral_warm_chain()
+        assert f.pairs and homology(f.base).betti
+        assert homology(f.step(2)).betti
+        a_part, b_part = split_AB(build_cellular_complex(1, CLASSICAL4))
+        assert homology(b_part).betti
 
 
 class TestRelative:

@@ -74,26 +74,43 @@ CHAINS = {
 
 
 class TestEntries:
-    @pytest.mark.parametrize("value", [2, Fraction(4, 2)])
+    @pytest.mark.parametrize("value", [2, -3])
     def test_integral_values_are_stored_as_int(self, value):
-        [stored] = RationalMatrix(1, 1, {(0, 0): value}).entries().values()
-        assert type(stored) is int and stored == 2
+        [stored] = RationalMatrix(1, 1, [{0: value}]).entries().values()
+        assert type(stored) is int and stored == value
 
-    def test_other_rationals_stay_fractions(self):
-        m = RationalMatrix.from_rows([[Fraction(3, 4), Fraction(-1, 3)]])
-        assert m.entries() == {(0, 0): Fraction(3, 4), (0, 1): Fraction(-1, 3)}
-        assert all(type(v) is Fraction for v in m.entries().values())
+    @pytest.mark.parametrize("value", [Fraction(4, 2), Fraction(3, 4)])
+    def test_fractions_are_rejected(self, value):
+        # ranks of rational matrices are ranks of their cleared integer
+        # columns; the matrices themselves hold ints only
+        message = re.escape(f"not an integer entry: {value!r}")
+        with pytest.raises(TypeError, match=message):
+            RationalMatrix(1, 1, [{0: value}])
+        with pytest.raises(TypeError, match=message):
+            RationalMatrix.from_rows([[1, value]])
 
     def test_float_is_rejected(self):
-        with pytest.raises(TypeError, match="not an exact rational"):
-            RationalMatrix(1, 1, {(0, 0): 1.5})
+        with pytest.raises(TypeError, match="not an integer entry"):
+            RationalMatrix(1, 1, [{0: 1.5}])
 
     @pytest.mark.parametrize("value", ["4/2", "-1/3", True, False])
     def test_text_and_bool_are_rejected(self, value):
         # bool is an int subclass, so True would be stored as the entry 1
-        message = re.escape(f"not an exact rational: {value!r}")
+        message = re.escape(f"not an integer entry: {value!r}")
         with pytest.raises(TypeError, match=message):
-            RationalMatrix(1, 1, {(0, 0): value})
+            RationalMatrix(1, 1, [{0: value}])
+
+    def test_zero_entries_are_dropped(self):
+        m = RationalMatrix.from_rows([[0, 3], [0, 0]])
+        assert m.columns == ({}, {0: 3})
+        assert m.entries() == {(0, 1): 3}
+        assert RationalMatrix(2, 2, [{1: 0}, {}]).is_zero()
+
+    @pytest.mark.parametrize("columns", [[{}], [{}, {}, {}], [{2: 1}, {}],
+                                         [{-1: 1}, {}]])
+    def test_column_count_and_rows_are_checked(self, columns):
+        with pytest.raises(ValueError):
+            RationalMatrix(2, 2, columns)
 
     def test_graph_complex_and_slices_have_int_entries(self):
         cx = build_graph_complex(1, classical(1, 4))
@@ -161,6 +178,16 @@ class TestSubspaceDims:
 
     def test_equal_lines(self):
         assert subspace_dims([(1, 1)], [(1, 1)]) == (1, 1, 1, 1)
+
+    def test_denominators_are_cleared(self):
+        half = Fraction(1, 2)
+        assert subspace_dims([(half, 1)], [(1, 2)]) == (1, 1, 1, 1)
+        assert subspace_dims([(half, Fraction(1, 3))], [(3, 2), (1, 0)]) \
+            == (1, 2, 2, 1)
+
+    def test_float_vectors_are_rejected(self):
+        with pytest.raises(TypeError, match="not an integer entry"):
+            subspace_dims([(0.5, 1)], [])
 
     def test_mismatched_ambient_dimensions_rejected(self):
         with pytest.raises(ValueError):
@@ -249,12 +276,10 @@ def page_dim_by_definition(f, r: int, p: int, d: int) -> int:
     lev = f.level_row(d)
     lev_below = f.level_row(d - 1)
     cols = [j for j, lv in enumerate(lev) if lv <= p]
-    col_of = {j: b for b, j in enumerate(cols)}
     bnd = f.base.boundary(d)
-    block = RationalMatrix(bnd.rows, len(cols),
-                           {(i, col_of[j]): v
-                            for (i, j), v in bnd.entries().items()
-                            if j in col_of and lev_below[i] > p - r})
+    block = RationalMatrix(bnd.rows, len(cols), [
+        {i: v for i, v in bnd.columns[j].items() if lev_below[i] > p - r}
+        for j in cols])
     z_vecs = []
     for vec in kernel_basis(block):
         dense = [Fraction(0)] * len(lev)
@@ -270,19 +295,21 @@ def page_dim_by_definition(f, r: int, p: int, d: int) -> int:
     return dim_z - dim_int
 
 
+def matrices(entry):
+    return st.integers(min_value=1, max_value=5).flatmap(
+        lambda r: st.integers(min_value=1, max_value=5).flatmap(
+            lambda c: st.lists(st.lists(entry, min_size=c, max_size=c),
+                               min_size=r, max_size=r)))
+
+
 small_fraction = st.builds(
     Fraction,
     st.integers(min_value=-6, max_value=6),
     st.integers(min_value=1, max_value=4),
 )
-small_matrix = st.integers(min_value=1, max_value=5).flatmap(
-    lambda r: st.integers(min_value=1, max_value=5).flatmap(
-        lambda c: st.lists(
-            st.lists(small_fraction, min_size=c, max_size=c),
-            min_size=r, max_size=r,
-        )
-    )
-)
+small_matrix = matrices(st.integers(min_value=-6, max_value=6))
+# rows of rational vectors, for subspace_dims
+fraction_rows = matrices(small_fraction)
 leveled_matrix = small_matrix.flatmap(lambda rows: st.tuples(
     st.just(rows),
     st.lists(st.integers(1, 3), min_size=len(rows), max_size=len(rows)),
@@ -319,8 +346,9 @@ class TestRandomized:
     def test_pivots_ignore_column_signs(self, rows, data):
         m = RationalMatrix.from_rows(rows)
         j = data.draw(st.integers(0, m.cols - 1))
-        flipped = RationalMatrix(m.rows, m.cols, {
-            (i, k): -v if k == j else v for (i, k), v in m.entries().items()})
+        flipped = RationalMatrix(m.rows, m.cols, [
+            {i: -v for i, v in col.items()} if k == j else col
+            for k, col in enumerate(m.columns)])
         pivots = column_pivots(m)
         assert ({k: low for k, (low, _) in pivots.items()}
                 == {k: low for k, (low, _) in column_pivots(flipped).items()})
@@ -354,7 +382,7 @@ class TestRandomized:
                         page_dim_by_definition(f, r, p, d), (r, p, d)
 
     @settings(max_examples=60, deadline=None)
-    @given(small_matrix)
+    @given(fraction_rows)
     def test_subspace_dims_of_row_space_with_itself(self, rows):
         nonzero = [r for r in rows if any(x != 0 for x in r)]
         dim_u, dim_v, dim_sum, dim_int = subspace_dims(nonzero, nonzero)
@@ -372,5 +400,4 @@ class TestRandomized:
         dense = [[sum(x * y for x, y in zip(row, col)) for col in zip(*b_rows)]
                  for row in a_rows]
         assert to_rows(prod) == dense
-        assert all(type(v) is int or v.denominator > 1
-                   for v in prod.entries().values())
+        assert all(type(v) is int for v in prod.entries().values())
