@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import warnings
 from typing import Optional, Sequence
@@ -26,6 +27,17 @@ from .spectral import (build_relative_complex, filtered_from_raw,
                        parse_filtration_json, spectral_json)
 
 HOMOLOGY_KINDS = ("graph", "cellular", "a-part", "b-part", "relative")
+
+
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
+def _integer(text: str) -> int:
+    """An integer argument in ASCII digits, with an optional minus sign;
+    int() alone also reads non-ASCII digits, spaces, underscores and +."""
+    if _INTEGER.fullmatch(text) is None:
+        raise argparse.ArgumentTypeError(f"invalid integer: {text!r}")
+    return int(text)
 
 
 def _emit(payload: dict, pretty: bool) -> None:
@@ -127,21 +139,21 @@ def build_parser() -> argparse.ArgumentParser:
     chsub = ch.add_subparsers(dest="chambers_cmd", required=True)
     cmp_ = chsub.add_parser("compare",
                             help="order two chambers up to relabeling")
-    cmp_.add_argument("--g", type=int, required=True)
+    cmp_.add_argument("--g", type=_integer, required=True)
     cmp_.add_argument("--a", required=True, help="comma-separated rationals")
     cmp_.add_argument("--b", required=True, help="comma-separated rationals")
     enu = chsub.add_parser("enumerate", help="census of nonempty chambers")
-    enu.add_argument("--g", type=int, required=True)
-    enu.add_argument("--n", type=int, required=True)
+    enu.add_argument("--g", type=_integer, required=True)
+    enu.add_argument("--n", type=_integer, required=True)
     enu.add_argument("--orbits", action="store_true",
                      help="include the relabeling-orbit partition")
     sig = chsub.add_parser("signature", help="wall signs of one datum")
-    sig.add_argument("--g", type=int, required=True)
+    sig.add_argument("--g", type=_integer, required=True)
     sig.add_argument("--weights", required=True,
                      help="comma-separated rationals")
 
     hom = sub.add_parser("homology", help="Betti numbers of one complex")
-    hom.add_argument("--g", type=int, required=True)
+    hom.add_argument("--g", type=_integer, required=True)
     hom.add_argument("--weights", required=True,
                      help="comma-separated rationals")
     hom.add_argument("--kind", choices=HOMOLOGY_KINDS, default="graph")
@@ -153,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     spec.add_argument("--input", required=True,
                       help='JSON file {"g": int, "weights": [[rationals]]}')
     group = spec.add_mutually_exclusive_group()
-    group.add_argument("--page", type=int, default=None,
+    group.add_argument("--page", type=_integer, default=None,
                        help="include the dimensions of one page")
     group.add_argument("--all-pages", action="store_true",
                        help="include pages 0..N")

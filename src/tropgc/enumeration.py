@@ -7,9 +7,13 @@ weight), from a one-vertex base. Each class is built from its canonical
 parents only, after McKay ("Isomorph-free exhaustive generation", J.
 Algorithms 1998): an uncontraction is kept only if its new edge has the
 largest invariant (is non-loop, sorted pair of endpoint colours) of all its
-edges, a vertex's colour being its (weight, edge degree, markings). That
-test reads only the candidate's parts, so a rejected candidate is never
-canonicalized and never enters the canonical memo.
+edges, a vertex's colour being its (weight, edge degree, markings), and
+among the edges that tie it, the largest sorted pair of end colours refined
+by the colours around each end. The first test is decided from the
+parent's colours before a candidate's parts are built, and the ends of
+parallel edges and loops at the split vertex, which are interchangeable,
+move together, so most classes are canonicalized once. A rejected
+candidate is never canonicalized and never enters the canonical memo.
 
 Stability depends on A only through its chamber, so chamber-equal data
 share one cache entry: cache files are keyed by (g, n, edge count, purity,
@@ -38,6 +42,7 @@ import os
 import tempfile
 import warnings
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 from typing import Iterable, Optional, Sequence
 
 from .chambers import (ChamberSignature, DomainError, WeightDatum,
@@ -74,62 +79,156 @@ def max_edges(g: int, n: int) -> int:
 
 def _uncontractions(cg: CanonicalGraph, sums: Sequence[int],
                     den: int) -> Iterable[Parts]:
-    """The (weights, edges, legs) of the A-stable graphs with one more edge
-    than cg.graph that contract to it, each edge written low end first, for
-    the weight datum A with integer subset sums (sums, den)
-    (WeightDatum.subset_sums).
+    """The (weights, edges, legs) of A-stable graphs with one more edge than
+    cg.graph that contract to it and whose new edge, the last one, has the
+    largest refined invariant (_new_edge_is_largest) of all their edges,
+    ties included, each edge written low end first, for the weight datum A
+    with integer subset sums (sums, den) (WeightDatum.subset_sums).
 
     One vertex v per automorphism orbit gets a loop in exchange for a unit
-    of weight, which keeps its stability total, or is split: its weight is
+    of weight, which keeps its stability total, when it is the only vertex
+    (elsewhere a new loop is not largest), or is split: its weight is
     shared in every way, and a subset of its edge ends and legs, never the
     first, moves to a new vertex joined to v, so a subset and its complement
-    are not both tried. A split is rejected before its parts are built.
+    are not both tried. Interchangeable items move together: of the ends at
+    v of the parallel edges to one neighbour, the first item left out, only
+    a prefix moves; each loop at v moves a prefix of its ends there, the
+    first item left out, and the loops at v move nondecreasing numbers of
+    ends in edge order. So a permutation of the parallel edges to one
+    neighbour or of the loops at v, or a swap of a loop's ends, never
+    carries one child yielded onto another. At a vertex without parallel
+    edges or loops every subset is tried.
+
+    A split is rejected before its parts are built, first when a side of
+    the new edge is not A-stable, then when its new edge's invariant
+    (_edge_invariant) is not the largest, from the colours (_vertex_colors):
+    the split keeps every colour but v's and gives the new vertex its own,
+    so an edge away from v keeps its invariant, and an edge from one side
+    of the new edge to a neighbour u is above the new edge exactly when u's
+    colour is above the other side's. Only a child with another edge of
+    the same invariant has its neighbour colours compared.
     """
     graph = cg.graph
     weights, edges, legs = graph.weights, graph.edges, graph.legs
     new = graph.num_vertices
-    # items: edge end k of edge e is 2e + k; marking i is 2m + i
-    m = len(edges)
-    for v in range(graph.num_vertices):
+    colors = _vertex_colors(weights, edges, legs)
+    # the non-loop edges' sorted pairs of end colours, largest first
+    pairs = sorted([(_edge_invariant(colors, x, y)[1], x, y)
+                    for x, y in edges if x != y], reverse=True)
+    # each vertex's edge ends (end k of edge e as 2e + k), in edge order,
+    # with the vertex at their other end
+    at: list[list[tuple[int, int]]] = [[] for _ in weights]
+    for e, (x, y) in enumerate(edges):
+        at[x].append((2 * e, y))
+        at[y].append((2 * e + 1, x))
+    for v in range(new):
         if any(alpha[v] < v for alpha in cg.automorphism_generators):
             continue  # another vertex of the orbit is split instead
-        if weights[v] > 0:
-            yield (weights[:v] + (weights[v] - 1,) + weights[v + 1:],
-                   edges + ((v, v),), legs)
-        items = [2 * e + k for e, ends in enumerate(edges)
-                 for k in (0, 1) if ends[k] == v]
+        if weights[v] > 0 and new == 1:
+            yield ((weights[v] - 1,), edges + ((v, v),), legs)
+        w_v, deg_v, markings = colors[v]
+        # the largest pair of an edge away from v, which every split keeps;
+        # a side of the new edge with d edge ends has a colour below
+        # (w_v, d + 1), and one side has at most deg_v // 2 + 1 ends
+        away = next((pair for pair, x, y in pairs if x != v and y != v), ())
+        if away >= ((w_v, deg_v // 2 + 2),):
+            continue
+        ends = at[v]
+        positions: dict[int, list[int]] = {}  # by the other end's vertex
+        for j, (_, u) in enumerate(ends):
+            positions.setdefault(u, []).append(j)
+        # the ways to move ends, as (bits over ends, how many), and per
+        # neighbour its colour and the bits of its ends
+        end_moves = [(0, 0)]
+        neighbours = []
+        for u, js in positions.items():
+            if u != v:
+                bits = prefix = 0
+                block = []
+                for j in js:
+                    bits |= 1 << j
+                    if j:
+                        prefix |= 1 << j
+                        block.append((prefix, len(block) + 1))
+                neighbours.append((colors[u], bits))
+            else:
+                loops = [[j for j in js[k:k + 2] if j]
+                         for k in range(0, len(js), 2)]
+                block = [(sum(1 << j for c, loop in zip(counts, loops)
+                              for j in loop[:c]), sum(counts))
+                         for counts in combinations_with_replacement(
+                             range(3), len(loops))
+                         if 0 < counts[-1] and counts[0] <= len(loops[0])]
+            end_moves += [(mask | bits, k + c) for bits, c in block
+                          for mask, k in end_moves]
+        neighbours.sort(reverse=True)
         # a vertex is A-stable when the shares of its items (den per edge
         # end, sums[1 << i] for marking i) exceed (2 - 2w) * den, so a side
         # of the new edge whose items share at most den needs weight
-        shares = [den] * len(items)
-        for i, x in enumerate(legs):
-            if x == v:
-                items.append(2 * m + i)
-                shares.append(sums[1 << i])
-        total = sum(shares)
-        rest = items[1:]
-        moved_shares = [0]  # by mask over rest
-        for share in shares[1:]:
-            moved_shares += [s + share for s in moved_shares]
-        for mask, s in enumerate(moved_shares):
-            new_weights = range(s <= den, weights[v] + (total - s > den))
-            if not new_weights:
+        total = den * len(ends)
+        # the ways to move legs, as (share, markings moved, markings kept);
+        # at a vertex without edge ends the first leg is the first item
+        leg_moves = [(0, (), ())]
+        for i in markings:
+            share = sums[1 << (i - 1)]
+            total += share
+            moves = [(s, moved, stay + (i,)) for s, moved, stay in leg_moves]
+            if ends or leg_moves[0][2]:  # else marking i is the first item
+                moves += [(s + share, moved + (i,), stay)
+                          for s, moved, stay in leg_moves]
+            leg_moves = moves
+        for end_mask, k in end_moves:
+            bound_new, bound_v = (w_v, k + 2), (w_v, deg_v - k + 2)
+            if away >= (min(bound_new, bound_v),):
                 continue
-            moved = {item for j, item in enumerate(rest) if mask >> j & 1}
-            split_edges = []
-            for e, (u, x) in enumerate(edges):
-                if 2 * e + 1 in moved:
-                    x = new
-                # new is the highest vertex, so a moved first end becomes
-                # the second
-                split_edges.append((x, new) if 2 * e in moved else (u, x))
-            split_edges.append((v, new))
-            child_edges = tuple(split_edges)
-            child_legs = tuple([new if 2 * m + i in moved else x
-                                for i, x in enumerate(legs)])
-            for w_new in new_weights:
-                yield (weights[:v] + (weights[v] - w_new,) + weights[v + 1:]
-                       + (w_new,), child_edges, child_legs)
+            # the largest colours of the neighbours joined to each side
+            top_new = top_v = ()
+            for c, bits in neighbours:
+                if not top_new and bits & end_mask:
+                    top_new = c
+                if not top_v and bits & ~end_mask:
+                    top_v = c
+            if top_new >= bound_v or top_v >= bound_new:
+                continue
+            for s, new_marks, v_marks in leg_moves:
+                s += k * den
+                child = None
+                for w_new in range(s <= den, w_v + (total - s > den)):
+                    c_new = (w_new, k + 1, new_marks)
+                    c_v = (w_v - w_new, deg_v - k + 1, v_marks)
+                    pair = (c_v, c_new) if c_v <= c_new else (c_new, c_v)
+                    if top_new > c_v or top_v > c_new or pair < away:
+                        continue
+                    if child is None:
+                        child = _split(edges, legs, v, new, {
+                            ends[j][0] for j in range(len(ends))
+                            if end_mask >> j & 1}, new_marks)
+                    parts = (weights[:v] + (w_v - w_new,) + weights[v + 1:]
+                             + (w_new,), *child)
+                    # ties that neighbour colours may break: an edge away
+                    # from v, or one to a neighbour coloured as the other
+                    # side (a loop split in two joins the same ends)
+                    if ((pair == away or top_new == c_v or top_v == c_new)
+                            and not _new_edge_is_largest(*parts)):
+                        continue
+                    yield parts
+
+
+def _split(edges: tuple[Edge, ...], legs: tuple[int, ...], v: int, new: int,
+           moved: set[int], marks: tuple[int, ...]
+           ) -> tuple[tuple[Edge, ...], tuple[int, ...]]:
+    """The edges and legs once the edge ends in moved (end k of edge e as
+    2e + k) and the markings in marks leave v for the vertex new, the
+    highest, joined to v by a new last edge."""
+    split_edges = []
+    for e, (u, x) in enumerate(edges):
+        if 2 * e + 1 in moved:
+            x = new
+        # new is the highest vertex, so a moved first end becomes the second
+        split_edges.append((x, new) if 2 * e in moved else (u, x))
+    split_edges.append((v, new))
+    return tuple(split_edges), tuple([new if i in marks else x
+                                      for i, x in enumerate(legs, 1)])
 
 
 def _generate(g: int, a: WeightDatum, m: int,
@@ -151,19 +250,29 @@ def _generate(g: int, a: WeightDatum, m: int,
     has weight 0 everywhere, so its uncontractions are pure.
 
     An uncontraction is canonicalized only if its new edge, the last one,
-    has the largest invariant of all its edges (_new_edge_is_largest);
-    ties go to the dedupe by canonical form. No class C above the base is
-    lost. Let e be an edge of C of largest invariant; a pure C has more
-    than one vertex, so there e is not a loop. Contracting e gives an
-    a-stable class P with one edge fewer, pure if C is, and
-    _uncontractions(P) yields a child isomorphic to C by an isomorphism
-    that takes the child's new edge to e: splitting one vertex per
-    automorphism orbit, keeping the first item at the old vertex and trying
-    every weight split each only trade a (child, new edge) pair for an
-    isomorphic one, and the child is a-stable as C is. An isomorphism keeps
-    edge invariants, so that child passes. A loop's invariant is below
-    every non-loop edge's, so for pure graphs the test picks the largest
-    among the non-loop edges, the ones whose contraction keeps a graph pure.
+    has the largest refined invariant of all its edges: the largest
+    invariant, which _uncontractions tests before it builds the parts, then
+    ties broken on neighbour colours (_new_edge_is_largest). The ties that
+    remain go to the dedupe by canonical form. No class C above the base is
+    lost. Let e be an edge of C of largest refined invariant; a pure C has
+    more than one vertex, so there e is not a loop. Contracting e gives an
+    a-stable class P with one edge fewer, pure if C is, and some split of P
+    gives a child isomorphic to C by an isomorphism that takes the child's
+    new edge to e; the child is a-stable as C is. Each rule of
+    _uncontractions only trades such a (child, new edge) pair for an
+    isomorphic one: splitting one vertex v per automorphism orbit, keeping
+    the first item at v (a swap of v and the new vertex) and trying every
+    weight split; moving interchangeable items together, since permuting
+    the parallel edges to one neighbour or the loops at v, and swapping a
+    loop's ends, are automorphisms of P that fix every vertex, and carry a
+    subset that keeps the first item at v to one that is tried; and the
+    colour test, which rejects only children whose new edge is not
+    largest, since it computes their invariants exactly. An
+    isomorphism keeps vertex colours and the colours around each vertex, so
+    it keeps refined invariants, and that child passes both tests. A loop's
+    invariant is below every non-loop edge's, so for pure graphs the test
+    picks the largest among the non-loop edges, the ones whose contraction
+    keeps a graph pure.
     """
     base = g if pure_only else 0
     if m < base:
@@ -176,8 +285,6 @@ def _generate(g: int, a: WeightDatum, m: int,
     found: dict[MarkedGraph, CanonicalGraph] = {}
     for parent in below.classes:
         for child in _uncontractions(parent, sums, den):
-            if not _new_edge_is_largest(*child):
-                continue
             cg, _ = _canonicalize_parts(*child)
             found.setdefault(cg.graph, cg)
     return tuple(sorted(found.values(), key=lambda cg: cg.encoding))
@@ -194,7 +301,11 @@ def _edge_invariant(colors: Sequence[tuple], u: int, v: int) -> tuple:
 def _new_edge_is_largest(weights: tuple[int, ...], edges: tuple[Edge, ...],
                          legs: tuple[int, ...]) -> bool:
     """Whether the last edge, the one an uncontraction added, has the
-    largest invariant (_edge_invariant) of all edges, ties included.
+    largest refined invariant of all edges, ties included: the invariant
+    (_edge_invariant), then, among the edges that tie it there, the sorted
+    pair of its ends' refined colours. A vertex's refined colour is its
+    colour and the sorted colours of the other ends of its edges (its own
+    twice per loop), which an isomorphism keeps too.
 
     A loop's invariant is below that of any non-loop edge, and a graph whose
     edges are all loops has one vertex, so a new loop is largest exactly
@@ -205,10 +316,23 @@ def _new_edge_is_largest(weights: tuple[int, ...], edges: tuple[Edge, ...],
         return len(weights) == 1
     colors = _vertex_colors(weights, edges, legs)
     top = _edge_invariant(colors, u, v)
+    tied = []
+    for x, y in edges[:-1]:
+        if x != y:
+            invariant = _edge_invariant(colors, x, y)
+            if invariant > top:
+                return False
+            if invariant == top:
+                tied.append((x, y))
+    if not tied:
+        return True
+    around: list[list[tuple]] = [[] for _ in colors]
     for x, y in edges:
-        if x != y and _edge_invariant(colors, x, y) > top:
-            return False
-    return True
+        around[x].append(colors[y])
+        around[y].append(colors[x])
+    refined = [(color, sorted(a)) for color, a in zip(colors, around)]
+    top = _edge_invariant(refined, u, v)
+    return all(_edge_invariant(refined, x, y) <= top for x, y in tied)
 
 
 def _cache_path(g: int, n: int, m: int, pure_only: bool, sig_hash: str) -> str:

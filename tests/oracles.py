@@ -615,3 +615,66 @@ def reference_is_stable(graph, g: int, a) -> bool:
     if h != g:
         raise DomainError(f"graph has genus {h}, expected {g}")
     return _vertex_stable(g, a.entries, weights, edges, legs)
+
+
+def every_uncontraction(cg, sums: Sequence[int], den: int):
+    """Every A-stable uncontraction of a canonical class, as (weights,
+    edges, legs) with the new edge last, for the integer subset sums
+    (sums, den) of A: enumeration._uncontractions without its pruning. One
+    vertex v per automorphism orbit gets a loop for a unit of its weight,
+    or is split in every way: every weight share, and every subset of its
+    edge ends and legs that leaves its first item at v."""
+    graph = cg.graph
+    weights, edges, legs = graph.weights, graph.edges, graph.legs
+    new = len(weights)
+    m = len(edges)
+    for v in range(new):
+        if any(alpha[v] < v for alpha in cg.automorphism_generators):
+            continue
+        if weights[v] > 0:
+            yield (weights[:v] + (weights[v] - 1,) + weights[v + 1:],
+                   edges + ((v, v),), legs)
+        # items: edge end k of edge e is 2e + k; marking i is 2m + i
+        items = [2 * e + k for e, ends in enumerate(edges)
+                 for k in (0, 1) if ends[k] == v]
+        shares = [den] * len(items)
+        for i, x in enumerate(legs):
+            if x == v:
+                items.append(2 * m + i)
+                shares.append(sums[1 << i])
+        total = sum(shares)
+        rest = items[1:]
+        for mask in range(1 << len(rest)):
+            moved = {item for j, item in enumerate(rest) if mask >> j & 1}
+            s = sum(share for item, share in zip(items, shares)
+                    if item in moved)
+            split_edges = []
+            for e, (u, x) in enumerate(edges):
+                ends = [new if 2 * e + k in moved else end
+                        for k, end in enumerate((u, x))]
+                split_edges.append(tuple(sorted(ends)))
+            split_edges.append((v, new))
+            child_legs = tuple(new if 2 * m + i in moved else x
+                               for i, x in enumerate(legs))
+            # each side of the new edge needs a stability total above 0
+            for w_new in range(weights[v] + 1):
+                w_v = weights[v] - w_new
+                if (2 * w_new - 1) * den + s > 0 and \
+                        (2 * w_v - 1) * den + total - s > 0:
+                    yield (weights[:v] + (w_v,) + weights[v + 1:] + (w_new,),
+                           tuple(split_edges), child_legs)
+
+
+def new_edge_is_largest(weights, edges, legs) -> bool:
+    """Whether the last edge has the largest (is non-loop, sorted pair of
+    end colours) of all edges, ties included, a vertex's colour being its
+    (weight, edge degree, markings); read from the parts alone."""
+    colors = [(w, edge_degree(edges, x),
+               tuple(i for i, y in enumerate(legs, 1) if y == x))
+              for x, w in enumerate(weights)]
+
+    def invariant(u, v):
+        return (u != v, tuple(sorted((colors[u], colors[v]))))
+
+    top = invariant(*edges[-1])
+    return all(invariant(u, v) <= top for u, v in edges)

@@ -287,6 +287,20 @@ class TestErrorHandling:
         assert (rc, out) == (2, "")
         assert "usage error: invalid rational literal" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["homology", "--g", "１", "--weights", "1,1,1"],
+        ["homology", "--g", "١", "--weights", "1,1,1"],
+        ["chambers", "enumerate", "--g", "1", "--n", "４"],
+    ], ids=["fullwidth-g", "arabic-indic-g", "fullwidth-n"])
+    def test_non_ascii_integer_is_usage_error(self, capsys, argv):
+        # int() reads both digits as 1 (and 4)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "invalid integer" in captured.err
+
     def test_out_of_domain_weight(self, capsys):
         rc, _, err = run(capsys, ["chambers", "signature", "--g", "1",
                                   "--weights", "2,1,1"])

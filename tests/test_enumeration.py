@@ -26,6 +26,7 @@ from tropgc.graphs import (MarkedGraph, canonicalize, encode_graph, has_loops,
                           is_stable)
 
 from .oracles import (canonical_key, decode_graph, enumerate_classes,
+                      every_uncontraction, new_edge_is_largest,
                       reference_is_stable)
 
 EPS = Fraction(1, 100)
@@ -231,6 +232,18 @@ def sorted_edge_invariants(weights, edges, legs):
 
 
 @lru_cache(maxsize=None)
+def parent_classes():
+    """(class, classical datum) for every class of (1,4), (2,3) and (3,1),
+    with weights, loops and parallel edges at the vertices they split."""
+    out = []
+    for g, n in ((1, 4), (2, 3), (3, 1)):
+        a = WeightDatum(g, (Fraction(1),) * n)
+        for m in range(max_edges(g, n)):
+            out += [(cg, a) for cg in enumerate_stable_graphs(g, a, m).classes]
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
 def generated_classes():
     """Every all-graph class of (1,4) and every pure class of (2,3)."""
     classes = []
@@ -247,10 +260,38 @@ class TestCanonicalParents:
     def test_same_classes_and_cache_as_every_candidate(
             self, tmp_path, monkeypatch, g, n, pure):
         kept = cold_generation(tmp_path / "kept", monkeypatch, g, n, pure)
-        monkeypatch.setattr(enumeration, "_new_edge_is_largest",
-                            lambda weights, edges, legs: True)
+        monkeypatch.setattr(enumeration, "_uncontractions",
+                            every_uncontraction)
         every = cold_generation(tmp_path / "every", monkeypatch, g, n, pure)
         assert kept == every
+
+    def test_each_parent_keeps_one_child_per_largest_new_edge(self):
+        """Per parent, the pruned uncontractions are some of the unpruned
+        ones whose new edge is largest, and reach every (child, new edge)
+        pair that those reach, up to isomorphism: the new edge is marked by
+        subdividing it at a vertex of a weight no other vertex has. Largest
+        is first tested from the parts alone (oracles.new_edge_is_largest),
+        then with ties broken (enumeration._new_edge_is_largest)."""
+        def marked_forms(children):
+            forms = set()
+            for weights, edges, legs in children:
+                mark = len(weights)
+                (u, v), rest = edges[-1], edges[:-1]
+                forms.add(canonicalize(MarkedGraph(
+                    weights + (99,), rest + ((u, mark), (v, mark)),
+                    legs))[0].graph)
+            return forms
+
+        with mock.patch.dict(graphs._canon_cache):
+            for cg, a in parent_classes():
+                sums, den = a.subset_sums
+                pruned = list(enumeration._uncontractions(cg, sums, den))
+                largest = [child for child
+                           in every_uncontraction(cg, sums, den)
+                           if new_edge_is_largest(*child)
+                           and enumeration._new_edge_is_largest(*child)]
+                assert set(pruned) <= set(largest)
+                assert marked_forms(pruned) == marked_forms(largest)
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -268,16 +309,43 @@ class TestCanonicalParents:
             tuple(new[x] for x in legs)) == \
             sorted_edge_invariants(weights, edges, legs)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_tie_break_survives_relabeling(self, data):
+        """_new_edge_is_largest gives one answer for every relabeling of a
+        graph's vertices and of its other edges, the tested edge last."""
+        cg = data.draw(st.sampled_from(
+            [cg for cg in generated_classes() if cg.graph.edges]))
+        weights, edges, legs = cg.graph.weights, cg.graph.edges, cg.graph.legs
+        last = data.draw(st.integers(0, len(edges) - 1))
+        edges = edges[:last] + edges[last + 1:] + edges[last:last + 1]
+        new = data.draw(st.permutations(range(len(weights))))
+        relabeled = [0] * len(weights)
+        for old, w in enumerate(weights):
+            relabeled[new[old]] = w
+        moved = [tuple(sorted((new[u], new[v]))) for u, v in edges]
+        moved[:-1] = data.draw(st.permutations(moved[:-1]))
+        assert enumeration._new_edge_is_largest(
+            tuple(relabeled), tuple(moved), tuple(new[x] for x in legs)) == \
+            enumeration._new_edge_is_largest(weights, edges, legs)
+
     def test_cold_pure_genus_two_canonicalizes_under_half(self, tmp_path,
                                                           monkeypatch):
-        candidates, canonicalized = [], []
+        """Cold pure (2,3): the unpruned uncontractions of the parents
+        number 1,362; the pruned ones build the parts of 345, and 311 of
+        those are canonicalized, under half of the unpruned count."""
+        unpruned, built, canonicalized = [], [], []
         real_uncontractions = enumeration._uncontractions
+        real_split = enumeration._split
         real_canonicalize = enumeration._canonicalize_parts
 
         def counted_uncontractions(cg, *stability):
-            for child in real_uncontractions(cg, *stability):
-                candidates.append(child)
-                yield child
+            unpruned.extend(every_uncontraction(cg, *stability))
+            return real_uncontractions(cg, *stability)
+
+        def counted_split(*args):
+            built.append(args)
+            return real_split(*args)
 
         def counted_canonicalize(*parts):
             canonicalized.append(parts)
@@ -285,11 +353,49 @@ class TestCanonicalParents:
 
         monkeypatch.setattr(enumeration, "_uncontractions",
                             counted_uncontractions)
+        monkeypatch.setattr(enumeration, "_split", counted_split)
         monkeypatch.setattr(enumeration, "_canonicalize_parts",
                             counted_canonicalize)
         cold_generation(tmp_path, monkeypatch, 2, 3, True)
-        assert len(candidates) == 1362
-        assert len(canonicalized) < len(candidates) / 2
+        assert (len(unpruned), len(built), len(canonicalized)) == \
+            (1362, 345, 311)
+        assert len(canonicalized) < len(unpruned) / 2
+
+    @pytest.mark.parametrize("g,n", [(2, 3), (1, 4)])
+    def test_cold_pure_canonicalizes_at_most_one_and_a_fifth_per_class(
+            self, tmp_path, monkeypatch, g, n):
+        canonicalized = []
+        real_canonicalize = enumeration._canonicalize_parts
+
+        def counted_canonicalize(*parts):
+            canonicalized.append(parts)
+            return real_canonicalize(*parts)
+
+        monkeypatch.setattr(enumeration, "_canonicalize_parts",
+                            counted_canonicalize)
+        classes, _ = cold_generation(tmp_path, monkeypatch, g, n, True)
+        assert len(canonicalized) <= 1.2 * sum(map(len, classes))
+
+
+# SHA-256 of every pure class encoding of the classical datum, one per
+# line, edge counts ascending, pinned from a generator that tried every
+# subset of the items at the split vertex and had no tie break, so that a
+# change in the classes, their order or their encodings fails.
+PURE_CLASS_DIGESTS = {
+    (2, 3): "51986f97fafa0ce56a8aea2c82ca9058268daf53b607d8caec98972e77aadfb9",
+    (1, 5): "cd43efae9d70653ab5b9ed472c3408e01a96b3d7c5d79e8b8da6028a14e9f5d2",
+    (3, 2): "0f7f6e9d46e73385d0e8a318258a9ef67a1f2b61baa2d09c8bd4cccde84050c5",
+}
+
+
+class TestPinnedClassLists:
+    @pytest.mark.parametrize("g,n", sorted(PURE_CLASS_DIGESTS))
+    def test_cold_pure_classes(self, tmp_path, monkeypatch, g, n):
+        classes, _ = cold_generation(tmp_path, monkeypatch, g, n, True)
+        body = "".join(cg.encoding + "\n" for level in classes
+                       for cg in level)
+        assert hashlib.sha256(body.encode()).hexdigest() == \
+            PURE_CLASS_DIGESTS[(g, n)]
 
 
 # A line of the (1, CLASSICAL3, 3) cache file, and malformed stand-ins for

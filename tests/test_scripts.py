@@ -1,6 +1,6 @@
 """Smoke tests of the example scripts: each runs to completion in a fresh
 cache and prints its headline result. The frontier script's pin check is
-tested on its own, since the full run takes about 35 s."""
+tested on its own, since the full run takes about 25 s."""
 
 import importlib.util
 import os
