@@ -166,12 +166,17 @@ def _subset_sums(entries: Sequence[Fraction]) -> tuple[list[int], int]:
     """(sums, den) with sums[mask] / den the sum of entries over the bits of
     mask, den the least common denominator of the entries."""
     den = lcm(*(x.denominator for x in entries))
-    nums = [x.numerator * (den // x.denominator) for x in entries]
-    sums = [0] * (1 << len(entries))
+    return _mask_sums([x.numerator * (den // x.denominator)
+                       for x in entries]), den
+
+
+def _mask_sums(nums: Sequence[int]) -> list[int]:
+    """sums[mask] = the sum of nums over the bits of mask."""
+    sums = [0] * (1 << len(nums))
     for mask in range(1, len(sums)):
         low = mask & (-mask)
         sums[mask] = sums[mask ^ low] + nums[low.bit_length() - 1]
-    return sums, den
+    return sums
 
 
 def signature(a: WeightDatum) -> ChamberSignature:
@@ -435,45 +440,73 @@ def _solve(s: ChamberSignature, cons: list[_Constraint]) -> Optional[WeightDatum
     of s force x > 0 anyway; they also bound x by 1). With eps = d - k,
     d >= 0 and k = max(0, -bound over the strict rows), every right-hand
     side is nonnegative (the non-strict bounds are), so x = 0, d = 0 is a
-    first basis and there is no phase 1. The tableau holds integers: a pivot
-    multiplies every other row by the positive pivot entry, subtracts a
-    multiple of the pivot row and divides by the gcd, so the basic variable
-    of row r is rhs_r / T[r][basic]. Bland's rule (the smallest eligible column, ratio
-    ties to the smallest basic label) rules out cycling. The first basis
-    with d > k has eps > 0, so every strict row holds there and its x is the
-    point; if the optimum has d <= k, there is none.
+    first basis and there is no phase 1. Variable x_i has label i, d has
+    label n, and the slack of row r label n + 1 + r.
+
+    The tableau is condensed and holds integers. Row r keeps one column per
+    nonbasic variable (labels[p] heads column p; n + 1 of them) and the
+    right-hand side, and the coefficient coef[r] of its basic variable
+    basis[r]; the basic variable's value is rhs_r / coef[r]. A full tableau
+    would also hold a column per basic variable, zero in every row but
+    that variable's own. A pivot multiplies every other row by the positive
+    pivot entry, subtracts a multiple of the pivot row and divides by the
+    gcd of the row and its basic coefficient; that is the gcd of the full
+    row, so each row is the full row without its zero columns, and the
+    pivot sequence is that of the full tableau. In the pivot row the
+    leaving variable takes the entering column with the old basic
+    coefficient, and in the other rows its entry is minus that times the
+    row's entry in the entering column. Bland's rule (the smallest
+    eligible label, ratio ties to the smallest basic label) rules out
+    cycling; ratios rhs_r / t_r of positive entries t_r are compared by
+    cross-multiplying. The first basis with d > k has eps > 0, so every
+    strict row holds there and its x is the point; if the optimum has
+    d <= k, there is none.
     """
     n = s.wall_set.n
     m = len(cons)
     k = max([0] + [-bound for _, bound, strict in cons if strict])
-    # columns: x_0..x_{n-1}, d (label n), one slack per row, right-hand side
-    tab = [[*coeffs, int(strict), *(int(r == t) for t in range(m)),
-            bound + k * strict]
-           for r, (coeffs, bound, strict) in enumerate(cons)]
-    tab.append([0] * n + [-1] + [0] * (m + 1))  # reduced costs of max d
+    labels = list(range(n + 1))
+    tab = [[*coeffs, int(strict), bound + k * strict]
+           for coeffs, bound, strict in cons]
+    tab.append([0] * n + [-1, 0])  # reduced costs of max d; no basic variable
+    coef = [1] * m + [0]
     basis = list(range(n + 1, n + 1 + m))
     # pivot until d is basic with a value above k
-    while not any(j == n and row[-1] > k * row[n]
-                  for j, row in zip(basis, tab)):
-        col = next((j for j, c in enumerate(tab[m][:-1]) if c < 0), None)
-        if col is None:
+    while not any(j == n and row[-1] > k * c
+                  for j, row, c in zip(basis, tab, coef)):
+        enter = min((j for j, c in zip(labels, tab[m]) if c < 0),
+                    default=None)
+        if enter is None:
             return None
+        col = labels.index(enter)
         # the LP is bounded, so some row limits the entering column
-        piv = min((r for r in range(m) if tab[r][col] > 0),
-                  key=lambda r: (Fraction(tab[r][-1], tab[r][col]), basis[r]))
+        piv = -1
+        for r in range(m):
+            t = tab[r][col]
+            if t > 0:
+                rhs = tab[r][-1]
+                if piv < 0 or rhs * best_t < best_rhs * t or (
+                        rhs * best_t == best_rhs * t and basis[r] < basis[piv]):
+                    piv, best_rhs, best_t = r, rhs, t
         top = tab[piv]
-        a = top[col]
+        a, leave = top[col], coef[piv]
         for r, row in enumerate(tab):
             f = row[col]
             if r != piv and f:
                 row = [a * x - f * y for x, y in zip(row, top)]
-                g = gcd(*row)
-                tab[r] = [x // g for x in row] if g > 1 else row
-        basis[piv] = col
+                row[col] = -f * leave
+                c = a * coef[r]
+                g = gcd(c, *row)
+                if g > 1:
+                    row = [x // g for x in row]
+                    c //= g
+                tab[r], coef[r] = row, c
+        top[col], coef[piv] = leave, a
+        labels[col], basis[piv] = basis[piv], enter
     values = [Fraction(0)] * n
     for r, j in enumerate(basis):
         if j < n:
-            values[j] = Fraction(tab[r][-1], tab[r][j])
+            values[j] = Fraction(tab[r][-1], coef[r])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DomainGapWarning)
         point = WeightDatum(s.wall_set.g, tuple(values))
@@ -569,20 +602,28 @@ def _expand_orbit(rep: ChamberSignature, point: WeightDatum
     """The S_n orbit of rep, sorted by signature, given a witness point of
     rep sorted ascending. The member for sigma has rep's sign at sigma(S) on
     each wall S, and must be the signature of apply_permutation(sigma,
-    point)."""
-    n = rep.wall_set.n
+    point). That check runs on integers: the witness's numerators over its
+    common denominator den (read from its subset sums) are permuted as
+    apply_permutation permutes entries, their subset sums are taken by the
+    same recurrence as for a datum, and a wall is Plus where its sum exceeds
+    den. Each member is a validated ChamberSignature."""
+    ws = rep.wall_set
+    n = ws.n
     # tie class of each marking: a run of neighbours whose swap fixes rep
     tie = [0]
     for i in range(1, n):
         swap = list(range(1, n + 1))
         swap[i - 1], swap[i] = i + 1, i
         tie.append(tie[-1] + (_permuted_signs(swap, rep) != rep.signs))
+    sums, den = point.subset_sums
+    nums = [sums[1 << i] for i in range(n)]
     members = []
     for sigma in _ordered_arrangements(tie, (), n):
-        member = signature(apply_permutation(sigma, point))
-        if member.signs != _permuted_signs(sigma, rep):
+        permuted = _mask_sums([nums[i - 1] for i in sigma])
+        signs = tuple([permuted[mask] > den for mask in ws.masks])
+        if signs != _permuted_signs(sigma, rep):
             raise AssertionError("orbit member misses its permuted witness")
-        members.append(member)
+        members.append(ChamberSignature(ws, signs))
     return tuple(sorted(members, key=lambda s: s.signs))
 
 

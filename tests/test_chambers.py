@@ -1,5 +1,6 @@
 """Weight data, walls, chamber signatures, and the symmetrized order."""
 
+import hashlib
 import math
 import random
 import warnings
@@ -32,6 +33,7 @@ from tropgc import (
     signature_json,
     wall_set,
 )
+from tropgc import chambers
 
 from .oracles import (reference_census, reference_compare,
                       reference_feasible_point, reference_orbits)
@@ -470,6 +472,68 @@ class TestCensus:
                 point = feasible_point(s)
                 assert point is not None
                 assert signature(point) == s
+
+    def test_orbit_member_check_fires(self, monkeypatch):
+        # the member for sigma = (2,1,3) is checked against signs with its
+        # first wall flipped; the all-Minus orbit has that member, since
+        # the flip also makes markings 1 and 2 look untied
+        permuted = chambers._permuted_signs
+
+        def one_member_misses(sigma, sig):
+            signs = permuted(sigma, sig)
+            if tuple(sigma) == (2, 1, 3):
+                signs = (not signs[0],) + signs[1:]
+            return signs
+
+        monkeypatch.setattr(chambers, "_permuted_signs", one_member_misses)
+        with pytest.raises(AssertionError,
+                           match="^orbit member misses its permuted witness$"):
+            enumerate_chambers(1, 3)
+
+    def test_witness_check_fires(self):
+        # constraints of a neighbouring chamber give a witness of that
+        # chamber, which fails the signature it is returned for
+        s = signature(datum(1, "1/4", "1/4", "1/2", "1/2"))
+        flipped = ChamberSignature(s.wall_set, tuple(
+            sign or sub == {3, 4} for sub, sign in zip(s.wall_set.subsets,
+                                                        s.signs)))
+        assert flipped != s and feasible_point(flipped) is not None
+        with pytest.raises(AssertionError,
+                           match="^feasibility witness fails its own "
+                                 "signature$"):
+            chambers._solve(s, chambers._signature_constraints(flipped))
+
+
+def feasible_point_lines():
+    """One line per feasible_point result, None included: every chamber of
+    (0,5), (1,4), (1,5) and (2,4), then each orbit representative with one
+    wall flipped, where that pattern is still monotone."""
+    for g, n in ((0, 5), (1, 4), (1, 5), (2, 4)):
+        census = enumerate_chambers(g, n)
+        sigs = list(census.chambers)
+        for orbit in census.orbits:
+            rep = orbit[0]
+            for k in range(len(rep.signs)):
+                signs = list(rep.signs)
+                signs[k] = not signs[k]
+                try:
+                    sigs.append(ChamberSignature(rep.wall_set, tuple(signs)))
+                except ValueError:
+                    pass
+        for s in sigs:
+            point = feasible_point(s)
+            yield f"{g} {n} " + ("None" if point is None else ",".join(
+                map(format_rational, point.entries)))
+
+
+def test_feasible_points_pinned():
+    # computed by this program, before the simplex tableau was condensed
+    lines = list(feasible_point_lines())
+    assert len(lines) == 5423
+    assert sum(line.endswith(" None") for line in lines) == 306
+    text = "".join(line + "\n" for line in lines)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "00d878b153548514120e32db1047266074af344b3f348aac400ad7d1135f6607")
 
 
 @st.composite
