@@ -21,18 +21,17 @@ signature hash) and store one canonical graph encoding per line, after a
 header line with that key, the line count and a SHA-256 of the body, so a
 truncated, damaged or misplaced file is recomputed, not believed. The
 header is checked on every load; the body of a file that passes is checked
-line by line once per process, in one strict pass per line
-(graphs._decode_canonical): the line must be in the grammar that
-encode_graph writes (no sign, space, underscore, leading zero or empty
-item), with markings 1..k in order and a genus prefix equal to b1 plus the
-total weight; the parts it names must be a valid graph (indices in range,
-connected) and equal their own canonical form, confirmed in place when no
-two vertices share a colour. A line that fails any of these, or a body that
-does not end in a newline, makes the file recomputed. An accepted line is
-then its form's encoding, and is kept as that. Its classes are kept in
-memory under the body's SHA-256, so identical bytes are never decoded
-twice. A body this process wrote is kept in memory when it is written, and
-is not decoded at all.
+line by line once per process (graphs._decode_canonical): the line must
+be exactly the text encode_graph writes for the parts it names, so no sign,
+space, underscore, leading zero or empty item, markings 1..k in order and a
+genus prefix equal to b1 plus the total weight; and those parts must be a
+valid graph (indices in range, connected) equal to their own canonical
+form, confirmed in place when no two vertices share a colour. A line that
+fails either, or a body that does not end in a newline, makes the file
+recomputed. An accepted line is then its form's encoding, and is kept as
+that. Its classes are kept in memory under the body's SHA-256, so
+identical bytes are never decoded twice. A body this process wrote is kept
+in memory when it is written, and is not decoded at all.
 """
 
 from __future__ import annotations

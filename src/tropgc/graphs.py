@@ -36,18 +36,17 @@ colors strictly increase along the vertex order, with their edges sorted
 low end first, are confirmed to be their own form in place, with no color
 classes, relabeling or sort.
 
-An encoding is written by encode_graph and read only by _decode_canonical,
-which checks a cache line in one strict pass: it accepts exactly the text
-encode_graph writes for a canonical form (numerals as str() writes them,
-markings 1..k in order, the genus prefix), confirms that the parts read are
-their own canonical form (in place for a graph without tied colors) and
-keeps the line as the form's encoding.
+The line format is defined once, by the writer: encode_graph writes the
+parts of a graph through _encode_parts, and _decode_canonical reads a cache
+line's parts leniently, accepts the line only when _encode_parts writes
+those parts back as the line, confirms that they are their own canonical
+form (in place for a graph without tied colors) and keeps the line as the
+form's encoding.
 """
 
 from __future__ import annotations
 
 import operator
-import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, permutations, product
@@ -450,48 +449,44 @@ def edge_map_sign(edge_map: Sequence[int]) -> int:
 
 def encode_graph(graph: MarkedGraph) -> str:
     """Canonical text encoding, e.g. "1;0;edges=(0-0);legs=(1@0,2@0,3@0)"."""
-    w = ",".join(map(str, graph.weights))
-    e = ",".join([f"{u}-{v}" for u, v in graph.edges])
-    l = ",".join([f"{i}@{v}" for i, v in enumerate(graph.legs, 1)])
-    return f"{genus(graph)};{w};edges=({e});legs=({l})"
+    return _encode_parts(graph.weights, graph.edges, graph.legs)
 
 
-# The text encode_graph writes, around numerals as str() writes them, in
-# ASCII digits.
-_N = "(?:0|[1-9][0-9]*)"
-_ENCODING = re.compile(
-    rf"({_N});({_N}(?:,{_N})*);edges=\(((?:{_N}-{_N}(?:,{_N}-{_N})*)?)\);"
-    rf"legs=\(((?:{_N}@{_N}(?:,{_N}@{_N})*)?)\)")
+def _encode_parts(weights: tuple[int, ...], edges: tuple[Edge, ...],
+                  legs: tuple[int, ...]) -> str:
+    """The text encode_graph writes for a graph with these fields, the parts
+    written as given and no graph built: the genus prefix is b1 plus the
+    total weight."""
+    w = ",".join(map(str, weights))
+    e = ",".join([f"{u}-{v}" for u, v in edges])
+    l = ",".join([f"{i}@{v}" for i, v in enumerate(legs, 1)])
+    g = len(edges) - len(weights) + 1 + sum(weights)
+    return f"{g};{w};edges=({e});legs=({l})"
 
 
 def _decode_canonical(line: str) -> CanonicalGraph:
     """The class whose canonical encoding is line, byte for byte, with line
     as its encoding unless that was already computed. ValueError "bad graph
-    encoding" for text outside the grammar _ENCODING or parts that are not
-    a valid graph (an index out of range, or disconnected); ValueError
-    "encoding is not canonical" for markings other than 1..k in order, a
-    genus prefix other than b1 + sum of weights, or parts other than their
-    own canonical form.
+    encoding" for a line that is not the text encode_graph writes for the
+    parts it names, or whose parts are not a valid graph (an index out of
+    range, or disconnected); ValueError "encoding is not canonical" for
+    parts other than their own canonical form.
 
-    An accepted line is encode_graph(form): each numeral in the grammar is
-    what str() writes for its value, the form's weights, edges and legs are
-    the parts read, in order, its markings are 1..k in order as encode_graph
-    numbers them, and its genus is the prefix. Conversely, encode_graph
-    writes every canonical form in the grammar, and a form is its own form.
+    The parts are read leniently, and the line is accepted only if writing
+    them back (_encode_parts) gives the line, so an accepted line is
+    encode_graph(form): its numerals are as str() writes them, its markings
+    1..k in order and its genus prefix that of the parts.
     """
-    match = _ENCODING.fullmatch(line)
-    if match is None:
-        raise ValueError(f"bad graph encoding: {line!r}")
-    g_text, w_text, e_text, l_text = match.groups()
-    weights = tuple(map(int, w_text.split(",")))
-    ends = e_text.replace("-", ",").split(",") if e_text else ()
-    edges = tuple(zip(map(int, ends[::2]), map(int, ends[1::2])))
-    marked = l_text.replace("@", ",").split(",") if l_text else ()
-    legs = tuple(map(int, marked[1::2]))
-    if (list(map(int, marked[::2])) != list(range(1, len(legs) + 1))
-            or int(g_text) != len(edges) - len(weights) + 1 + sum(weights)):
-        raise ValueError(f"encoding is not canonical: {line!r}")
     try:
+        _, w_text, e_text, l_text = line.split(";")
+        weights = tuple(map(int, w_text.split(",")))
+        ends = e_text[len("edges=("):-1].replace("-", ",").split(",")
+        edges = (tuple(zip(map(int, ends[::2]), map(int, ends[1::2])))
+                 if ends != [""] else ())
+        marked = l_text[len("legs=("):-1].replace("@", ",").split(",")
+        legs = tuple(map(int, marked[1::2]))
+        if _encode_parts(weights, edges, legs) != line:
+            raise ValueError("not the text encode_graph writes")
         cg, _ = _canonicalize_parts(weights, edges, legs)
     except ValueError as exc:
         raise ValueError(f"bad graph encoding: {line!r}") from exc

@@ -10,6 +10,7 @@ Slow but transparent.
 
 from __future__ import annotations
 
+import re
 import warnings
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
@@ -600,6 +601,45 @@ def decode_graph(text: str):
         raise ValueError(f"genus prefix {g_part} does not match graph in "
                          f"{text!r}")
     return graph
+
+
+# The text encode_graph writes, around numerals as str() writes them, in
+# ASCII digits: the grammar the cache-line reader once matched.
+_N = "(?:0|[1-9][0-9]*)"
+_ENCODING = re.compile(
+    rf"({_N});({_N}(?:,{_N})*);edges=\(((?:{_N}-{_N}(?:,{_N}-{_N})*)?)\);"
+    rf"legs=\(((?:{_N}@{_N}(?:,{_N}@{_N})*)?)\)")
+
+
+def reference_decode(line: str):
+    """The CanonicalGraph whose encoding is line, by the cache-line reader
+    that matched a grammar: the line must match _ENCODING, with markings
+    1..k in order and a genus prefix of b1 plus the total weight, and the
+    parts it names must be a valid graph equal to their own canonical form
+    (canonicalize). ValueError otherwise. The reference acceptor for
+    graphs._decode_canonical, which re-encodes a line instead."""
+    from tropgc import MarkedGraph, canonicalize
+
+    match = _ENCODING.fullmatch(line)
+    if match is None:
+        raise ValueError(f"bad graph encoding: {line!r}")
+    g_text, w_text, e_text, l_text = match.groups()
+    weights = tuple(map(int, w_text.split(",")))
+    ends = e_text.replace("-", ",").split(",") if e_text else ()
+    edges = tuple(zip(map(int, ends[::2]), map(int, ends[1::2])))
+    marked = l_text.replace("@", ",").split(",") if l_text else ()
+    legs = tuple(map(int, marked[1::2]))
+    if (list(map(int, marked[::2])) != list(range(1, len(legs) + 1))
+            or int(g_text) != len(edges) - len(weights) + 1 + sum(weights)):
+        raise ValueError(f"encoding is not canonical: {line!r}")
+    try:
+        cg, _ = canonicalize(MarkedGraph(weights, edges, legs))
+    except ValueError as exc:
+        raise ValueError(f"bad graph encoding: {line!r}") from exc
+    graph = cg.graph
+    if (graph.weights, graph.edges, graph.legs) != (weights, edges, legs):
+        raise ValueError(f"encoding is not canonical: {line!r}")
+    return cg
 
 
 def reference_is_stable(graph, g: int, a) -> bool:

@@ -27,7 +27,7 @@ from tropgc.graphs import (MarkedGraph, canonicalize, encode_graph, has_loops,
 
 from .oracles import (canonical_key, decode_graph, enumerate_classes,
                       every_uncontraction, new_edge_is_largest,
-                      reference_is_stable)
+                      reference_decode, reference_is_stable)
 
 EPS = Fraction(1, 100)
 CLASSICAL3 = WeightDatum(1, (Fraction(1),) * 3)
@@ -414,16 +414,20 @@ MALFORMED_LINES = {
     "vertex-out-of-range": "1;0,0,0;edges=(0-1,1-2,2-3);legs=(1@0,2@0,3@1)",
     "three-ended-edge": "1;0,0,0;edges=(0-1-2,1-2,2-2);legs=(1@0,2@0,3@1)",
     "empty-weights": "1;;edges=(0-1,1-2,2-2);legs=(1@0,2@0,3@1)",
-    # int() reads "0_1" and "1\t" as 1, so only the grammar rejects these
+    # int() reads "0_1" and "1\t" as 1, so only writing the parts back
+    # rejects these
     "underscore": "1;0,0,0;edges=(0-1,1-2,2-2);legs=(1@0,2@0,3@0_1)",
     "tab": "1;0,0,0;edges=(0-1,1-2,2-2);legs=(1@0,2@0,3@1\t)",
     "trailing-comma": "1;0,0,0;edges=(0-1,1-2,2-2);legs=(1@0,2@0,3@1,)",
     # canonical text and vertex order, edges out of order: only the
     # in-place order test rejects it
     "edges-swapped": "1;0,0,0;edges=(1-2,0-1,2-2);legs=(1@0,2@0,3@1)",
-    # in the grammar, genus prefix right, colours and edges in order: only
-    # the connectivity check rejects it
+    # written back unchanged, colours and edges in order: only the
+    # connectivity check rejects it
     "disconnected": "0;0,0;edges=(1-1);legs=(1@0,2@1,3@1)",
+    # written back unchanged, genus prefix right: only the weight check
+    # rejects it
+    "negative-weight": "0;0,0,-1;edges=(0-1,1-2,2-2);legs=(1@0,2@0,3@1)",
     # written with a CRLF line end
     "carriage-return": CACHE_LINE + "\r",
 }
@@ -540,6 +544,22 @@ def decoder_classes():
 EDIT_CHARS = "0123456789,;-@()+ _"
 
 
+def decoded_as_reference(line):
+    """graphs._decode_canonical(line), or None on ValueError, after checking
+    that reference_decode accepts line exactly when it does, with the same
+    class."""
+    try:
+        decoded = graphs._decode_canonical(line)
+    except ValueError:
+        decoded = None
+    try:
+        expected = reference_decode(line)
+    except ValueError:
+        expected = None
+    assert decoded == expected
+    return decoded
+
+
 class TestDecodeCanonical:
     def test_every_class_decodes_to_itself(self):
         classes = decoder_classes()
@@ -551,11 +571,18 @@ class TestDecodeCanonical:
                 assert decoded == cg
                 assert decoded.encoding is line
 
+    @pytest.mark.parametrize("damage", sorted(MALFORMED_LINES))
+    @pytest.mark.parametrize("cold", [True, False], ids=["cold", "warm"])
+    def test_malformed_line_is_rejected_as_by_reference(self, damage, cold):
+        with mock.patch.dict(graphs._canon_cache, clear=cold):
+            assert decoded_as_reference(CACHE_LINE) is not None
+            assert decoded_as_reference(MALFORMED_LINES[damage]) is None
+
     @settings(max_examples=400, deadline=None)
     @given(st.data())
     def test_edited_line_is_rejected_or_its_own_encoding(self, data):
-        # encode_graph, not the decoder's grammar, is the oracle: an edit
-        # may only be accepted as the encoding of the form it decodes to.
+        # The reference acceptor decides which edits are accepted, and
+        # encode_graph confirms that an accepted edit is its form's encoding.
         line = data.draw(st.sampled_from(decoder_classes())).encoding
         edit = data.draw(st.sampled_from(("insert", "delete", "replace")))
         at = data.draw(st.integers(0, len(line) - (edit != "insert")))
@@ -564,9 +591,8 @@ class TestDecodeCanonical:
         edited = line[:at] + new + line[at + (edit != "insert"):]
         cold = data.draw(st.booleans(), label="cold memo")
         with mock.patch.dict(graphs._canon_cache, clear=cold):
-            try:
-                decoded = graphs._decode_canonical(edited)
-            except ValueError:
-                return
+            decoded = decoded_as_reference(edited)
+        if decoded is None:
+            return
         assert encode_graph(decoded.graph) == edited
         assert decoded.encoding == edited
