@@ -29,9 +29,10 @@ valid graph (indices in range, connected) equal to their own canonical
 form, confirmed in place when no two vertices share a colour. A line that
 fails either, or a body that does not end in a newline, makes the file
 recomputed. An accepted line is then its form's encoding, and is kept as
-that. Its classes are kept in memory under the body's SHA-256, so
-identical bytes are never decoded twice. A body this process wrote is kept
-in memory when it is written, and is not decoded at all.
+that when the form is new to the process. Its classes are kept in memory
+under the body's SHA-256, so identical bytes are never decoded twice. A
+body this process wrote is kept in memory when it is written, and is not
+decoded at all.
 """
 
 from __future__ import annotations
@@ -107,9 +108,8 @@ def _uncontractions(cg: CanonicalGraph, sums: Sequence[int],
     colour is above the other side's. Only a child with another edge of
     the same invariant has its neighbour colours compared.
     """
-    graph = cg.graph
-    weights, edges, legs = graph.weights, graph.edges, graph.legs
-    new = graph.num_vertices
+    weights, edges, legs = cg.graph
+    new = len(weights)
     colors = _vertex_colors(weights, edges, legs)
     # the non-loop edges' sorted pairs of end colours, largest first
     pairs = sorted([(_edge_invariant(colors, x, y)[1], x, y)

@@ -1,9 +1,10 @@
 """Weighted marked multigraphs and their canonical forms.
 
-A MarkedGraph stores vertex weights, an ordered list of edges (unordered
-endpoint pairs; loops allowed; the list order is the graph's edge order),
-and a placement of markings 1..n on vertices (each marking is a leg).
-Connectivity is required.
+A MarkedGraph is the tuple of its vertex weights, an ordered list of edges
+(unordered endpoint pairs; loops allowed; the list order is the graph's
+edge order) and a placement of markings 1..n on vertices (each marking is
+a leg), so it hashes and compares as those parts. Connectivity is
+required.
 
 Every constructed graph is normalized and validated once, in one pass:
 the constructor makes its parts tuples, writes each edge low end first and
@@ -21,14 +22,15 @@ markings, the sorted colors already fix the one relabeling and the group is
 trivial, so no search runs. Besides vertex automorphisms, a swap of two
 parallel edges (or of two loops at one vertex) induces an odd edge
 transposition, while flipping the two half-edges of a single loop induces
-the identity on edges. A canonical graph's text encoding is computed at
-most once, or is the cache line that the form was read from. Every
-identity edge map that canonicalization returns is one shared tuple per
-edge count, whose sign edge_map_sign gives without a parity.
+the identity on edges. A canonical graph's text encoding is set once, when
+its form is built: the cache line the form was read from, or else written
+then. Every identity edge map that canonicalization returns is one shared
+tuple per edge count, whose sign edge_map_sign gives without a parity.
 
-Canonical forms are memoized by (weights, edges, legs) tuples: the parts
-of validated graphs, or range-checked parts whose relabeling is a
-validated form. Contractions, uncontractions and cache lines are
+Canonical forms are memoized by (weights, edges, legs) tuples: each form
+under its own validated graph, which is such a tuple, and every other
+input under its range-checked parts, whose relabeling is a validated form.
+Contractions, uncontractions and cache lines are
 canonicalized from their parts: on a memo miss the color classes and the
 relabeling are computed from the parts, and a graph is built (and
 validated) only when the canonical form is new, once per form. Parts whose
@@ -47,8 +49,6 @@ form's encoding.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain, permutations, product
 from typing import Iterable, Optional, Sequence
 
@@ -74,26 +74,28 @@ def is_connected(num_vertices: int, edges) -> bool:
     return merged == num_vertices - 1
 
 
-@dataclass(frozen=True)
-class MarkedGraph:
-    """Connected weighted multigraph with ordered edges and marked legs."""
+class MarkedGraph(tuple):
+    """Connected weighted multigraph with ordered edges and marked legs.
 
-    weights: tuple[int, ...]
-    edges: tuple[Edge, ...]
-    legs: tuple[int, ...]  # legs[i] = vertex carrying marking i + 1
+    A graph is the tuple (weights, edges, legs), legs[i] being the vertex
+    that carries marking i + 1, so it hashes and compares as those parts.
+    """
 
-    def __post_init__(self):
-        weights, edges, legs = (tuple(self.weights), tuple(self.edges),
-                                tuple(self.legs))
+    __slots__ = ()
+
+    weights = property(operator.itemgetter(0))
+    edges = property(operator.itemgetter(1))
+    legs = property(operator.itemgetter(2))
+
+    def __new__(cls, weights: Iterable[int], edges: Iterable[Edge],
+                legs: Iterable[int]) -> MarkedGraph:
+        weights, edges, legs = tuple(weights), tuple(edges), tuple(legs)
         for x in chain(weights, chain.from_iterable(edges), legs):
             # int() would read 1.5, Fraction(3, 2) and True as 1
             if type(x) is not int:
                 raise TypeError(f"weights, edge ends and legs must be ints, "
                                 f"not {x!r}")
         edges = tuple([(u, v) if u <= v else (v, u) for u, v in edges])
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "legs", legs)
         nv = len(weights)
         if nv < 1:
             raise ValueError("graph needs at least one vertex")
@@ -109,6 +111,14 @@ class MarkedGraph:
             raise ValueError(f"leg vertex {v} out of range")
         if not is_connected(nv, edges):
             raise ValueError("graph must be connected")
+        return tuple.__new__(cls, (weights, edges, legs))
+
+    def __reduce__(self):
+        # every pickle protocol and copy rebuild a graph by the constructor
+        return MarkedGraph, tuple(self)
+
+    def __repr__(self):
+        return "MarkedGraph(weights=%r, edges=%r, legs=%r)" % self
 
     @property
     def num_vertices(self) -> int:
@@ -183,38 +193,59 @@ def contract_edge(graph: MarkedGraph, e: int) -> MarkedGraph:
 def _contracted_parts(graph: MarkedGraph, e: int) -> Parts:
     """The (weights, edges, legs) of contract_edge(graph, e), each edge
     written low end first, as a constructed graph stores it."""
-    if not (0 <= e < graph.num_edges):
+    weights, edges, legs = graph
+    if not (0 <= e < len(edges)):
         raise ValueError(f"no edge with index {e}")
-    u, v = graph.edges[e]
-    rest = graph.edges[:e] + graph.edges[e + 1:]
-    weights = list(graph.weights)
+    u, v = edges[e]
+    rest = edges[:e] + edges[e + 1:]
     if u == v:
-        weights[u] += 1
-        return tuple(weights), rest, graph.legs
+        return weights[:u] + (weights[u] + 1,) + weights[u + 1:], rest, legs
     # merge v into u (u < v); vertices above v shift down, so only an edge
     # end at v can land below the other end
-    weights[u] += weights.pop(v)
-    remap = [x - (x > v) for x in range(graph.num_vertices)]
-    remap[v] = u
+    remap = [*range(v), u, *range(v, len(weights) - 1)]
     new_edges = []
     for x, y in rest:
         x, y = remap[x], remap[y]
         new_edges.append((x, y) if x <= y else (y, x))
-    return (tuple(weights), tuple(new_edges),
-            tuple(map(remap.__getitem__, graph.legs)))
+    return (weights[:u] + (weights[u] + weights[v],) + weights[u + 1:v]
+            + weights[v + 1:], tuple(new_edges),
+            tuple(map(remap.__getitem__, legs)))
 
 
-@dataclass(frozen=True)
 class CanonicalGraph:
-    """A graph in canonical form plus its automorphism bookkeeping."""
+    """A graph in canonical form, its automorphism bookkeeping and its text
+    encoding, which _new_form sets once, when it builds the form. Two
+    classes are equal when their first three fields are."""
 
-    graph: MarkedGraph
-    has_odd_edge_automorphism: bool
-    automorphism_generators: tuple[Permutation, ...]
+    __slots__ = ("graph", "has_odd_edge_automorphism",
+                 "automorphism_generators", "encoding")
 
-    @cached_property
-    def encoding(self) -> str:
-        return encode_graph(self.graph)
+    def __init__(self, graph: MarkedGraph, has_odd_edge_automorphism: bool,
+                 automorphism_generators: tuple[Permutation, ...],
+                 encoding: str):
+        self.graph = graph
+        self.has_odd_edge_automorphism = has_odd_edge_automorphism
+        self.automorphism_generators = automorphism_generators
+        self.encoding = encoding
+
+    def _fields(self) -> tuple:
+        return (self.graph, self.has_odd_edge_automorphism,
+                self.automorphism_generators)
+
+    def __eq__(self, other):
+        if other.__class__ is not CanonicalGraph:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return ("CanonicalGraph(graph=%r, has_odd_edge_automorphism=%r, "
+                "automorphism_generators=%r)" % self._fields())
+
+    def __reduce__(self):
+        return CanonicalGraph, (*self._fields(), self.encoding)
 
 
 def _vertex_colors(weights: tuple[int, ...], edges: tuple[Edge, ...],
@@ -256,8 +287,9 @@ def _permutation_parity(perm: Sequence[int]) -> int:
 
 
 # Canonical form and edge map of every graph canonicalized so far, keyed by
-# the (weights, edges, legs) of that validated graph (its own field tuples),
-# or by range-checked parts whose relabeling is a validated form.
+# each form's own graph, which compares and hashes as its parts tuple, and by
+# the range-checked (weights, edges, legs) of every other input whose
+# relabeling is a validated form.
 _canon_cache: dict[Parts, tuple[CanonicalGraph, Permutation]] = {}
 
 
@@ -269,11 +301,11 @@ def canonicalize(graph: MarkedGraph) -> tuple[CanonicalGraph, Permutation]:
     parity is well defined modulo automorphisms whenever
     has_odd_edge_automorphism is False.
     """
-    return _canonicalize_parts(graph.weights, graph.edges, graph.legs)
+    return _canonicalize_parts(*graph)
 
 
 def _canonicalize_parts(weights: tuple[int, ...], edges: tuple[Edge, ...],
-                        legs: tuple[int, ...]
+                        legs: tuple[int, ...], line: Optional[str] = None
                         ) -> tuple[CanonicalGraph, Permutation]:
     """canonicalize(MarkedGraph(weights, edges, legs)), without building
     that graph.
@@ -294,6 +326,10 @@ def _canonicalize_parts(weights: tuple[int, ...], edges: tuple[Edge, ...],
     written low end first and sorted, the stable sort below keeps them in
     place too. Then the parts are their own form, the edge map is the
     identity, and neither is computed.
+
+    line, when given, is the cache line the parts were read from, and
+    becomes the encoding of their form if the parts are that form and it is
+    new.
     """
     key = (weights, edges, legs)
     cached = _canon_cache.get(key)
@@ -305,7 +341,7 @@ def _canonicalize_parts(weights: tuple[int, ...], edges: tuple[Edge, ...],
     if (all(map(operator.lt, colors, colors[1:]))
             and all(u <= v for u, v in edges)
             and all(map(operator.le, edges, edges[1:]))):
-        return _new_form(key, ())
+        return _new_form(key, (), line)
     groups: dict[tuple, list[int]] = {}
     for v, color in enumerate(colors):
         groups.setdefault(color, []).append(v)
@@ -336,7 +372,8 @@ def _canonicalize_parts(weights: tuple[int, ...], edges: tuple[Edge, ...],
     form = (tuple(new_weights), tuple([e for e, _ in mapped]),
             tuple(map(ref.__getitem__, legs)))
     # the form is memoized if another input reached it first
-    cg = (_canon_cache.get(form) or _new_form(form, generators))[0]
+    cg = (_canon_cache.get(form) or _new_form(
+        form, generators, line if form == key else None))[0]
     edge_map = tuple(edge_map)
     identity = _identity_edge_map(len(edge_map))
     result = (cg, identity if edge_map == identity else edge_map)
@@ -344,23 +381,28 @@ def _canonicalize_parts(weights: tuple[int, ...], edges: tuple[Edge, ...],
     return result
 
 
-def _new_form(form: Parts, generators: tuple[Permutation, ...]
+def _new_form(form: Parts, generators: tuple[Permutation, ...],
+              line: Optional[str] = None
               ) -> tuple[CanonicalGraph, Permutation]:
     """The canonical graph with these parts and vertex automorphism
-    generators, built and validated (once per form), memoized with the
-    shared identity edge map of its edge count, which is returned with it.
+    generators, built and validated (once per form), memoized under its own
+    graph with the shared identity edge map of its edge count, which is
+    returned with it. Its encoding is line, the cache line the parts were
+    read from, or else is written here.
 
     The constructor runs all of its checks here, the index ranges and the
     edge normalization too, although _canonicalize_parts has established
-    both, so that every graph is built by one path.
+    both, so that every graph is built by one path. The encoding is written
+    now, not on first use, since every form a program path reaches is a
+    class, and classes are sorted and stored by their encodings.
     """
     canon = MarkedGraph(*form)
     cg = CanonicalGraph(canon, _has_odd_edge_automorphism(canon.edges,
                                                           generators),
-                        generators)
+                        generators,
+                        _encode_parts(*canon) if line is None else line)
     result = (cg, _identity_edge_map(len(canon.edges)))
-    # keyed by the graph's own field tuples, which the key then shares
-    _canon_cache[(canon.weights, canon.edges, canon.legs)] = result
+    _canon_cache[canon] = result
     return result
 
 
@@ -384,6 +426,8 @@ def _has_odd_edge_automorphism(edges: tuple[Edge, ...],
         # swapping two parallel edges (or two loops at one vertex) is an
         # odd transposition of the edge set
         return True
+    if not generators:
+        return False
     index = {edge: i for i, edge in enumerate(edges)}
     for alpha in generators:
         induced = []
@@ -449,7 +493,7 @@ def edge_map_sign(edge_map: Sequence[int]) -> int:
 
 def encode_graph(graph: MarkedGraph) -> str:
     """Canonical text encoding, e.g. "1;0;edges=(0-0);legs=(1@0,2@0,3@0)"."""
-    return _encode_parts(graph.weights, graph.edges, graph.legs)
+    return _encode_parts(*graph)
 
 
 def _encode_parts(weights: tuple[int, ...], edges: tuple[Edge, ...],
@@ -466,7 +510,7 @@ def _encode_parts(weights: tuple[int, ...], edges: tuple[Edge, ...],
 
 def _decode_canonical(line: str) -> CanonicalGraph:
     """The class whose canonical encoding is line, byte for byte, with line
-    as its encoding unless that was already computed. ValueError "bad graph
+    as its encoding unless the form was built before. ValueError "bad graph
     encoding" for a line that is not the text encode_graph writes for the
     parts it names, or whose parts are not a valid graph (an index out of
     range, or disconnected); ValueError "encoding is not canonical" for
@@ -487,12 +531,9 @@ def _decode_canonical(line: str) -> CanonicalGraph:
         legs = tuple(map(int, marked[1::2]))
         if _encode_parts(weights, edges, legs) != line:
             raise ValueError("not the text encode_graph writes")
-        cg, _ = _canonicalize_parts(weights, edges, legs)
+        cg, _ = _canonicalize_parts(weights, edges, legs, line)
     except ValueError as exc:
         raise ValueError(f"bad graph encoding: {line!r}") from exc
-    graph = cg.graph
-    if (graph.weights, graph.edges, graph.legs) != (weights, edges, legs):
+    if cg.graph != (weights, edges, legs):
         raise ValueError(f"encoding is not canonical: {line!r}")
-    # set the cached property, unless it is set, to the equal line
-    vars(cg).setdefault("encoding", line)
     return cg

@@ -391,7 +391,14 @@ PURE_CLASS_DIGESTS = {
 class TestPinnedClassLists:
     @pytest.mark.parametrize("g,n", sorted(PURE_CLASS_DIGESTS))
     def test_cold_pure_classes(self, tmp_path, monkeypatch, g, n):
-        classes, _ = cold_generation(tmp_path, monkeypatch, g, n, True)
+        with mock.patch.dict(graphs._canon_cache, clear=True):
+            classes, _ = cold_generation(tmp_path, monkeypatch, g, n, True)
+            # each form is memoized under its own graph, no second key
+            keys = {key: key for key in graphs._canon_cache}
+            for level in classes:
+                for cg in level:
+                    assert keys[cg.graph] is cg.graph
+                    assert cg.encoding == encode_graph(cg.graph)
         body = "".join(cg.encoding + "\n" for level in classes
                        for cg in level)
         assert hashlib.sha256(body.encode()).hexdigest() == \
@@ -577,6 +584,15 @@ class TestDecodeCanonical:
         with mock.patch.dict(graphs._canon_cache, clear=cold):
             assert decoded_as_reference(CACHE_LINE) is not None
             assert decoded_as_reference(MALFORMED_LINES[damage]) is None
+
+    @pytest.mark.parametrize("damage", sorted(MALFORMED_LINES))
+    def test_rejected_line_is_no_encoding(self, damage):
+        # a line becomes the encoding only of the form it is written from
+        with mock.patch.dict(graphs._canon_cache, clear=True):
+            with pytest.raises(ValueError):
+                graphs._decode_canonical(MALFORMED_LINES[damage])
+            for cg, _ in graphs._canon_cache.values():
+                assert cg.encoding == encode_graph(cg.graph)
 
     @settings(max_examples=400, deadline=None)
     @given(st.data())

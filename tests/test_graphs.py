@@ -1,5 +1,7 @@
 """Marked weighted graphs: stability, contraction, canonical forms."""
 
+import copy
+import pickle
 import random
 import warnings
 from fractions import Fraction
@@ -112,6 +114,70 @@ class TestConstruction:
         # lists are stored as tuples
         assert MarkedGraph([0, 0], [[1, 0], [0, 1]], [0, 1]) == g
 
+
+COPIES = [copy.copy, copy.deepcopy] + [
+    lambda x, protocol=protocol: pickle.loads(pickle.dumps(x, protocol))
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+
+
+class TestRecords:
+    """A graph is its (weights, edges, legs) tuple; a class keeps its
+    encoding in a slot."""
+
+    GRAPHS = (LOOP, LOOP_BRIDGE, BANANA, TRIANGLE, GRAPHONE, G1_GENUS2)
+
+    def test_graph_is_its_parts_tuple(self):
+        for graph in self.GRAPHS:
+            parts = (graph.weights, graph.edges, graph.legs)
+            assert graph == parts
+            assert hash(graph) == hash(parts)
+            assert tuple(graph) == parts
+            assert MarkedGraph(*parts) == graph
+            assert MarkedGraph(weights=parts[0], edges=parts[1],
+                               legs=parts[2]) == graph
+
+    def test_graph_fields_are_read_only(self):
+        with pytest.raises(AttributeError):
+            LOOP.weights = (1,)
+        with pytest.raises(AttributeError):
+            LOOP.extra = 1
+        assert LOOP.weights == (0,)
+
+    def test_no_instance_dict(self):
+        cg, _ = canonicalize(BANANA)
+        assert not hasattr(BANANA, "__dict__")
+        assert not hasattr(cg, "__dict__")
+
+    def test_repr(self):
+        assert repr(LOOP) == ("MarkedGraph(weights=(0,), edges=((0, 0),), "
+                              "legs=(0, 0, 0))")
+        assert repr(canonicalize(LOOP)[0]) == (
+            f"CanonicalGraph(graph={LOOP!r}, has_odd_edge_automorphism="
+            "False, automorphism_generators=())")
+
+    @pytest.mark.parametrize("copier", COPIES)
+    def test_copies_are_equal_records(self, copier):
+        for graph in self.GRAPHS:
+            cg, _ = canonicalize(graph)
+            for record in (graph, cg):
+                copied = copier(record)
+                assert type(copied) is type(record)
+                assert copied == record
+                assert hash(copied) == hash(record)
+            assert copier(cg).encoding == cg.encoding == encode_graph(cg.graph)
+
+    @pytest.mark.parametrize("copier", COPIES)
+    def test_copies_are_built_by_the_constructor(self, copier):
+        unchecked = tuple.__new__(MarkedGraph, ((0, 0), (), ()))
+        with pytest.raises(ValueError, match="graph must be connected"):
+            copier(unchecked)
+
+    def test_class_equality_ignores_encoding(self):
+        cg, _ = canonicalize(TRIANGLE)
+        other = copy.copy(cg)
+        other.encoding = "not an encoding"
+        assert other == cg and hash(other) == hash(cg)
+        assert cg != cg.graph
 
 
 class TestGenus:
@@ -443,6 +509,21 @@ class TestPartsLookup:
             else:
                 want = _contract(graph.weights, graph.edges, graph.legs, e)
             assert parts == want
+
+    def test_repeated_contraction_parts_are_a_memo_hit(self):
+        # contracting either of the two parallel edges gives the same parts,
+        # which are not their own canonical form
+        graph = MarkedGraph((0, 0, 0), ((0, 1), (0, 1), (1, 2), (0, 2)),
+                            (0, 1, 2))
+        parts = _contracted_parts(graph, 0)
+        assert parts == _contracted_parts(graph, 1)
+        with mock.patch.dict(graphs._canon_cache, clear=True):
+            first = _canonicalize_parts(*parts)
+            assert first[0].graph != parts
+            with mock.patch.object(graphs, "_vertex_colors",
+                                   side_effect=AssertionError("recomputed")):
+                assert _canonicalize_parts(*_contracted_parts(graph, 1)) \
+                    is first
 
     def test_contracted_parts_rejects_missing_edge(self):
         with pytest.raises(ValueError, match="no edge with index 2"):

@@ -1,6 +1,7 @@
 """Smoke tests of the example scripts: each runs to completion in a fresh
 cache and prints its headline result. The frontier script's pin check is
-tested on its own, since the full run takes about 25 s."""
+tested on its own, since the full run takes 23 to 30 s (two runs on a shared
+2-CPU host)."""
 
 import hashlib
 import importlib.util
