@@ -34,8 +34,8 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 from .chambers import DomainError, WeightDatum, format_rational
-from .graphs import (CanonicalGraph, _canonicalize_parts, _contracted_parts,
-                     edge_map_sign, has_loops, is_pure)
+from .graphs import (CanonicalGraph, _canonicalize_parts, _contracted_shape,
+                     _moved_legs, edge_map_sign, has_loops, is_pure)
 from .enumeration import CELLULAR, GRAPH, degree_range, generator_basis
 from .linalg import RationalMatrix, column_pivots
 
@@ -93,14 +93,22 @@ class ChainComplex:
 def _boundary_columns(basis_high: tuple[CanonicalGraph, ...],
                       row_of: dict[str, int], contract_loops: bool
                       ) -> list[dict[int, int]]:
+    # (edge index, contracted shape) of each edge contracted, for each
+    # (weights, edges) seen so far: the legs do not change the shape
+    shapes: dict[tuple, list] = {}
     columns = []
     for cg in basis_high:
-        graph = cg.graph
+        weights, edges, legs = cg.graph
+        by_edge = shapes.get((weights, edges))
+        if by_edge is None:
+            by_edge = shapes[weights, edges] = [
+                (i, _contracted_shape(weights, edges, i))
+                for i, (u, v) in enumerate(edges)
+                if u != v or contract_loops]
         col: dict[int, int] = {}
-        for i, (u, v) in enumerate(graph.edges):
-            if u == v and not contract_loops:
-                continue
-            target, emap = _canonicalize_parts(*_contracted_parts(graph, i))
+        for i, (new_weights, new_edges, remap) in by_edge:
+            target, emap = _canonicalize_parts(new_weights, new_edges,
+                                               _moved_legs(remap, legs))
             if target.has_odd_edge_automorphism:
                 continue
             row = row_of.get(target.encoding)

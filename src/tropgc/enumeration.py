@@ -21,7 +21,8 @@ signature hash) and store one canonical graph encoding per line, after a
 header line with that key, the line count and a SHA-256 of the body, so a
 truncated, damaged or misplaced file is recomputed, not believed. The
 header is checked on every load; the body of a file that passes is checked
-line by line once per process (graphs._decode_canonical): the line must
+line by line once per process (graphs._decode_canonical), each head and
+legs text its lines share read once for the whole body: the line must
 be exactly the text encode_graph writes for the parts it names, so no sign,
 space, underscore, leading zero or empty item, markings 1..k in order and a
 genus prefix equal to b1 plus the total weight; and those parts must be a
@@ -370,7 +371,9 @@ def _cache_load(path: str) -> Optional[tuple[CanonicalGraph, ...]]:
             lines = body.decode("ascii").split("\n")
             if lines.pop():  # text after the last newline
                 raise ValueError("its last line has no newline")
-            _decoded[digest] = tuple(map(_decode_canonical, lines))
+            pieces: dict = {}  # the texts its lines share, read once
+            _decoded[digest] = tuple([_decode_canonical(line, pieces)
+                                      for line in lines])
     except ValueError as exc:
         warnings.warn(f"ignoring cache file {path}: {exc}; recomputing",
                       stacklevel=2)

@@ -38,12 +38,21 @@ colors strictly increase along the vertex order, with their edges sorted
 low end first, are confirmed to be their own form in place, with no color
 classes, relabeling or sort.
 
-The line format is defined once, by the writer: encode_graph writes the
-parts of a graph through _encode_parts, and _decode_canonical reads a cache
-line's parts leniently, accepts the line only when _encode_parts writes
-those parts back as the line, confirms that they are their own canonical
-form (in place for a graph without tied colors) and keeps the line as the
-form's encoding.
+The line format is defined once, by the writers: encode_graph writes the
+parts of a graph through _encode_parts, which joins their head (genus
+prefix, weights and edges; _head_text) and their legs (_legs_text) with a
+";". _decode_canonical splits a cache line at its last ";", reads each
+piece leniently and accepts it only when its writer writes the parts read
+back as that piece, so a line is accepted exactly when _encode_parts writes
+it. The lines of one cache body share few heads and legs texts, so a load
+passes one dict through all of them and reads each text once. Every line's
+parts are still confirmed to be their own canonical form (in place for a
+graph without tied colors), and the line is kept as the form's encoding.
+
+A contraction's weights and edges, and the vertex map that moves its legs,
+depend only on the weights and edges contracted and the edge index
+(_contracted_shape), so boundary assembly computes each such shape once per
+boundary and maps only the legs of each generator (_moved_legs).
 """
 
 from __future__ import annotations
@@ -192,14 +201,26 @@ def contract_edge(graph: MarkedGraph, e: int) -> MarkedGraph:
 
 def _contracted_parts(graph: MarkedGraph, e: int) -> Parts:
     """The (weights, edges, legs) of contract_edge(graph, e), each edge
-    written low end first, as a constructed graph stores it."""
+    written low end first, as a constructed graph stores it: the shape step
+    (_contracted_shape), which the weights and edges alone fix, then the
+    legs moved by its vertex map (_moved_legs)."""
     weights, edges, legs = graph
+    new_weights, new_edges, remap = _contracted_shape(weights, edges, e)
+    return new_weights, new_edges, _moved_legs(remap, legs)
+
+
+def _contracted_shape(weights: tuple[int, ...], edges: tuple[Edge, ...],
+                      e: int) -> tuple[tuple[int, ...], tuple[Edge, ...],
+                                       Optional[list[int]]]:
+    """The weights and edges left by contracting edge e, and the vertex map
+    (old vertex -> new) that takes the legs along, None for a loop, whose
+    contraction moves no vertex."""
     if not (0 <= e < len(edges)):
         raise ValueError(f"no edge with index {e}")
     u, v = edges[e]
     rest = edges[:e] + edges[e + 1:]
     if u == v:
-        return weights[:u] + (weights[u] + 1,) + weights[u + 1:], rest, legs
+        return weights[:u] + (weights[u] + 1,) + weights[u + 1:], rest, None
     # merge v into u (u < v); vertices above v shift down, so only an edge
     # end at v can land below the other end
     remap = [*range(v), u, *range(v, len(weights) - 1)]
@@ -208,8 +229,14 @@ def _contracted_parts(graph: MarkedGraph, e: int) -> Parts:
         x, y = remap[x], remap[y]
         new_edges.append((x, y) if x <= y else (y, x))
     return (weights[:u] + (weights[u] + weights[v],) + weights[u + 1:v]
-            + weights[v + 1:], tuple(new_edges),
-            tuple(map(remap.__getitem__, legs)))
+            + weights[v + 1:], tuple(new_edges), remap)
+
+
+def _moved_legs(remap: Optional[list[int]],
+                legs: tuple[int, ...]) -> tuple[int, ...]:
+    """The legs once a contraction's vertex map (_contracted_shape) moves
+    their vertices."""
+    return legs if remap is None else tuple(map(remap.__getitem__, legs))
 
 
 class CanonicalGraph:
@@ -499,16 +526,27 @@ def encode_graph(graph: MarkedGraph) -> str:
 def _encode_parts(weights: tuple[int, ...], edges: tuple[Edge, ...],
                   legs: tuple[int, ...]) -> str:
     """The text encode_graph writes for a graph with these fields, the parts
-    written as given and no graph built: the genus prefix is b1 plus the
-    total weight."""
+    written as given and no graph built: its head (_head_text), ";" and its
+    legs (_legs_text)."""
+    return f"{_head_text(weights, edges)};{_legs_text(legs)}"
+
+
+def _head_text(weights: tuple[int, ...], edges: tuple[Edge, ...]) -> str:
+    """The genus prefix (b1 plus the total weight), weights and edges of an
+    encoding, e.g. "1;0,0;edges=(0-1,1-1)"."""
     w = ",".join(map(str, weights))
     e = ",".join([f"{u}-{v}" for u, v in edges])
-    l = ",".join([f"{i}@{v}" for i, v in enumerate(legs, 1)])
     g = len(edges) - len(weights) + 1 + sum(weights)
-    return f"{g};{w};edges=({e});legs=({l})"
+    return f"{g};{w};edges=({e})"
 
 
-def _decode_canonical(line: str) -> CanonicalGraph:
+def _legs_text(legs: tuple[int, ...]) -> str:
+    """The legs of an encoding, e.g. "legs=(1@0,2@1)"; it holds no ";"."""
+    l = ",".join([f"{i}@{v}" for i, v in enumerate(legs, 1)])
+    return f"legs=({l})"
+
+
+def _decode_canonical(line: str, pieces: dict) -> CanonicalGraph:
     """The class whose canonical encoding is line, byte for byte, with line
     as its encoding unless the form was built before. ValueError "bad graph
     encoding" for a line that is not the text encode_graph writes for the
@@ -516,21 +554,39 @@ def _decode_canonical(line: str) -> CanonicalGraph:
     range, or disconnected); ValueError "encoding is not canonical" for
     parts other than their own canonical form.
 
-    The parts are read leniently, and the line is accepted only if writing
-    them back (_encode_parts) gives the line, so an accepted line is
-    encode_graph(form): its numerals are as str() writes them, its markings
-    1..k in order and its genus prefix that of the parts.
+    A line is split at its last ";" into a head and a legs text. Each is
+    read leniently and accepted only if its writer (_head_text, _legs_text)
+    writes the parts read back as that text. The legs writer writes no ";",
+    so a line is accepted exactly when writing its parts back
+    (_encode_parts) gives the line: its numerals are as str() writes them,
+    its markings 1..k in order and its genus prefix that of the parts.
+
+    pieces maps each head and legs text accepted so far, among the lines
+    that share it, to its parts: a head, which holds a ";", to its
+    (weights, edges), and a legs text, which holds none, to its legs. A
+    text found there is not read or written again; the parts are still
+    canonicalized and compared with their form line by line.
     """
+    head, _, l_text = line.rpartition(";")
     try:
-        _, w_text, e_text, l_text = line.split(";")
-        weights = tuple(map(int, w_text.split(",")))
-        ends = e_text[len("edges=("):-1].replace("-", ",").split(",")
-        edges = (tuple(zip(map(int, ends[::2]), map(int, ends[1::2])))
-                 if ends != [""] else ())
-        marked = l_text[len("legs=("):-1].replace("@", ",").split(",")
-        legs = tuple(map(int, marked[1::2]))
-        if _encode_parts(weights, edges, legs) != line:
-            raise ValueError("not the text encode_graph writes")
+        known = pieces.get(head)
+        if known is None:
+            _, w_text, e_text = head.split(";")
+            ends = e_text[len("edges=("):-1].replace("-", ",").split(",")
+            known = (tuple(map(int, w_text.split(","))),
+                     tuple(zip(map(int, ends[::2]), map(int, ends[1::2])))
+                     if ends != [""] else ())
+            if _head_text(*known) != head:
+                raise ValueError("not the text encode_graph writes")
+            pieces[head] = known
+        weights, edges = known
+        legs = pieces.get(l_text)
+        if legs is None:
+            marked = l_text[len("legs=("):-1].replace("@", ",").split(",")
+            legs = tuple(map(int, marked[1::2]))
+            if _legs_text(legs) != l_text:
+                raise ValueError("not the text encode_graph writes")
+            pieces[l_text] = legs
         cg, _ = _canonicalize_parts(weights, edges, legs, line)
     except ValueError as exc:
         raise ValueError(f"bad graph encoding: {line!r}") from exc

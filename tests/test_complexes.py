@@ -25,7 +25,7 @@ from tropgc import (
     rank,
     split_AB,
 )
-from tropgc import complexes, enumeration
+from tropgc import complexes, enumeration, graphs
 from tropgc.complexes import _assemble, boundary_pivots
 from tropgc.enumeration import CELLULAR, GRAPH, degree_range, generator_basis
 from tropgc.graphs import (MarkedGraph, canonicalize, encode_graph,
@@ -396,15 +396,56 @@ def _chain_digests(c, levels=None):
                      for k, lows in boundary_pivots(c, levels)]))
 
 
+def warm_load(tmp_path, monkeypatch, build):
+    """build() on a disk cache in tmp_path that build() filled, run again
+    with no body in memory and an empty canonical memo, as in a fresh
+    process: every cache body is decoded from its file."""
+    monkeypatch.setenv("TROPGC_CACHE", str(tmp_path))
+    monkeypatch.setattr(enumeration, "_decoded", {})
+    build()
+    monkeypatch.setattr(enumeration, "_decoded", {})
+    monkeypatch.setattr(graphs, "_canon_cache", {})
+    result = build()
+    bodies = {hashlib.sha256(path.read_bytes().partition(b"\n")[2])
+              .hexdigest() for path in tmp_path.glob("*.txt")}
+    assert set(enumeration._decoded) == bodies
+    return result
+
+
+def heavy_light_0_7_4():
+    """The complex of the rank-warm-g0n7-hl4 benchmark workload."""
+    return build_graph_complex(0, make_heavy_light(0, 7, 4))
+
+
+HEAVY_LIGHT_0_7_4_DIGESTS = (
+    "0b3bbba61fb04fc3446981ef8aa59f821505479c89a1a49933c7d266197e6d01",
+    "9e4c1ddb4ad4d28ae4078c25fbe3c3035d3f24053367050cdfa090668c29b65f")
+
+
+def filtered_1_5_pairs_digests(f):
+    """_chain_digests of a filtered complex and the digest of its pairs."""
+    pairs = sorted((k, sorted(v)) for k, v in f.pairs.items())
+    return (*_chain_digests(f.base, f.levels), _digest(pairs))
+
+
+FILTERED_1_5_PAIRS_DIGESTS = (
+    "45bd8048fec45bdad1f0c9345223abb111fa6badff0480d7e001c7f78ba2c4eb",
+    "743a0d8d0fefe91eb96957fd1b7361df4c5f8f2da84c15df2f99fc1c5ca30261",
+    "557147863447a1acafee4cad54038e1690abe15311852e8639518b8f484a0fb5")
+
+
 class TestPinnedBoundaries:
     """Boundary signs and pivots, pinned as digests of the output of an
-    earlier version: any changed sign, entry or pivot row fails."""
+    earlier version: any changed sign, entry or pivot row fails. The
+    benchmark complexes are also pinned from a warm load."""
 
     def test_heavy_light_0_7_4(self):
-        c = build_graph_complex(0, make_heavy_light(0, 7, 4))
-        assert _chain_digests(c) == (
-            "0b3bbba61fb04fc3446981ef8aa59f821505479c89a1a49933c7d266197e6d01",
-            "9e4c1ddb4ad4d28ae4078c25fbe3c3035d3f24053367050cdfa090668c29b65f")
+        assert _chain_digests(heavy_light_0_7_4()) == \
+            HEAVY_LIGHT_0_7_4_DIGESTS
+
+    def test_heavy_light_0_7_4_warm(self, tmp_path, monkeypatch):
+        c = warm_load(tmp_path, monkeypatch, heavy_light_0_7_4)
+        assert _chain_digests(c) == HEAVY_LIGHT_0_7_4_DIGESTS
 
     def test_classical_1_4(self):
         c = build_graph_complex(1, CLASSICAL4)
@@ -413,13 +454,12 @@ class TestPinnedBoundaries:
             "5cde9227e89364fb2deb4e29efe2567cb7178f548353a5b5f725645a6f42b089")
 
     def test_filtered_1_5_pairs(self):
-        f = spectral_warm_chain()
-        assert _chain_digests(f.base, f.levels) == (
-            "45bd8048fec45bdad1f0c9345223abb111fa6badff0480d7e001c7f78ba2c4eb",
-            "743a0d8d0fefe91eb96957fd1b7361df4c5f8f2da84c15df2f99fc1c5ca30261")
-        pairs = sorted((k, sorted(v)) for k, v in f.pairs.items())
-        assert _digest(pairs) == (
-            "557147863447a1acafee4cad54038e1690abe15311852e8639518b8f484a0fb5")
+        assert filtered_1_5_pairs_digests(spectral_warm_chain()) == \
+            FILTERED_1_5_PAIRS_DIGESTS
+
+    def test_filtered_1_5_pairs_warm(self, tmp_path, monkeypatch):
+        f = warm_load(tmp_path, monkeypatch, spectral_warm_chain)
+        assert filtered_1_5_pairs_digests(f) == FILTERED_1_5_PAIRS_DIGESTS
 
     def test_filtered_1_5_steps(self):
         f = spectral_warm_chain()

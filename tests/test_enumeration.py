@@ -438,6 +438,20 @@ MALFORMED_LINES = {
     # written with a CRLF line end
     "carriage-return": CACHE_LINE + "\r",
 }
+# The head (genus prefix, weights, edges) of the first line of that file and
+# the legs of CACHE_LINE, its second: each piece writes back as itself, and
+# in a body after both lines each was read before, so only the check that
+# the parts are their own canonical form rejects it.
+CROSSED_LINE = "1;0,0,0;edges=(0-1,0-2,1-2);legs=(1@0,2@0,3@1)"
+
+
+def write_body(path, lines):
+    """Write lines as the body of the cache file at path, with the header
+    that body gets."""
+    data = "".join(line + "\n" for line in lines).encode()
+    header = enumeration._cache_header(
+        str(path), data, hashlib.sha256(data).hexdigest())
+    path.write_bytes(header + b"\n" + data)
 
 
 class TestCache:
@@ -456,10 +470,7 @@ class TestCache:
         header, body = good.split(b"\n", 1)
         lines = body.decode().splitlines()
         lines[lines.index(CACHE_LINE)] = MALFORMED_LINES[damage]
-        data = "".join(line + "\n" for line in lines).encode()
-        header = enumeration._cache_header(
-            str(path), data, hashlib.sha256(data).hexdigest())
-        path.write_bytes(header + b"\n" + data)
+        write_body(path, lines)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert enumerate_stable_graphs(1, CLASSICAL3, 3).classes == \
@@ -467,6 +478,54 @@ class TestCache:
         assert [str(w.message).split(":")[0] for w in caught] == [
             f"ignoring cache file {path}"]
         assert path.read_bytes() == good
+
+    @pytest.mark.parametrize("position", ["first", "middle", "last"])
+    @pytest.mark.parametrize("bad", sorted(MALFORMED_LINES) + ["crossed"])
+    def test_bad_line_anywhere_in_a_body_is_recomputed(
+            self, tmp_path, monkeypatch, bad, position):
+        # In the middle or last, the good lines before a bad one have read
+        # the head of most malformed lines, and both pieces of the crossed
+        # line, so a piece read before decides nothing.
+        monkeypatch.setenv("TROPGC_CACHE", str(tmp_path))
+        monkeypatch.setattr(enumeration, "_decoded", {})
+        computed = enumerate_stable_graphs(1, CLASSICAL3, 3).classes
+        [path] = tmp_path.glob("g1_n3_m3_all_*.txt")
+        good = path.read_bytes()
+        line = CROSSED_LINE if bad == "crossed" else MALFORMED_LINES[bad]
+        with pytest.raises(ValueError):
+            reference_decode(line)
+        lines = [cg.encoding for cg in computed]
+        assert lines[1] == CACHE_LINE
+        assert lines[0].rpartition(";")[0] == CROSSED_LINE.rpartition(";")[0]
+        lines.insert({"first": 0, "middle": len(lines) // 2,
+                      "last": len(lines)}[position], line)
+        write_body(path, lines)
+        with mock.patch.dict(graphs._canon_cache, clear=True):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert enumerate_stable_graphs(1, CLASSICAL3, 3).classes == \
+                    computed
+        assert [str(w.message).split(":")[0] for w in caught] == [
+            f"ignoring cache file {path}"]
+        assert path.read_bytes() == good
+
+    def test_good_bodies_decode_as_reference(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("TROPGC_CACHE", str(tmp_path))
+        monkeypatch.setattr(enumeration, "_decoded", {})
+        for a, pure in DECODER_CASES:
+            for m in range(max_edges(a.g, a.n) + 1):
+                enumerate_stable_graphs(a.g, a, m, pure)
+        enumeration._decoded.clear()
+        paths = sorted(tmp_path.glob("*.txt"))
+        with mock.patch.dict(graphs._canon_cache, clear=True):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                loaded = [enumeration._cache_load(str(p)) for p in paths]
+        assert sum(map(len, loaded)) == len(decoder_classes())
+        for path, classes in zip(paths, loaded):
+            lines = path.read_text().split("\n")[1:-1]
+            assert [cg.encoding for cg in classes] == lines
+            assert classes == tuple(map(reference_decode, lines))
 
     def test_cache_round_trip(self):
         first = enumerate_stable_graphs(1, CLASSICAL3, 2)
@@ -481,9 +540,9 @@ class TestCache:
         decoded = []
         real_check = enumeration._decode_canonical
 
-        def counting_check(line):
+        def counting_check(line, pieces):
             decoded.append(line)
-            return real_check(line)
+            return real_check(line, pieces)
 
         monkeypatch.setattr(enumeration, "_decode_canonical", counting_check)
         computed = enumerate_stable_graphs(1, CLASSICAL3, 3).classes
@@ -507,7 +566,7 @@ class TestCache:
             assert enumerate_stable_graphs(1, CLASSICAL3, 3).classes == computed
         assert path.read_bytes() == good
 
-        def no_decode(line):
+        def no_decode(line, pieces):
             raise AssertionError(f"decoded again: {line}")
 
         monkeypatch.setattr(enumeration, "_decode_canonical", no_decode)
@@ -531,32 +590,48 @@ class TestCache:
         assert path.read_bytes() == good
 
 
+# (datum, pure only): (1,4) (all and pure), pure (2,3), the (0,7)
+# heavy/light datum with 4 heavy markings and the pure (1,5) floor datum at
+# level 4
+DECODER_CASES = ((WeightDatum(1, (Fraction(1),) * 4), False),
+                 (WeightDatum(1, (Fraction(1),) * 4), True),
+                 (WeightDatum(2, (Fraction(1),) * 3), True),
+                 (make_heavy_light(0, 7, 4), False),
+                 (make_floor(1, 5, 4), True))
+
+
 @lru_cache(maxsize=None)
 def decoder_classes():
-    """Every class of (1,4) (all and pure), of pure (2,3), of the (0,7)
-    heavy/light datum with 4 heavy markings and of the pure (1,5) floor
-    datum at level 4."""
-    classical4 = WeightDatum(1, (Fraction(1),) * 4)
-    cases = ((classical4, False), (classical4, True),
-             (WeightDatum(2, (Fraction(1),) * 3), True),
-             (make_heavy_light(0, 7, 4), False), (make_floor(1, 5, 4), True))
+    """Every class of every DECODER_CASES datum, every edge count."""
     classes = []
-    for a, pure in cases:
+    for a, pure in DECODER_CASES:
         for m in range(max_edges(a.g, a.n) + 1):
             classes += enumerate_stable_graphs(a.g, a, m, pure).classes
     return tuple(classes)
+
+
+@lru_cache(maxsize=None)
+def decoder_pieces():
+    """The pieces dict left by decoding every decoder_classes line, in
+    order, through one dict, as a cache load decodes a body."""
+    pieces = {}
+    with mock.patch.dict(graphs._canon_cache, clear=True):
+        for cg in decoder_classes():
+            graphs._decode_canonical(cg.encoding, pieces)
+    return pieces
 
 
 # characters a single-character edit of a cache line inserts or writes
 EDIT_CHARS = "0123456789,;-@()+ _"
 
 
-def decoded_as_reference(line):
-    """graphs._decode_canonical(line), or None on ValueError, after checking
-    that reference_decode accepts line exactly when it does, with the same
-    class."""
+def decoded_as_reference(line, pieces=None):
+    """graphs._decode_canonical(line, pieces), pieces {} unless given, or
+    None on ValueError, after checking that reference_decode accepts line
+    exactly when it does, with the same class."""
     try:
-        decoded = graphs._decode_canonical(line)
+        decoded = graphs._decode_canonical(
+            line, {} if pieces is None else pieces)
     except ValueError:
         decoded = None
     try:
@@ -573,7 +648,7 @@ class TestDecodeCanonical:
         with mock.patch.dict(graphs._canon_cache, clear=True):
             for cg in classes:
                 line = cg.encoding
-                decoded = graphs._decode_canonical(line)
+                decoded = graphs._decode_canonical(line, {})
                 assert decoded is not cg
                 assert decoded == cg
                 assert decoded.encoding is line
@@ -590,7 +665,7 @@ class TestDecodeCanonical:
         # a line becomes the encoding only of the form it is written from
         with mock.patch.dict(graphs._canon_cache, clear=True):
             with pytest.raises(ValueError):
-                graphs._decode_canonical(MALFORMED_LINES[damage])
+                graphs._decode_canonical(MALFORMED_LINES[damage], {})
             for cg, _ in graphs._canon_cache.values():
                 assert cg.encoding == encode_graph(cg.graph)
 
@@ -606,9 +681,28 @@ class TestDecodeCanonical:
                else data.draw(st.sampled_from(EDIT_CHARS)))
         edited = line[:at] + new + line[at + (edit != "insert"):]
         cold = data.draw(st.booleans(), label="cold memo")
+        # pieces read before, as by the lines above it in a body
+        read = data.draw(st.booleans(), label="pieces read")
+        pieces = dict(decoder_pieces()) if read else {}
         with mock.patch.dict(graphs._canon_cache, clear=cold):
-            decoded = decoded_as_reference(edited)
+            decoded = decoded_as_reference(edited, pieces)
         if decoded is None:
             return
         assert encode_graph(decoded.graph) == edited
         assert decoded.encoding == edited
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_crossed_line_is_decoded_as_by_reference(self, data):
+        # the head of one line and the legs of another, both read before:
+        # the pieces are found, and the parts decide
+        head, legs = (data.draw(st.sampled_from(decoder_classes())).encoding
+                      for _ in range(2))
+        crossed = head[:head.rindex(";")] + legs[legs.rindex(";"):]
+        pieces = dict(decoder_pieces())
+        cold = data.draw(st.booleans(), label="cold memo")
+        with mock.patch.dict(graphs._canon_cache, clear=cold):
+            decoded = decoded_as_reference(crossed, pieces)
+        assert pieces == decoder_pieces()
+        if decoded is not None:
+            assert decoded.encoding == crossed
