@@ -12,7 +12,10 @@ at the end. The peak is VmHWM from /proc/self/status where that exists,
 since on Linux ru_maxrss also carries the spawning parent's peak across
 fork and exec; elsewhere it is ru_maxrss. A child that misses a pin names
 the case, the state, the expected and the got value on stderr, and the
-script exits nonzero.
+script exits nonzero. So does a child that recomputes a cache file (an
+"ignoring cache file" warning): a cold run reads only files it wrote, and
+a warm one the files the cold run wrote, so the reader rejected what the
+writer wrote, and a warm line would have timed generation.
 
     PYTHONPATH=src python scripts/run_frontier.py
 """
@@ -20,6 +23,7 @@ script exits nonzero.
 import multiprocessing
 import os
 import resource
+import sys
 import tempfile
 import time
 import warnings
@@ -86,6 +90,22 @@ def run(case: tuple, state: str) -> None:
     check(case, state, counts, betti)
 
 
+def run_child(case: tuple, state: str) -> None:
+    """run(case, state), its warnings printed to stderr after its line;
+    exit 1, naming the case and the state, if one says that a cache file
+    was recomputed."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        run(case, state)
+    messages = [str(w.message) for w in caught]
+    for message in messages:
+        print(f"warning: {message}", file=sys.stderr)
+    ignored = [m for m in messages if m.startswith("ignoring cache file")]
+    if ignored:
+        raise SystemExit(f"{case_name(*case[:3])} {state}: recomputed "
+                         f"{len(ignored)} cache file(s), first: {ignored[0]}")
+
+
 def peak_rss_mb() -> float:
     """This process's peak resident set in MB: VmHWM, else ru_maxrss."""
     try:
@@ -104,7 +124,7 @@ def main() -> None:
         os.environ["TROPGC_CACHE"] = cache
         for case in CASES:
             for state in ("cold", "warm"):
-                child = spawn.Process(target=run, args=(case, state))
+                child = spawn.Process(target=run_child, args=(case, state))
                 child.start()
                 child.join()
                 if child.exitcode != 0:

@@ -21,12 +21,13 @@ from typing import Optional, Sequence
 from .chambers import (DomainError, WeightDatum, compare_up_to_symmetry,
                        enumerate_chambers, format_rational, parse_weights,
                        signature, signature_json)
-from .complexes import (build_cellular_complex, build_graph_complex,
-                        homology, split_AB)
+from .complexes import (A_PART, B_PART, RELATIVE, build_cellular_complex,
+                        build_graph_complex, homology, split_AB)
+from .enumeration import CELLULAR, GRAPH
 from .spectral import (build_relative_complex, filtered_from_raw,
                        parse_filtration_json, spectral_json)
 
-HOMOLOGY_KINDS = ("graph", "cellular", "a-part", "b-part", "relative")
+HOMOLOGY_KINDS = (GRAPH, CELLULAR, A_PART, B_PART, RELATIVE)
 
 
 _INTEGER = re.compile(r"-?[0-9]+")
@@ -86,18 +87,18 @@ def _cmd_chambers(args: argparse.Namespace) -> dict:
 def _cmd_homology(args: argparse.Namespace) -> dict:
     a = _datum(args.g, args.weights)
     kind = args.kind
-    if (kind == "relative") != (args.lower is not None):
+    if (kind == RELATIVE) != (args.lower is not None):
         raise ValueError("--lower is for --kind relative, which needs it")
-    if kind == "relative":
+    if kind == RELATIVE:
         lower = _datum(args.g, args.lower)
         complex_ = build_relative_complex(args.g, a, lower)
-    elif kind == "graph":
+    elif kind == GRAPH:
         complex_ = build_graph_complex(args.g, a)
-    elif kind == "cellular":
+    elif kind == CELLULAR:
         complex_ = build_cellular_complex(args.g, a)
     else:
         a_part, b_part = split_AB(build_cellular_complex(args.g, a))
-        complex_ = a_part if kind == "a-part" else b_part
+        complex_ = a_part if kind == A_PART else b_part
     report = homology(complex_)
     out = {"kind": report.kind, "g": report.g,
            "weights": _weights_list(report.weights),
@@ -107,7 +108,7 @@ def _cmd_homology(args: argparse.Namespace) -> dict:
            "delta": report.delta}
     if report.topweight:
         out["topweight"] = report.topweight
-    if kind == "relative":
+    if kind == RELATIVE:
         out["lower"] = _weights_list(lower)
     return out
 
@@ -156,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
     hom.add_argument("--g", type=_integer, required=True)
     hom.add_argument("--weights", required=True,
                      help="comma-separated rationals")
-    hom.add_argument("--kind", choices=HOMOLOGY_KINDS, default="graph")
+    hom.add_argument("--kind", choices=HOMOLOGY_KINDS, default=GRAPH)
     hom.add_argument("--lower", default=None,
                      help="lower weight datum (relative kind only)")
 

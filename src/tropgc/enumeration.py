@@ -23,17 +23,18 @@ truncated, damaged or misplaced file is recomputed, not believed. The
 header is checked on every load; the body of a file that passes is checked
 line by line once per process (graphs._decode_canonical), each head and
 legs text its lines share read once for the whole body: the line must
-be exactly the text encode_graph writes for the parts it names, so no sign,
+be exactly the text _encode_parts writes for the parts it names, so no sign,
 space, underscore, leading zero or empty item, markings 1..k in order and a
 genus prefix equal to b1 plus the total weight; and those parts must be a
 valid graph (indices in range, connected) equal to their own canonical
 form, confirmed in place when no two vertices share a colour. A line that
-fails either, or a body that does not end in a newline, makes the file
-recomputed. An accepted line is then its form's encoding, and is kept as
-that when the form is new to the process. Its classes are kept in memory
-under the body's SHA-256, so identical bytes are never decoded twice. A
-body this process wrote is kept in memory when it is written, and is not
-decoded at all.
+fails either, a body that does not end in a newline, or one whose lines
+do not strictly increase, as they are written, makes the file recomputed.
+An accepted line is then its form's encoding, and is kept as that when the
+form is new to the process. Its classes are kept in memory under the
+body's SHA-256, so identical bytes are never decoded twice. A body this
+process wrote is kept in memory when it is written, and is not decoded at
+all.
 """
 
 from __future__ import annotations
@@ -82,7 +83,7 @@ def _uncontractions(cg: CanonicalGraph, sums: Sequence[int],
                     den: int) -> Iterable[Parts]:
     """The (weights, edges, legs) of A-stable graphs with one more edge than
     cg.graph that contract to it and whose new edge, the last one, has the
-    largest refined invariant (_new_edge_is_largest) of all their edges,
+    largest refined invariant (_wins_refined_tie) of all their edges,
     ties included, each edge written low end first, for the weight datum A
     with integer subset sums (sums, den) (WeightDatum.subset_sums).
 
@@ -209,7 +210,7 @@ def _uncontractions(cg: CanonicalGraph, sums: Sequence[int],
                     # from v, or one to a neighbour coloured as the other
                     # side (a loop split in two joins the same ends)
                     if ((pair == away or top_new == c_v or top_v == c_new)
-                            and not _new_edge_is_largest(*parts)):
+                            and not _wins_refined_tie(*parts)):
                         continue
                     yield parts
 
@@ -252,7 +253,7 @@ def _generate(g: int, a: WeightDatum, m: int,
     An uncontraction is canonicalized only if its new edge, the last one,
     has the largest refined invariant of all its edges: the largest
     invariant, which _uncontractions tests before it builds the parts, then
-    ties broken on neighbour colours (_new_edge_is_largest). The ties that
+    ties broken on neighbour colours (_wins_refined_tie). The ties that
     remain go to the dedupe by canonical form. No class C above the base is
     lost. Let e be an edge of C of largest refined invariant; a pure C has
     more than one vertex, so there e is not a loop. Contracting e gives an
@@ -298,41 +299,26 @@ def _edge_invariant(colors: Sequence[tuple], u: int, v: int) -> tuple:
     return (u != v, (cu, cv) if cu <= cv else (cv, cu))
 
 
-def _new_edge_is_largest(weights: tuple[int, ...], edges: tuple[Edge, ...],
-                         legs: tuple[int, ...]) -> bool:
+def _wins_refined_tie(weights: tuple[int, ...], edges: tuple[Edge, ...],
+                      legs: tuple[int, ...]) -> bool:
     """Whether the last edge, the one an uncontraction added, has the
-    largest refined invariant of all edges, ties included: the invariant
-    (_edge_invariant), then, among the edges that tie it there, the sorted
-    pair of its ends' refined colours. A vertex's refined colour is its
-    colour and the sorted colours of the other ends of its edges (its own
-    twice per loop), which an isomorphism keeps too.
-
-    A loop's invariant is below that of any non-loop edge, and a graph whose
-    edges are all loops has one vertex, so a new loop is largest exactly
-    when the graph has one vertex; no colour is computed for it.
+    largest sorted pair of its ends' refined colours among the edges of its
+    invariant (_edge_invariant). The caller, _uncontractions, has found its
+    invariant the largest of all edges and another edge tying it. A
+    vertex's refined colour is its colour and the sorted colours of the
+    other ends of its edges (its own twice per loop), which an isomorphism
+    keeps too.
     """
-    u, v = edges[-1]
-    if u == v:
-        return len(weights) == 1
     colors = _vertex_colors(weights, edges, legs)
-    top = _edge_invariant(colors, u, v)
-    tied = []
-    for x, y in edges[:-1]:
-        if x != y:
-            invariant = _edge_invariant(colors, x, y)
-            if invariant > top:
-                return False
-            if invariant == top:
-                tied.append((x, y))
-    if not tied:
-        return True
     around: list[list[tuple]] = [[] for _ in colors]
     for x, y in edges:
         around[x].append(colors[y])
         around[y].append(colors[x])
     refined = [(color, sorted(a)) for color, a in zip(colors, around)]
-    top = _edge_invariant(refined, u, v)
-    return all(_edge_invariant(refined, x, y) <= top for x, y in tied)
+    top = _edge_invariant(colors, *edges[-1])
+    best = _edge_invariant(refined, *edges[-1])
+    return all(_edge_invariant(refined, x, y) <= best for x, y in edges
+               if _edge_invariant(colors, x, y) == top)
 
 
 def _cache_path(g: int, n: int, m: int, pure_only: bool, sig_hash: str) -> str:
@@ -355,7 +341,8 @@ _decoded: dict[str, tuple[CanonicalGraph, ...]] = {}
 
 def _cache_load(path: str) -> Optional[tuple[CanonicalGraph, ...]]:
     """Classes stored at path; None, with a warning, when the file's header
-    is missing or does not match its name and body, or a line is not a
+    is missing or does not match its name and body, its lines do not
+    strictly increase (as _cache_store writes them), or a line is not a
     canonical encoding, so the caller recomputes."""
     try:
         with open(path, "rb") as fh:
@@ -372,8 +359,11 @@ def _cache_load(path: str) -> Optional[tuple[CanonicalGraph, ...]]:
             if lines.pop():  # text after the last newline
                 raise ValueError("its last line has no newline")
             pieces: dict = {}  # the texts its lines share, read once
-            _decoded[digest] = tuple([_decode_canonical(line, pieces)
-                                      for line in lines])
+            classes = tuple([_decode_canonical(line, pieces)
+                             for line in lines])
+            if not all(map(str.__lt__, lines, lines[1:])):
+                raise ValueError("its lines are not in increasing order")
+            _decoded[digest] = classes
     except ValueError as exc:
         warnings.warn(f"ignoring cache file {path}: {exc}; recomputing",
                       stacklevel=2)
@@ -407,7 +397,8 @@ def enumerate_stable_graphs(g: int, a: WeightDatum, m: int,
     Results are complete, duplicate free, sorted by canonical encoding, and
     cached on disk (directory from TROPGC_CACHE, default ./.tropgc-cache);
     a cache file whose header does not match its name and body, or that
-    holds a line that is not canonical, is recomputed with a warning.
+    holds a line that is not canonical or out of order, is recomputed with
+    a warning.
     """
     if a.g != g:
         raise DomainError(f"weight datum has genus {a.g}, expected {g}")

@@ -38,21 +38,21 @@ colors strictly increase along the vertex order, with their edges sorted
 low end first, are confirmed to be their own form in place, with no color
 classes, relabeling or sort.
 
-The line format is defined once, by the writers: encode_graph writes the
-parts of a graph through _encode_parts, which joins their head (genus
-prefix, weights and edges; _head_text) and their legs (_legs_text) with a
-";". _decode_canonical splits a cache line at its last ";", reads each
-piece leniently and accepts it only when its writer writes the parts read
-back as that piece, so a line is accepted exactly when _encode_parts writes
-it. The lines of one cache body share few heads and legs texts, so a load
+The line format is defined once, by its writer: _encode_parts joins the
+head of a graph's parts (genus prefix, weights and edges; _head_text) and
+their legs (_legs_text) with a ";". _decode_canonical splits a cache line
+at its last ";", reads each piece leniently and accepts it only when its
+writer writes the parts read back as that piece, so a line is accepted
+exactly when _encode_parts writes it. The lines of one cache body share few heads and legs texts, so a load
 passes one dict through all of them and reads each text once. Every line's
 parts are still confirmed to be their own canonical form (in place for a
 graph without tied colors), and the line is kept as the form's encoding.
 
-A contraction's weights and edges, and the vertex map that moves its legs,
-depend only on the weights and edges contracted and the edge index
-(_contracted_shape), so boundary assembly computes each such shape once per
-boundary and maps only the legs of each generator (_moved_legs).
+A contraction is two steps, which contract_edge composes: its weights and
+edges, and the vertex map that moves its legs, depend only on the weights
+and edges contracted and the edge index (_contracted_shape); then the legs
+are moved (_moved_legs). So boundary assembly computes each such shape once
+per boundary and maps only the legs of each generator.
 """
 
 from __future__ import annotations
@@ -196,17 +196,8 @@ def _stability_levels(g: int, chain: Sequence[WeightDatum],
 def contract_edge(graph: MarkedGraph, e: int) -> MarkedGraph:
     """Contract edge e: merge endpoints adding weights, or absorb a loop
     into a weight increment. Genus is preserved; edge order is inherited."""
-    return MarkedGraph(*_contracted_parts(graph, e))
-
-
-def _contracted_parts(graph: MarkedGraph, e: int) -> Parts:
-    """The (weights, edges, legs) of contract_edge(graph, e), each edge
-    written low end first, as a constructed graph stores it: the shape step
-    (_contracted_shape), which the weights and edges alone fix, then the
-    legs moved by its vertex map (_moved_legs)."""
-    weights, edges, legs = graph
-    new_weights, new_edges, remap = _contracted_shape(weights, edges, e)
-    return new_weights, new_edges, _moved_legs(remap, legs)
+    weights, edges, remap = _contracted_shape(graph.weights, graph.edges, e)
+    return MarkedGraph(weights, edges, _moved_legs(remap, graph.legs))
 
 
 def _contracted_shape(weights: tuple[int, ...], edges: tuple[Edge, ...],
@@ -518,16 +509,12 @@ def edge_map_sign(edge_map: Sequence[int]) -> int:
     return _permutation_parity(edge_map)
 
 
-def encode_graph(graph: MarkedGraph) -> str:
-    """Canonical text encoding, e.g. "1;0;edges=(0-0);legs=(1@0,2@0,3@0)"."""
-    return _encode_parts(*graph)
-
-
 def _encode_parts(weights: tuple[int, ...], edges: tuple[Edge, ...],
                   legs: tuple[int, ...]) -> str:
-    """The text encode_graph writes for a graph with these fields, the parts
-    written as given and no graph built: its head (_head_text), ";" and its
-    legs (_legs_text)."""
+    """The text encoding of a graph with these fields, the cache line of its
+    class, e.g. "1;0;edges=(0-0);legs=(1@0,2@0,3@0)": the parts written as
+    given and no graph built, its head (_head_text), ";" and its legs
+    (_legs_text)."""
     return f"{_head_text(weights, edges)};{_legs_text(legs)}"
 
 
@@ -549,7 +536,7 @@ def _legs_text(legs: tuple[int, ...]) -> str:
 def _decode_canonical(line: str, pieces: dict) -> CanonicalGraph:
     """The class whose canonical encoding is line, byte for byte, with line
     as its encoding unless the form was built before. ValueError "bad graph
-    encoding" for a line that is not the text encode_graph writes for the
+    encoding" for a line that is not the text _encode_parts writes for the
     parts it names, or whose parts are not a valid graph (an index out of
     range, or disconnected); ValueError "encoding is not canonical" for
     parts other than their own canonical form.
@@ -577,7 +564,7 @@ def _decode_canonical(line: str, pieces: dict) -> CanonicalGraph:
                      tuple(zip(map(int, ends[::2]), map(int, ends[1::2])))
                      if ends != [""] else ())
             if _head_text(*known) != head:
-                raise ValueError("not the text encode_graph writes")
+                raise ValueError("not the text _encode_parts writes")
             pieces[head] = known
         weights, edges = known
         legs = pieces.get(l_text)
@@ -585,7 +572,7 @@ def _decode_canonical(line: str, pieces: dict) -> CanonicalGraph:
             marked = l_text[len("legs=("):-1].replace("@", ",").split(",")
             legs = tuple(map(int, marked[1::2]))
             if _legs_text(legs) != l_text:
-                raise ValueError("not the text encode_graph writes")
+                raise ValueError("not the text _encode_parts writes")
             pieces[l_text] = legs
         cg, _ = _canonicalize_parts(weights, edges, legs, line)
     except ValueError as exc:

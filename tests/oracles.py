@@ -584,6 +584,18 @@ def parse_encoding(text: str) -> tuple[str, Key]:
     return g_part, (weights, tuple(edges), tuple(map(legs_map.get, markings)))
 
 
+def encode_graph(graph) -> str:
+    """The cache line of a graph, written without graphs._encode_parts:
+    genus (b1 plus the total weight), weights, edges and legs, e.g.
+    "1;0;edges=(0-0);legs=(1@0,2@0,3@0)"."""
+    weights, edges, legs = graph
+    g = len(edges) - len(weights) + 1 + sum(weights)
+    return "{};{};edges=({});legs=({})".format(
+        g, ",".join(str(w) for w in weights),
+        ",".join(f"{u}-{v}" for u, v in edges),
+        ",".join(f"{i}@{v}" for i, v in enumerate(legs, 1)))
+
+
 def decode_graph(text: str):
     """The MarkedGraph written in an encode_graph text, markings in any
     order (parse_encoding); ValueError on text of another shape or a wrong

@@ -28,11 +28,11 @@ from tropgc import (
 from tropgc import complexes, enumeration, graphs
 from tropgc.complexes import _assemble, boundary_pivots
 from tropgc.enumeration import CELLULAR, GRAPH, degree_range, generator_basis
-from tropgc.graphs import (MarkedGraph, canonicalize, encode_graph,
-                           has_loops, is_pure)
+from tropgc.graphs import MarkedGraph, canonicalize, has_loops, is_pure
 from tropgc.linalg import column_pivots
 
-from .oracles import decode_graph, dense_rank, graph_betti, to_rows
+from .oracles import (decode_graph, dense_rank, encode_graph, graph_betti,
+                      to_rows)
 
 EPS = Fraction(1, 100)
 CLASSICAL2 = WeightDatum(1, (Fraction(1),) * 2)

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from tropgc import (DomainError, DomainGapWarning, WeightDatum,
-                    enumerate_stable_graphs, make_floor, make_heavy_light,
-                    max_edges, signature)
+                    build_graph_complex, enumerate_stable_graphs, homology,
+                    make_floor, make_heavy_light, max_edges, signature)
 from tropgc import enumeration, graphs
 from tropgc.enumeration import (
     CELLULAR,
@@ -22,12 +22,12 @@ from tropgc.enumeration import (
     filtration_levels,
     generator_basis,
 )
-from tropgc.graphs import (MarkedGraph, canonicalize, encode_graph, has_loops,
-                          is_stable)
+from tropgc.graphs import MarkedGraph, canonicalize, has_loops, is_stable
 
-from .oracles import (canonical_key, decode_graph, enumerate_classes,
-                      every_uncontraction, new_edge_is_largest,
-                      reference_decode, reference_is_stable)
+from .oracles import (canonical_key, decode_graph, encode_graph,
+                      enumerate_classes, every_uncontraction,
+                      new_edge_is_largest, reference_decode,
+                      reference_is_stable)
 
 EPS = Fraction(1, 100)
 CLASSICAL3 = WeightDatum(1, (Fraction(1),) * 3)
@@ -271,7 +271,7 @@ class TestCanonicalParents:
         pair that those reach, up to isomorphism: the new edge is marked by
         subdividing it at a vertex of a weight no other vertex has. Largest
         is first tested from the parts alone (oracles.new_edge_is_largest),
-        then with ties broken (enumeration._new_edge_is_largest)."""
+        then with ties broken (enumeration._wins_refined_tie)."""
         def marked_forms(children):
             forms = set()
             for weights, edges, legs in children:
@@ -289,7 +289,7 @@ class TestCanonicalParents:
                 largest = [child for child
                            in every_uncontraction(cg, sums, den)
                            if new_edge_is_largest(*child)
-                           and enumeration._new_edge_is_largest(*child)]
+                           and enumeration._wins_refined_tie(*child)]
                 assert set(pruned) <= set(largest)
                 assert marked_forms(pruned) == marked_forms(largest)
 
@@ -312,7 +312,7 @@ class TestCanonicalParents:
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_tie_break_survives_relabeling(self, data):
-        """_new_edge_is_largest gives one answer for every relabeling of a
+        """_wins_refined_tie gives one answer for every relabeling of a
         graph's vertices and of its other edges, the tested edge last."""
         cg = data.draw(st.sampled_from(
             [cg for cg in generated_classes() if cg.graph.edges]))
@@ -325,9 +325,9 @@ class TestCanonicalParents:
             relabeled[new[old]] = w
         moved = [tuple(sorted((new[u], new[v]))) for u, v in edges]
         moved[:-1] = data.draw(st.permutations(moved[:-1]))
-        assert enumeration._new_edge_is_largest(
+        assert enumeration._wins_refined_tie(
             tuple(relabeled), tuple(moved), tuple(new[x] for x in legs)) == \
-            enumeration._new_edge_is_largest(weights, edges, legs)
+            enumeration._wins_refined_tie(weights, edges, legs)
 
     def test_cold_pure_genus_two_canonicalizes_under_half(self, tmp_path,
                                                           monkeypatch):
@@ -454,6 +454,14 @@ def write_body(path, lines):
     path.write_bytes(header + b"\n" + data)
 
 
+def line_was_rejected(warning) -> bool:
+    """Whether a cache warning names a line's own check, not the order of
+    the lines."""
+    message = str(warning.message)
+    return ("bad graph encoding" in message
+            or "encoding is not canonical" in message)
+
+
 class TestCache:
     def test_relabeled_line_is_the_same_class(self):
         line = MALFORMED_LINES["relabeled"]
@@ -477,6 +485,7 @@ class TestCache:
                 computed
         assert [str(w.message).split(":")[0] for w in caught] == [
             f"ignoring cache file {path}"]
+        assert line_was_rejected(caught[0])
         assert path.read_bytes() == good
 
     @pytest.mark.parametrize("position", ["first", "middle", "last"])
@@ -507,6 +516,35 @@ class TestCache:
                     computed
         assert [str(w.message).split(":")[0] for w in caught] == [
             f"ignoring cache file {path}"]
+        assert line_was_rejected(caught[0])
+        assert path.read_bytes() == good
+
+    @pytest.mark.parametrize("edit", ["repeated-line", "swapped-lines"])
+    def test_body_out_of_order_is_recomputed(self, tmp_path, monkeypatch,
+                                             edit):
+        """Every line of these bodies is canonical, but they do not strictly
+        increase, as the lines are written. Believed, a repeated line
+        counts its class twice: classical (1,4) gives b_2 = 4, not 3."""
+        monkeypatch.setenv("TROPGC_CACHE", str(tmp_path))
+        monkeypatch.setattr(enumeration, "_decoded", {})
+        a = WeightDatum(1, (Fraction(1),) * 4)
+        betti = homology(build_graph_complex(1, a)).betti
+        assert betti[2] == 3
+        [path] = tmp_path.glob("g1_n4_m4_pure_*.txt")
+        good = path.read_bytes()
+        lines = good.decode().splitlines()[1:]
+        if edit == "repeated-line":
+            lines.insert(0, lines[0])
+        else:
+            lines[0], lines[1] = lines[1], lines[0]
+        write_body(path, lines)
+        enumeration._decoded.clear()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert homology(build_graph_complex(1, a)).betti == betti
+        assert [str(w.message) for w in caught] == [
+            f"ignoring cache file {path}: its lines are not in increasing "
+            f"order; recomputing"]
         assert path.read_bytes() == good
 
     def test_good_bodies_decode_as_reference(self, tmp_path, monkeypatch):

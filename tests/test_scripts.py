@@ -9,10 +9,13 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+
+from tropgc import WeightDatum, enumerate_stable_graphs, enumeration
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -128,3 +131,28 @@ def test_frontier_missed_pin(case, counts, betti):
         what, expected, got = "Betti numbers", pinned_betti, betti
     assert str(info.value) == (f"{name} warm: expected {what} {expected}, "
                                f"got {got}")
+
+
+def test_frontier_child_fails_on_recomputed_cache(tmp_path, monkeypatch):
+    """A child whose run reads a damaged cache file fails after its run,
+    naming the case, the state and the file."""
+    monkeypatch.setenv("TROPGC_CACHE", str(tmp_path))
+    monkeypatch.setattr(enumeration, "_decoded", {})
+    a = WeightDatum(1, (Fraction(1),) * 3)
+    enumerate_stable_graphs(1, a, 0)
+    [path] = tmp_path.glob("*.txt")
+    path.write_bytes(b"damaged\n")
+    monkeypatch.setattr(FRONTIER, "run",
+                        lambda case, state: enumerate_stable_graphs(1, a, 0))
+    with pytest.raises(SystemExit) as info:
+        FRONTIER.run_child(FRONTIER.CASES[1], "warm")
+    assert str(info.value).startswith(
+        f"(3,2) warm: recomputed 1 cache file(s), first: ignoring cache "
+        f"file {path}: ")
+
+
+def test_frontier_child_passes_other_warnings(monkeypatch, capsys):
+    monkeypatch.setattr(FRONTIER, "run",
+                        lambda case, state: warnings.warn("another warning"))
+    FRONTIER.run_child(FRONTIER.CASES[1], "warm")
+    assert capsys.readouterr().err == "warning: another warning\n"
