@@ -86,7 +86,7 @@ class ChainComplex:
         """The map C_k -> C_{k-1}; zero-shaped outside the stored range."""
         i = self._index(k)
         if i is None:
-            return RationalMatrix.zero(self.dim(k - 1), self.dim(k))
+            return RationalMatrix(self.dim(k - 1), self.dim(k))
         return self.boundaries[i]
 
 
@@ -122,8 +122,11 @@ def _boundary_columns(basis_high: tuple[CanonicalGraph, ...],
     return columns
 
 
-def _assemble(kind: str, g: int, a: WeightDatum, degrees: list[int],
-              bases: list[tuple[CanonicalGraph, ...]]) -> ChainComplex:
+def _assemble(kind: str, g: int, a: WeightDatum) -> ChainComplex:
+    degrees = degree_range(g, a.n, kind)
+    bases = [generator_basis(g, a, k, kind) for k in degrees]
+    if kind == CELLULAR and not any(bases[1:]):  # nothing above degree -1
+        raise DomainError("the moduli space is empty: no stable graph has an edge")
     boundaries = []
     for i in range(len(degrees)):
         below = bases[i - 1] if i else ()
@@ -136,19 +139,13 @@ def _assemble(kind: str, g: int, a: WeightDatum, degrees: list[int],
 
 def build_graph_complex(g: int, a: WeightDatum) -> ChainComplex:
     """The graph complex of (g, a): pure stable graphs, loop terms dropped."""
-    degrees = list(degree_range(g, a.n, GRAPH))
-    bases = [generator_basis(g, a, k, GRAPH) for k in degrees]
-    return _assemble(GRAPH, g, a, degrees, bases)
+    return _assemble(GRAPH, g, a)
 
 
 def build_cellular_complex(g: int, a: WeightDatum) -> ChainComplex:
     """Cellular chains of the tropical moduli space; reduced via the single
     degree -1 generator. Loop contractions are genuine faces here."""
-    degrees = list(degree_range(g, a.n, CELLULAR))
-    bases = [generator_basis(g, a, k, CELLULAR) for k in degrees]
-    if all(not b for k, b in zip(degrees, bases) if k >= 0):
-        raise DomainError("the moduli space is empty: no stable graph has an edge")
-    return _assemble(CELLULAR, g, a, degrees, bases)
+    return _assemble(CELLULAR, g, a)
 
 
 def restrict(c: ChainComplex, keep: Sequence[Sequence[bool]],

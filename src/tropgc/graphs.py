@@ -58,6 +58,7 @@ per boundary and maps only the legs of each generator.
 from __future__ import annotations
 
 import operator
+from dataclasses import dataclass, field
 from itertools import chain, permutations, product
 from typing import Iterable, Optional, Sequence
 
@@ -230,40 +231,20 @@ def _moved_legs(remap: Optional[list[int]],
     return legs if remap is None else tuple(map(remap.__getitem__, legs))
 
 
+@dataclass(slots=True, unsafe_hash=True)
 class CanonicalGraph:
     """A graph in canonical form, its automorphism bookkeeping and its text
     encoding, which _new_form sets once, when it builds the form. Two
     classes are equal when their first three fields are."""
 
-    __slots__ = ("graph", "has_odd_edge_automorphism",
-                 "automorphism_generators", "encoding")
-
-    def __init__(self, graph: MarkedGraph, has_odd_edge_automorphism: bool,
-                 automorphism_generators: tuple[Permutation, ...],
-                 encoding: str):
-        self.graph = graph
-        self.has_odd_edge_automorphism = has_odd_edge_automorphism
-        self.automorphism_generators = automorphism_generators
-        self.encoding = encoding
-
-    def _fields(self) -> tuple:
-        return (self.graph, self.has_odd_edge_automorphism,
-                self.automorphism_generators)
-
-    def __eq__(self, other):
-        if other.__class__ is not CanonicalGraph:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __repr__(self):
-        return ("CanonicalGraph(graph=%r, has_odd_edge_automorphism=%r, "
-                "automorphism_generators=%r)" % self._fields())
+    graph: MarkedGraph
+    has_odd_edge_automorphism: bool
+    automorphism_generators: tuple[Permutation, ...]
+    encoding: str = field(compare=False, repr=False)
 
     def __reduce__(self):
-        return CanonicalGraph, (*self._fields(), self.encoding)
+        return CanonicalGraph, (self.graph, self.has_odd_edge_automorphism,
+                                self.automorphism_generators, self.encoding)
 
 
 def _vertex_colors(weights: tuple[int, ...], edges: tuple[Edge, ...],

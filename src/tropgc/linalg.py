@@ -23,18 +23,23 @@ subspace dimensions from ranks of the vectors with denominators cleared.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class RationalMatrix:
     """Immutable sparse integer matrix, whose ranks are taken over Q:
     columns[j] is column j as {row: nonzero int}. The constructor drops
     zero entries and rejects any entry that is not an int."""
 
-    __slots__ = ("rows", "cols", "columns")
+    rows: int
+    cols: int
+    columns: tuple[dict[int, int], ...]
+    __hash__ = None  # its columns are dicts
 
     def __init__(self, rows: int, cols: int,
                  columns: Sequence[Mapping[int, int]] = ()):
@@ -58,9 +63,6 @@ class RationalMatrix:
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "columns", tuple(columns))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalMatrix is immutable")
-
     @classmethod
     def from_rows(cls, rows_data: Sequence[Sequence[int]]) -> "RationalMatrix":
         nrows = len(rows_data)
@@ -69,10 +71,6 @@ class RationalMatrix:
             raise ValueError("ragged rows")
         return cls(nrows, ncols, [dict(enumerate(col))
                                   for col in zip(*rows_data)])
-
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "RationalMatrix":
-        return cls(rows, cols)
 
     def entries(self) -> dict[tuple[int, int], int]:
         """The nonzero entries as {(row, column): value}, column by column."""
@@ -94,11 +92,6 @@ class RationalMatrix:
                     acc[i] = acc.get(i, 0) + v * w
             out.append({i: v for i, v in acc.items() if v})
         return RationalMatrix(self.rows, other.cols, out)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, RationalMatrix)
-                and self.rows == other.rows and self.cols == other.cols
-                and self.columns == other.columns)
 
     def __repr__(self):
         nonzero = sum(map(len, self.columns))

@@ -163,9 +163,8 @@ def page_dim(f: FilteredComplex, r: int, p: int, q: int) -> int:
 
 @dataclass
 class PageTable:
-    """Dimensions of one page; r is None for the stable (infinity) table."""
+    """Dimensions of one page, {(p, q): dim E_{p,q}}."""
 
-    r: Optional[int]
     dims: dict[tuple[int, int], int]
 
     def nonzero(self) -> dict[tuple[int, int], int]:
@@ -177,7 +176,7 @@ def page_table(f: FilteredComplex, r: int) -> PageTable:
     for d in f.base.degrees:
         for p in range(1, f.num_levels + 1):
             dims[(p, d - p)] = page_dim(f, r, p, d - p)
-    return PageTable(r, dims)
+    return PageTable(dims)
 
 
 def infinity_table(f: FilteredComplex) -> PageTable:
@@ -185,7 +184,7 @@ def infinity_table(f: FilteredComplex) -> PageTable:
     checks that no boundary entry raises the level, so every pivot row lies
     at or below its column's level: each pair has 1 <= l <= c <= N and is
     gone from page c - l + 1 <= N on, and no page after N changes."""
-    return PageTable(None, page_table(f, f.num_levels).dims)
+    return page_table(f, f.num_levels)
 
 
 @dataclass

@@ -327,9 +327,10 @@ def _heavy_pair(n: int, heavy: tuple[int, int]) -> WeightDatum:
 
 class TestPackedCells:
     """compare_up_to_symmetry at n = 8, the last one-byte cells (mask 255 is
-    the full set, a wall for g >= 1), and n = 9, two-byte cells. The oracle
-    walks all 9! permutations, so the counters are pinned instead: an Equal
-    pair with distinct entries scans lexicographic rank + 1 permutations."""
+    the full set, a wall for g >= 1), n = 9, two-byte cells, and n = 17,
+    four-byte cells. The oracle walks all n! permutations, so the counters
+    are pinned instead: an Equal pair with distinct entries scans
+    lexicographic rank + 1 permutations."""
 
     @pytest.mark.parametrize("n,a_heavy,b_heavy,witness,rank", [
         # heavy entries moved from positions 1, 2 to 4, 8: the first witness
@@ -348,6 +349,27 @@ class TestPackedCells:
                             "subset_comparisons": (rank + 1) * (2**n - 1 - n)}
         moved = signature(apply_permutation(res.witness, a))
         assert compare_signatures(moved, signature(b)).relation == "Equal"
+
+    def test_four_byte_cells(self):
+        # heavy entries moved from positions 16, 17 to 14, 17: the first
+        # witness fixes sigma(14) = 16, sigma(17) = 17, rank = 2*3! = 12.
+        # 2^17 - 18 = 131054 walls; the witness is checked wall by wall on
+        # the subset sums, as signature() checks monotonicity in quadratic
+        # time.
+        n = 17
+        a, b = _heavy_pair(n, (16, 17)), _heavy_pair(n, (14, 17))
+        counters: dict = {}
+        res = compare_up_to_symmetry(a, b, counters)
+        assert res == OrderResult("Equal", (*range(1, 14), 16, 14, 15, 17))
+        masks = wall_set(1, n).masks
+        assert len(masks) == 131054
+        assert counters == {"permutations": 13,
+                            "subset_comparisons": 13 * 131054}
+        (sums_a, den_a), (sums_b, den_b) = a.subset_sums, b.subset_sums
+        bits = [1 << (s - 1) for s in res.witness]
+        for m in masks:
+            image = sum(bit for i, bit in enumerate(bits) if m >> i & 1)
+            assert (sums_a[image] > den_a) == (sums_b[m] > den_b)
 
     def test_nine_markings_two_tie_classes_incomparable(self):
         # a: Plus iff S holds both heavy entries (0.85 + 7 * 0.02 < 1);

@@ -7,6 +7,12 @@ module of src/tropgc other than __init__.py, away from the top-level
 definition of the name itself; or of a script under scripts/; or an entry
 of TRACED in perfbench/spans.py, whose spans wrap the name. A name that
 only tests reach belongs in the tests.
+
+A public class's members are held to the same rule: each method, property
+and annotated field whose name does not start with "_" must be read as an
+attribute (obj.name, loaded) in one of those modules or scripts, the
+class's own methods included, or be the member that a TRACED entry
+Class.member wraps.
 """
 
 import ast
@@ -48,13 +54,49 @@ def public_names() -> list[str]:
     return names
 
 
-def callers() -> set[str]:
+def caller_paths() -> list[Path]:
     paths = [p for p in sorted(PACKAGE.glob("*.py"))
              if p.name != "__init__.py"]
-    paths += sorted((ROOT / "scripts").glob("*.py"))
-    names = set().union(*(used_names(p) for p in paths))
+    return paths + sorted((ROOT / "scripts").glob("*.py"))
+
+
+def callers() -> set[str]:
+    names = set().union(*map(used_names, caller_paths()))
     for qualnames in traced_names().values():
         names.update(q.split(".")[0] for q in qualnames)
+    return names
+
+
+def public_members() -> list[str]:
+    """Each public class's public methods, properties and annotated
+    fields, as module.Class.member."""
+    members = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if (not isinstance(node, ast.ClassDef)
+                    or node.name.startswith("_")):
+                continue
+            for sub in node.body:
+                if isinstance(sub, ast.FunctionDef):
+                    name = sub.name
+                elif (isinstance(sub, ast.AnnAssign)
+                      and isinstance(sub.target, ast.Name)):
+                    name = sub.target.id
+                else:
+                    continue
+                if not name.startswith("_"):
+                    members.append(f"{path.stem}.{node.name}.{name}")
+    return members
+
+
+def attributes_read() -> set[str]:
+    """Attributes loaded in the callers, and the members TRACED wraps."""
+    names = {sub.attr for path in caller_paths()
+             for sub in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(sub, ast.Attribute)
+             and isinstance(sub.ctx, ast.Load)}
+    for qualnames in traced_names().values():
+        names.update(q.rpartition(".")[2] for q in qualnames if "." in q)
     return names
 
 
@@ -62,3 +104,9 @@ def test_every_export_has_a_caller_outside_tests():
     names = callers()
     assert [n for n in public_names()
             if n.rpartition(".")[2] not in names] == []
+
+
+def test_every_public_member_is_read_outside_tests():
+    names = attributes_read()
+    assert [m for m in public_members()
+            if m.rpartition(".")[2] not in names] == []

@@ -180,6 +180,15 @@ class TestRecords:
         assert other == cg and hash(other) == hash(cg)
         assert cg != cg.graph
 
+    def test_class_hash_is_the_hash_of_its_first_three_fields(self):
+        for graph in self.GRAPHS:
+            cg, _ = canonicalize(graph)
+            fields = (cg.graph, cg.has_odd_edge_automorphism,
+                      cg.automorphism_generators)
+            assert hash(cg) == hash(fields)
+            assert cg != fields and fields != cg
+            assert cg != (*fields, cg.encoding)
+
 
 class TestGenus:
     def test_loop_graph(self):

@@ -31,6 +31,7 @@ from tropgc.graphs import has_loops, is_stable
 from tropgc.linalg import column_pivots
 
 from .oracles import dense_rank, to_rows, transpose
+from .test_graphs import COPIES
 
 ONE_THIRD = Fraction(1, 3)
 FIVE_CHAMBER_RAW = [
@@ -124,12 +125,42 @@ class TestEntries:
             assert values and all(type(v) is int for v in values)
 
 
+class TestRecord:
+    """A frozen record of (rows, cols, columns): equal by its fields, not
+    hashable (its columns are dicts), copied and pickled by its fields."""
+
+    M = RationalMatrix(2, 1, [{1: 3}])
+
+    def test_fields_are_read_only(self):
+        for name in ("rows", "cols", "columns"):
+            with pytest.raises(AttributeError):
+                setattr(self.M, name, ())
+        assert (self.M.rows, self.M.cols, self.M.columns) == (2, 1, ({1: 3},))
+
+    def test_equality_repr_and_no_hash(self):
+        m = self.M
+        assert m == RationalMatrix.from_rows([[0], [3]])
+        assert m != RationalMatrix(2, 1, [{0: 3}])
+        assert m != (2, 1, ({1: 3},)) and m != m.columns
+        assert repr(m) == "RationalMatrix(2x1, 1 nonzero)"
+        for matrix in (m, RationalMatrix(0, 0)):
+            with pytest.raises(TypeError, match="unhashable"):
+                hash(matrix)
+
+    @pytest.mark.parametrize("copier", COPIES)
+    def test_copies_are_equal(self, copier):
+        copied = copier(self.M)
+        assert type(copied) is RationalMatrix and copied == self.M
+        with pytest.raises(AttributeError):
+            copied.rows = 3
+
+
 class TestRank:
     def test_identity(self):
         assert rank(RationalMatrix.from_rows([[1, 0], [0, 1]])) == 2
 
     def test_zero(self):
-        assert rank(RationalMatrix.zero(3, 5)) == 0
+        assert rank(RationalMatrix(3, 5)) == 0
 
     def test_graph_complex_boundary_degree_zero(self):
         cx = build_graph_complex(1, classical(1, 3))
@@ -146,7 +177,7 @@ class TestRank:
 
 class TestKernel:
     def test_zero_matrix_kernel_is_full(self):
-        assert len(kernel_basis(RationalMatrix.zero(3, 5))) == 5
+        assert len(kernel_basis(RationalMatrix(3, 5))) == 5
 
     def test_identity_kernel_is_trivial(self):
         assert kernel_basis(RationalMatrix.from_rows([[1, 0], [0, 1]])) == []
@@ -265,7 +296,7 @@ def one_step_filtered(rows, row_levels, col_levels) -> FilteredComplex:
     m = RationalMatrix.from_rows(rows)
     base = ChainComplex("graph", 1, None, (0, 1),
                         ((None,) * m.rows, (None,) * m.cols),
-                        (RationalMatrix.zero(0, m.rows), m))
+                        (RationalMatrix(0, m.rows), m))
     return FilteredComplex(1, (None,) * 3, base,
                            (tuple(row_levels), tuple(col_levels)))
 

@@ -168,12 +168,10 @@ class TestPageDim:
 class TestPageTables:
     def test_five_chamber_final_page(self, five_chamber):
         table = page_table(five_chamber, 5)
-        assert table.r == 5
         assert table.nonzero() == {(1, 0): 1}
 
     def test_infinity_table(self, five_chamber):
         table = infinity_table(five_chamber)
-        assert table.r is None
         assert table.nonzero() == {(1, 0): 1}
 
     def test_single_step_infinity_equals_homology(self):
