@@ -39,10 +39,11 @@ def main() -> None:
 
     report = decomposition_report(f)
     print(f"decomposition holds: {report.ok}")
-    for row in report.rows:
-        print(f"  degree {row['degree']:>2}: "
-              f"sum of limit entries = {row['einfinity_sum']}, "
-              f"Betti = {row['betti']}")
+    for k, betti in report.betti.items():
+        total = sum(v for (p, q), v in report.einfinity.dims.items()
+                    if p + q == k)
+        print(f"  degree {k:>2}: sum of limit entries = {total}, "
+              f"Betti = {betti}")
     for row in report.topweight:
         print(f"  Gr^W_6 H^{row['degree']}(M_{{1,3}};Q) has dim "
               f"{row['dim']}")

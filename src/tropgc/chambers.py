@@ -54,10 +54,7 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(x: Fraction) -> str:
-    x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    return str(Fraction(x))
 
 
 def parse_weights(text: str) -> tuple[Fraction, ...]:
@@ -356,9 +353,7 @@ def compare_up_to_symmetry(a: WeightDatum, b: WeightDatum,
                                       for m in masks), order)
               for i in range(n)]
     sa = _sign_table(a)
-    # the identity's images are the masks themselves
-    want = read(sum(s << i for i, s in enumerate(spread)).to_bytes(size, order),
-                _sign_table(b))
+    want = bytes(map(_sign_table(b).__getitem__, masks))
     wanted = int.from_bytes(want, order)
     unwanted = ~wanted
     k = max(n - 3, 0)
@@ -524,10 +519,8 @@ ENUMERATION_CAP = 5
 
 @dataclass(frozen=True)
 class ChamberCensus:
-    """Realizable chamber signatures for (g, n), grouped into S_n orbits."""
+    """Realizable chamber signatures, grouped into S_n orbits."""
 
-    g: int
-    n: int
     orbits: tuple[tuple[ChamberSignature, ...], ...]
 
     @property
@@ -594,7 +587,7 @@ def enumerate_chambers(g: int, n: int) -> ChamberCensus:
         assign(k + 1, plus | 1 << k)
 
     assign(0, 0)
-    return ChamberCensus(g, n, tuple(sorted(orbits, key=lambda o: o[0].signs)))
+    return ChamberCensus(tuple(sorted(orbits, key=lambda o: o[0].signs)))
 
 
 def _expand_orbit(rep: ChamberSignature, point: WeightDatum

@@ -71,7 +71,7 @@ def _cmd_chambers(args: argparse.Namespace) -> dict:
         return {"g": a.g, "n": a.n, "weights": _weights_list(a),
                 "signature": signature_json(signature(a))}
     census = enumerate_chambers(args.g, args.n)
-    out = {"g": census.g, "n": census.n,
+    out = {"g": args.g, "n": args.n,
            "chambers": len(census.chambers), "orbits": len(census.orbits)}
     sigs = [signature_json(s) for s in census.chambers]
     out["signatures"] = sigs
@@ -100,9 +100,9 @@ def _cmd_homology(args: argparse.Namespace) -> dict:
         a_part, b_part = split_AB(build_cellular_complex(args.g, a))
         complex_ = a_part if kind == A_PART else b_part
     report = homology(complex_)
-    out = {"kind": report.kind, "g": report.g,
-           "weights": _weights_list(report.weights),
-           "degrees": list(report.degrees),
+    out = {"kind": complex_.kind, "g": complex_.g,
+           "weights": _weights_list(complex_.weights),
+           "degrees": list(complex_.degrees),
            "dims": {str(k): v for k, v in sorted(report.dims.items())},
            "betti": {str(k): v for k, v in sorted(report.betti.items())},
            "delta": report.delta}

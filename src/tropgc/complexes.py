@@ -191,10 +191,6 @@ def split_AB(c: ChainComplex) -> tuple[ChainComplex, ChainComplex]:
 class HomologyReport:
     """Betti numbers plus the labels they transport to."""
 
-    kind: str
-    g: int
-    weights: WeightDatum
-    degrees: tuple[int, ...]
     dims: dict[int, int]
     betti: dict[int, int]
     topweight: list[dict]  # graph complexes only
@@ -253,5 +249,4 @@ def homology(c: ChainComplex) -> HomologyReport:
         w = 6 * g - 6 + 2 * a.n
         topweight = [{"degree": 4 * g - 6 + 2 * a.n - k, "weight": w,
                       "dim": betti[k]} for k in c.degrees]
-    return HomologyReport(c.kind, g, a, c.degrees, dims, betti,
-                          topweight, delta)
+    return HomologyReport(dims, betti, topweight, delta)

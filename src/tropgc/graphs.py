@@ -130,19 +130,11 @@ class MarkedGraph(tuple):
     def __repr__(self):
         return "MarkedGraph(weights=%r, edges=%r, legs=%r)" % self
 
-    @property
-    def num_vertices(self) -> int:
-        return len(self.weights)
-
-    @property
-    def num_edges(self) -> int:
-        return len(self.edges)
-
 
 def genus(graph: MarkedGraph) -> int:
     """First Betti number plus the total vertex weight."""
-    b1 = graph.num_edges - graph.num_vertices + 1
-    return b1 + sum(graph.weights)
+    weights, edges, _ = graph
+    return len(edges) - len(weights) + 1 + sum(weights)
 
 
 def is_pure(graph: MarkedGraph) -> bool:

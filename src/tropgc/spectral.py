@@ -80,7 +80,6 @@ def align_chain(g: int, raw: Sequence[WeightDatum]
 class FilteredComplex:
     """Graph complex of the last chain datum, graded by stability level."""
 
-    g: int
     chain: tuple[WeightDatum, ...]
     base: ChainComplex
     levels: tuple[tuple[int, ...], ...]  # aligned with base.bases
@@ -123,7 +122,7 @@ def build_filtered_complex(g: int, chain: Sequence[WeightDatum]
                    for basis in base.bases)
     if any(0 in row for row in levels):
         raise AssertionError("generator unstable at the top of the chain")
-    f = FilteredComplex(g, tuple(chain), base, levels)
+    f = FilteredComplex(tuple(chain), base, levels)
     for i, k in enumerate(base.degrees):
         below = f.level_row(k - 1)
         for level, col in zip(levels[i], base.boundaries[i].columns):
@@ -189,13 +188,10 @@ def infinity_table(f: FilteredComplex) -> PageTable:
 
 @dataclass
 class DecompositionReport:
-    """Per-degree comparison of E^infinity sums against Betti numbers."""
+    """E^infinity, checked to sum to the Betti numbers degree by degree."""
 
-    g: int
-    chain: tuple[WeightDatum, ...]
     einfinity: PageTable
     betti: dict[int, int]
-    rows: list[dict]
     topweight: list[dict]
     lower_bounds: list[dict]
     ok: bool
@@ -207,10 +203,10 @@ def decomposition_report(f: FilteredComplex) -> DecompositionReport:
     einf = infinity_table(f)
     hom = homology(f.base)
     betti = hom.betti
-    # degree k -> its cohomological degree and weight
-    top = dict(zip(hom.degrees, hom.topweight))
-    name = moduli_label(f.g, f.chain[-1])
-    rows, topweight = [], []
+    # degree k -> its cohomological degree
+    cohom = {k: row["degree"] for k, row in zip(f.base.degrees, hom.topweight)}
+    name = moduli_label(f.base.g, f.chain[-1])
+    topweight = []
     for k in f.base.degrees:
         s = sum(einf.dims.get((p, k - p), 0)
                 for p in range(1, f.num_levels + 1))
@@ -218,20 +214,16 @@ def decomposition_report(f: FilteredComplex) -> DecompositionReport:
             raise AssertionError(
                 f"decomposition mismatch in degree {k}: pages sum to {s}, "
                 f"Betti is {betti[k]}")
-        degree = top[k]["degree"]
-        rows.append({"degree": k, "einfinity_sum": s, "betti": betti[k],
-                     "cohomological_degree": degree,
-                     "weight": top[k]["weight"]})
-        topweight.append({"degree": degree, "dim": betti[k]})
+        topweight.append({"degree": cohom[k], "dim": betti[k]})
     lower_bounds = []
     for (p, q), v in sorted(einf.dims.items()):
         if v > 0:
-            degree = top[p + q]["degree"]
+            degree = cohom[p + q]
             lower_bounds.append({
                 "p": p, "q": q, "cohomological_degree": degree, "dim": v,
                 "label": f"dim H^{degree}({name};Q) >= {v}"})
-    return DecompositionReport(f.g, f.chain, einf, betti, rows,
-                               list(reversed(topweight)), lower_bounds, True)
+    return DecompositionReport(einf, betti, list(reversed(topweight)),
+                               lower_bounds, True)
 
 
 def spectral_json(f: FilteredComplex, pages: Sequence[int] = ()) -> dict:

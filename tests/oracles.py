@@ -521,7 +521,7 @@ def reference_census(g: int, n: int):
     assign(0, [])
     orbits = (tuple(sorted(v, key=lambda s: s.signs))
               for v in grouped.values())
-    return ChamberCensus(g, n, tuple(sorted(orbits, key=lambda o: o[0].signs)))
+    return ChamberCensus(tuple(sorted(orbits, key=lambda o: o[0].signs)))
 
 
 # Helpers on package objects that only the tests use.

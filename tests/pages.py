@@ -1,11 +1,12 @@
-"""The E^1 check shared by the spectral and acceptance tests.
+"""Page checks shared by the spectral and acceptance tests.
 
-It compares two routes through the package itself, the persistence pairs
-behind page_dim and the homology of each filtration step, so it is not an
-independent oracle and lives outside oracles.py.
+The E^1 check compares two routes through the package itself, the
+persistence pairs behind page_dim and the homology of each filtration
+step, so it is not an independent oracle and lives outside oracles.py.
 """
 
-from tropgc import FilteredComplex, homology, page_dim
+from tropgc import (DecompositionReport, FilteredComplex, homology,
+                    page_dim)
 
 
 def e1_relative_check(f: FilteredComplex) -> bool:
@@ -17,3 +18,12 @@ def e1_relative_check(f: FilteredComplex) -> bool:
             if page_dim(f, 1, p, d - p) != step_betti[d]:
                 return False
     return True
+
+
+def einfinity_sums(report: DecompositionReport) -> dict[int, int]:
+    """Degree d -> the sum over p of dim E^inf_{p,d-p}, for every degree of
+    the base complex, read off the report's E^infinity table."""
+    sums: dict[int, int] = {}
+    for (p, q), v in report.einfinity.dims.items():
+        sums[p + q] = sums.get(p + q, 0) + v
+    return sums

@@ -33,6 +33,60 @@ HOMOLOGY_GRAPH = (
     '{"degree":4,"dim":0,"weight":6},{"degree":3,"dim":1,"weight":6}],'
     '"weights":["1","1","1"]}\n'
 )
+# The payloads of the census, of the cellular-route complexes, of one
+# relative complex and of every page, byte for byte.
+ENUMERATE_ORBITS = (
+    '{"chambers":9,"g":1,"n":3,'
+    '"orbit_partition":[[0],[1],[2,3,4],[5,6,7],[8]],"orbits":5,'
+    '"signatures":['
+    '{"{1,2,3}":"-","{1,2}":"-","{1,3}":"-","{2,3}":"-"},'
+    '{"{1,2,3}":"+","{1,2}":"-","{1,3}":"-","{2,3}":"-"},'
+    '{"{1,2,3}":"+","{1,2}":"-","{1,3}":"-","{2,3}":"+"},'
+    '{"{1,2,3}":"+","{1,2}":"-","{1,3}":"+","{2,3}":"-"},'
+    '{"{1,2,3}":"+","{1,2}":"+","{1,3}":"-","{2,3}":"-"},'
+    '{"{1,2,3}":"+","{1,2}":"-","{1,3}":"+","{2,3}":"+"},'
+    '{"{1,2,3}":"+","{1,2}":"+","{1,3}":"-","{2,3}":"+"},'
+    '{"{1,2,3}":"+","{1,2}":"+","{1,3}":"+","{2,3}":"-"},'
+    '{"{1,2,3}":"+","{1,2}":"+","{1,3}":"+","{2,3}":"+"}]}\n'
+)
+HOMOLOGY_CELLULAR = (
+    '{"betti":{"-1":0,"0":0,"1":0,"2":1},"degrees":[-1,0,1,2],'
+    '"delta":[{"degree":-1,"dim":0},{"degree":0,"dim":0},'
+    '{"degree":1,"dim":0},{"degree":2,"dim":1}],'
+    '"dims":{"-1":1,"0":5,"1":7,"2":4},"g":1,"kind":"cellular",'
+    '"weights":["1","1","1"]}\n'
+)
+HOMOLOGY_A_PART = (
+    '{"betti":{"-1":0,"0":0,"1":0,"2":1},"degrees":[-1,0,1,2],'
+    '"delta":[{"degree":-1,"dim":0},{"degree":0,"dim":0},'
+    '{"degree":1,"dim":0},{"degree":2,"dim":1}],'
+    '"dims":{"-1":0,"0":0,"1":0,"2":1},"g":1,"kind":"a-part",'
+    '"weights":["1","1","1"]}\n'
+)
+HOMOLOGY_B_PART = (
+    '{"betti":{"-1":0,"0":0,"1":0,"2":0},"degrees":[-1,0,1,2],'
+    '"delta":[{"degree":-1,"dim":0},{"degree":0,"dim":0},'
+    '{"degree":1,"dim":0},{"degree":2,"dim":0}],'
+    '"dims":{"-1":1,"0":5,"1":7,"2":3},"g":1,"kind":"b-part",'
+    '"weights":["1","1","1"]}\n'
+)
+HOMOLOGY_RELATIVE = (
+    '{"betti":{"-1":0,"0":1,"1":0},"degrees":[-1,0,1],'
+    '"delta":[{"degree":0,"dim":0},{"degree":1,"dim":1},'
+    '{"degree":2,"dim":0}],"dims":{"-1":0,"0":1,"1":0},"g":1,'
+    '"kind":"relative","lower":["1/3","1/3","33/100"],'
+    '"weights":["391/900","391/900","391/900"]}\n'
+)
+SPECTRAL_ALL_PAGES = (
+    '{"betti":{"-1":0,"0":0,"1":1},"decomposition_ok":true,'
+    '"einfinity":{"1,0":1},"lower_bounds":[{"cohomological_degree":3,'
+    '"dim":1,"label":"dim H^3(M_{1,3};Q) >= 1","p":1,"q":0}],'
+    '"pages":{"0":{"1,-2":1,"1,0":1,"2,-2":1,"3,-2":1,"3,-3":1,'
+    '"4,-3":1,"4,-4":1,"5,-4":1,"5,-5":1},'
+    '"1":{"1,-2":1,"1,0":1,"2,-2":1},"2":{"1,0":1},"3":{"1,0":1},'
+    '"4":{"1,0":1},"5":{"1,0":1}},"topweight":[{"degree":3,"dim":1},'
+    '{"degree":4,"dim":0},{"degree":5,"dim":0}]}\n'
+)
 SPECTRAL_PAGE5 = (
     '{"betti":{"-1":0,"0":0,"1":1},"decomposition_ok":true,'
     '"einfinity":{"1,0":1},"lower_bounds":[{"cohomological_degree":3,'
@@ -71,6 +125,7 @@ class TestChambersCommands:
         data = json.loads(out)
         assert data["orbit_partition"] == [[0], [1], [2, 3, 4],
                                            [5, 6, 7], [8]]
+        assert out == ENUMERATE_ORBITS
 
     def test_compare_equal_golden(self, capsys):
         rc, out, _ = run(capsys, ["chambers", "compare", "--g", "1",
@@ -116,6 +171,17 @@ class TestHomologyCommand:
         assert rc == 0
         assert out == HOMOLOGY_GRAPH
 
+    @pytest.mark.parametrize("kind,golden", [
+        ("cellular", HOMOLOGY_CELLULAR),
+        ("a-part", HOMOLOGY_A_PART),
+        ("b-part", HOMOLOGY_B_PART),
+    ])
+    def test_cellular_goldens(self, capsys, kind, golden):
+        rc, out, _ = run(capsys, ["homology", "--g", "1",
+                                  "--weights", "1,1,1", "--kind", kind])
+        assert rc == 0
+        assert out == golden
+
     def test_b_part_acyclic(self, capsys):
         rc, out, _ = run(capsys, ["homology", "--g", "1",
                                   "--weights", "1,1,1", "--kind", "b-part"])
@@ -146,6 +212,7 @@ class TestHomologyCommand:
         data = json.loads(out)
         assert data["betti"] == {"-1": 0, "0": 1, "1": 0}
         assert data["lower"] == ["1/3", "1/3", "33/100"]
+        assert out == HOMOLOGY_RELATIVE
 
     def test_relative_lower_above_weights_is_domain_error(self, capsys):
         rc, out, err = run(capsys, ["homology", "--g", "1",
@@ -217,6 +284,7 @@ class TestSpectralCommand:
             "4,-3": 1, "4,-4": 1, "5,-4": 1, "5,-5": 1,
         }
         assert data["einfinity"] == {"1,0": 1}
+        assert out == SPECTRAL_ALL_PAGES
 
     def test_unaligned_chain_is_domain_error(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

@@ -83,7 +83,7 @@ class TestEnumerate:
         classes = enumerate_stable_graphs(1, CLASSICAL3, 2).classes
         assert len(set(classes)) == len(classes)
         for cg in classes:
-            assert cg.graph.num_edges == 2
+            assert len(cg.graph.edges) == 2
             assert len(cg.graph.legs) == 3
             assert is_stable(cg.graph, 1, CLASSICAL3)
 

@@ -13,13 +13,21 @@ and annotated field whose name does not start with "_" must be read as an
 attribute (obj.name, loaded) in one of those modules or scripts, the
 class's own methods included, or be the member that a TRACED entry
 Class.member wraps.
+
+That scan matches attribute names only, so a field passes when the same
+name is read on some other object. The result records are also checked at
+run time: every field of each must be read while the command line runs.
 """
 
 import ast
+import dataclasses
+import json
 from pathlib import Path
 
 import tropgc
+from tropgc.cli import main
 
+from .test_cli import FIVE_CHAMBER_FILE
 from .test_perfbench_names import traced_names
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -110,3 +118,32 @@ def test_every_public_member_is_read_outside_tests():
     names = attributes_read()
     assert [m for m in public_members()
             if m.rpartition(".")[2] not in names] == []
+
+
+RECORDS = (tropgc.HomologyReport, tropgc.DecompositionReport,
+           tropgc.ChamberCensus, tropgc.PageTable, tropgc.FilteredComplex)
+
+
+def test_every_record_field_is_read_by_the_command_line(monkeypatch, capsys,
+                                                        tmp_path):
+    read = set()
+    for cls in RECORDS:
+        def getattribute(self, name, cls=cls):
+            read.add(f"{cls.__name__}.{name}")
+            return object.__getattribute__(self, name)
+        monkeypatch.setattr(cls, "__getattribute__", getattribute)
+    path = tmp_path / "filtration.json"
+    path.write_text(json.dumps(FIVE_CHAMBER_FILE))
+    homology = ["homology", "--g", "1", "--weights", "1,1,1", "--kind"]
+    runs = ([["chambers", "enumerate", "--g", "1", "--n", "3", "--orbits"],
+             ["spectral", "--input", str(path), "--all-pages"],
+             ["homology", "--g", "1", "--weights", "391/900,391/900,391/900",
+              "--kind", "relative", "--lower", "1/3,1/3,33/100"]]
+            + [homology + [kind] for kind in ("graph", "cellular", "a-part",
+                                               "b-part")])
+    for argv in runs:
+        assert main(argv) == 0, argv
+    capsys.readouterr()
+    fields = {f"{cls.__name__}.{field.name}"
+              for cls in RECORDS for field in dataclasses.fields(cls)}
+    assert sorted(fields - read) == []

@@ -295,7 +295,7 @@ class TestRelabel:
 
 
 def _permute_vertices(graph: MarkedGraph, perm: list[int]) -> MarkedGraph:
-    weights = [0] * graph.num_vertices
+    weights = [0] * len(graph.weights)
     for old, w in enumerate(graph.weights):
         weights[perm[old]] = w
     edges = tuple((perm[u], perm[v]) for u, v in graph.edges)
@@ -317,10 +317,10 @@ class TestCanonicalize:
                       G1_GENUS2, GRAPHONE):
             reference = canonicalize(graph)[0]
             for _ in range(200):
-                perm = list(range(graph.num_vertices))
+                perm = list(range(len(graph.weights)))
                 rng.shuffle(perm)
                 moved = _permute_vertices(graph, perm)
-                order = list(range(graph.num_edges))
+                order = list(range(len(graph.edges)))
                 rng.shuffle(order)
                 moved = MarkedGraph(moved.weights,
                                     tuple(moved.edges[k] for k in order),

@@ -191,7 +191,7 @@ class TestKernel:
         assert len(kern) == 1
         support = [j for j, x in enumerate(kern[0]) if x != 0]
         triangle = [j for j, cg in enumerate(cx.basis(1))
-                    if cg.graph.num_vertices == 3
+                    if len(cg.graph.weights) == 3
                     and not has_loops(cg.graph)]
         assert support == triangle
 
@@ -297,7 +297,7 @@ def one_step_filtered(rows, row_levels, col_levels) -> FilteredComplex:
     base = ChainComplex("graph", 1, None, (0, 1),
                         ((None,) * m.rows, (None,) * m.cols),
                         (RationalMatrix(0, m.rows), m))
-    return FilteredComplex(1, (None,) * 3, base,
+    return FilteredComplex((None,) * 3, base,
                            (tuple(row_levels), tuple(col_levels)))
 
 

@@ -82,6 +82,18 @@ def test_census_points_pinned(tmp_path, g, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("name,digest", [
+    ("run_five_chamber.py",
+     "41e6c47cf49208c23aefef9fadf3018bd49ff7fec07b1e6742023af3134adcac"),
+    ("run_genus_two.py",
+     "f6846ea0e143d6083f589f379f360387399203a93a850c2670d542fc986f6f78"),
+])
+def test_script_output_pinned(tmp_path, name, digest):
+    # the whole stdout, every page, label and boundary line included
+    text = "".join(line + "\n" for line in run_script(name, tmp_path))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def load_frontier():
     spec = importlib.util.spec_from_file_location(
         "run_frontier", ROOT / "scripts" / "run_frontier.py")
