@@ -20,7 +20,7 @@ from tropgc import (
     make_minimal,
     page_dim,
 )
-from tropgc.graphs import MarkedGraph, canonicalize, edge_map_sign
+from tropgc.graphs import MarkedGraph, canonicalize
 
 CHAIN = [make_minimal(2, 3), make_floor(2, 3, 3),
          WeightDatum(2, (Fraction(1),) * 3)]
@@ -60,13 +60,13 @@ def main() -> None:
     levels = f.level_row(2)
     coeff = {}
     for name, graph in DOUBLE_BRANCH + THETA_TAIL:
-        cg, edge_map = canonicalize(graph)
+        cg, edge_sign = canonicalize(graph)
         j = index[cg]
         print(f"  {name}: column {j}, level {levels[j]}")
         sign = 1 if name.startswith("H") else -1
         if name[-1] == "2":
             sign = -sign
-        coeff[j] = coeff.get(j, 0) + sign * edge_map_sign(edge_map)
+        coeff[j] = coeff.get(j, 0) + sign * edge_sign
 
     d2 = base.boundary(2)
     image = {}

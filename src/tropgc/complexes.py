@@ -35,7 +35,7 @@ from typing import Iterator, Optional, Sequence
 
 from .chambers import DomainError, WeightDatum, format_rational
 from .graphs import (CanonicalGraph, _canonicalize_parts, _contracted_shape,
-                     _moved_legs, edge_map_sign, has_loops, is_pure)
+                     _moved_legs, has_loops, is_pure)
 from .enumeration import CELLULAR, GRAPH, degree_range, generator_basis
 from .linalg import RationalMatrix, column_pivots
 
@@ -107,7 +107,7 @@ def _boundary_columns(basis_high: tuple[CanonicalGraph, ...],
                 if u != v or contract_loops]
         col: dict[int, int] = {}
         for i, (new_weights, new_edges, remap) in by_edge:
-            target, emap = _canonicalize_parts(new_weights, new_edges,
+            target, sign = _canonicalize_parts(new_weights, new_edges,
                                                _moved_legs(remap, legs))
             if target.has_odd_edge_automorphism:
                 continue
@@ -116,7 +116,7 @@ def _boundary_columns(basis_high: tuple[CanonicalGraph, ...],
                 raise AssertionError(
                     f"contraction target {target.encoding} is missing from "
                     "the basis: the stable graph enumeration is incomplete")
-            sign = edge_map_sign(emap)  # times (-1)^(i+1), i from 0
+            # the sign times (-1)^(i+1), i from 0
             col[row] = col.get(row, 0) + (sign if i % 2 else -sign)
         columns.append(col)
     return columns

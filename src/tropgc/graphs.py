@@ -24,13 +24,18 @@ parallel edges (or of two loops at one vertex) induces an odd edge
 transposition, while flipping the two half-edges of a single loop induces
 the identity on edges. A canonical graph's text encoding is set once, when
 its form is built: the cache line the form was read from, or else written
-then. Every identity edge map that canonicalization returns is one shared
-tuple per edge count, whose sign edge_map_sign gives without a parity.
+then.
 
-Canonical forms are memoized by (weights, edges, legs) tuples: each form
-under its own validated graph, which is such a tuple, and every other
-input under its range-checked parts, whose relabeling is a validated form.
-Contractions, uncontractions and cache lines are
+A generator of the graph complex is oriented by an order of its edges, so
+canonicalization returns, with each form, the one thing a boundary term
+needs of the edge relabeling: its sign, the parity of the permutation
+taking the input edge order to the canonical one. A form reached by itself
+has sign +1.
+
+Canonical forms and their signs are memoized by (weights, edges, legs)
+tuples: each form under its own validated graph, which is such a tuple, and
+every other input under its range-checked parts, whose relabeling is a
+validated form. Contractions, uncontractions and cache lines are
 canonicalized from their parts: on a memo miss the color classes and the
 relabeling are computed from the parts, and a graph is built (and
 validated) only when the canonical form is new, once per form. Parts whose
@@ -277,27 +282,28 @@ def _permutation_parity(perm: Sequence[int]) -> int:
     return parity
 
 
-# Canonical form and edge map of every graph canonicalized so far, keyed by
-# each form's own graph, which compares and hashes as its parts tuple, and by
-# the range-checked (weights, edges, legs) of every other input whose
-# relabeling is a validated form.
-_canon_cache: dict[Parts, tuple[CanonicalGraph, Permutation]] = {}
+# Canonical form and sign of every graph canonicalized so far, keyed by each
+# form's own graph, which compares and hashes as its parts tuple, and by the
+# range-checked (weights, edges, legs) of every other input whose relabeling
+# is a validated form.
+_canon_cache: dict[Parts, tuple[CanonicalGraph, int]] = {}
 
 
-def canonicalize(graph: MarkedGraph) -> tuple[CanonicalGraph, Permutation]:
-    """Canonical form of a graph, plus the edge relabeling it entails.
+def canonicalize(graph: MarkedGraph) -> tuple[CanonicalGraph, int]:
+    """Canonical form of a graph, plus the sign of the edge relabeling it
+    entails.
 
-    The returned edge_map sends the input edge order to the canonical
-    (sorted) edge order: input edge k lands at position edge_map[k]. Its
-    parity is well defined modulo automorphisms whenever
-    has_odd_edge_automorphism is False.
+    The sign is +1 or -1, the parity of the permutation that sends the
+    input edge order to the canonical (sorted) edge order. It is well
+    defined modulo automorphisms whenever has_odd_edge_automorphism is
+    False.
     """
     return _canonicalize_parts(*graph)
 
 
 def _canonicalize_parts(weights: tuple[int, ...], edges: tuple[Edge, ...],
                         legs: tuple[int, ...], line: Optional[str] = None
-                        ) -> tuple[CanonicalGraph, Permutation]:
+                        ) -> tuple[CanonicalGraph, int]:
     """canonicalize(MarkedGraph(weights, edges, legs)), without building
     that graph.
 
@@ -308,15 +314,19 @@ def _canonicalize_parts(weights: tuple[int, ...], edges: tuple[Edge, ...],
     is: a form already memoized was validated when it was built, and a new
     form is built by the constructor, which runs every check, in _new_form.
     Parts with an index out of range go to the constructor, which raises its
-    own error. An edge map equal to the identity is returned as the shared
-    identity of its edge count.
+    own error.
+
+    The input edges are assigned to canonical slots by a stable sort, and
+    the sign is the parity of the input positions in slot order: that
+    permutation is the inverse of the assignment, which has the same
+    parity.
 
     When the vertex colours strictly increase along the vertex order, each
     colour class is one vertex and sorting the classes keeps every vertex in
     place, so the relabeling is the identity; when the edges are also
     written low end first and sorted, the stable sort below keeps them in
-    place too. Then the parts are their own form, the edge map is the
-    identity, and neither is computed.
+    place too. Then the parts are their own form, the sign is +1, and
+    neither is computed.
 
     line, when given, is the cache line the parts were read from, and
     becomes the encoding of their form if the parts are that form and it is
@@ -354,9 +364,6 @@ def _canonicalize_parts(weights: tuple[int, ...], edges: tuple[Edge, ...],
         pu, pv = ref[u], ref[v]
         mapped.append(((pu, pv) if pu <= pv else (pv, pu), k))
     mapped.sort()
-    edge_map = [0] * len(mapped)
-    for slot, (_, k) in enumerate(mapped):
-        edge_map[k] = slot
     new_weights = [0] * nv
     for old, w in enumerate(weights):
         new_weights[ref[old]] = w
@@ -365,21 +372,18 @@ def _canonicalize_parts(weights: tuple[int, ...], edges: tuple[Edge, ...],
     # the form is memoized if another input reached it first
     cg = (_canon_cache.get(form) or _new_form(
         form, generators, line if form == key else None))[0]
-    edge_map = tuple(edge_map)
-    identity = _identity_edge_map(len(edge_map))
-    result = (cg, identity if edge_map == identity else edge_map)
+    result = (cg, _permutation_parity([k for _, k in mapped]))
     _canon_cache[key] = result
     return result
 
 
 def _new_form(form: Parts, generators: tuple[Permutation, ...],
-              line: Optional[str] = None
-              ) -> tuple[CanonicalGraph, Permutation]:
+              line: Optional[str] = None) -> tuple[CanonicalGraph, int]:
     """The canonical graph with these parts and vertex automorphism
     generators, built and validated (once per form), memoized under its own
-    graph with the shared identity edge map of its edge count, which is
-    returned with it. Its encoding is line, the cache line the parts were
-    read from, or else is written here.
+    graph with the sign +1 of a form reached by itself, and returned with
+    it. Its encoding is line, the cache line the parts were read from, or
+    else is written here.
 
     The constructor runs all of its checks here, the index ranges and the
     edge normalization too, although _canonicalize_parts has established
@@ -392,21 +396,9 @@ def _new_form(form: Parts, generators: tuple[Permutation, ...],
                                                           generators),
                         generators,
                         _encode_parts(*canon) if line is None else line)
-    result = (cg, _identity_edge_map(len(canon.edges)))
+    result = (cg, 1)
     _canon_cache[canon] = result
     return result
-
-
-# _identity_edge_map(m) for every m asked for so far, at index m.
-_identities: list[Permutation] = []
-
-
-def _identity_edge_map(m: int) -> Permutation:
-    """The identity map of m edges, one shared tuple per m: a canonical form
-    reaches itself by it, and edge_map_sign tells it apart by identity."""
-    while len(_identities) <= m:
-        _identities.append(tuple(range(len(_identities))))
-    return _identities[m]
 
 
 def _has_odd_edge_automorphism(edges: tuple[Edge, ...],
@@ -471,15 +463,6 @@ def _minimal_relabeling(edges: tuple[Edge, ...], legs: tuple[int, ...],
         autos.add(tuple(perm[inverse_ref[p]] for p in range(nv)))
     autos.discard(tuple(range(nv)))
     return ref, tuple(sorted(autos))
-
-
-def edge_map_sign(edge_map: Sequence[int]) -> int:
-    """The sign of an edge map: +1 without a parity for the shared identity
-    of its edge count (_identity_edge_map)."""
-    m = len(edge_map)
-    if m < len(_identities) and edge_map is _identities[m]:
-        return 1
-    return _permutation_parity(edge_map)
 
 
 def _encode_parts(weights: tuple[int, ...], edges: tuple[Edge, ...],

@@ -87,6 +87,13 @@ SPECTRAL_ALL_PAGES = (
     '"4":{"1,0":1},"5":{"1,0":1}},"topweight":[{"degree":3,"dim":1},'
     '{"degree":4,"dim":0},{"degree":5,"dim":0}]}\n'
 )
+SPECTRAL_NO_PAGES = (
+    '{"betti":{"-1":0,"0":0,"1":1},"decomposition_ok":true,'
+    '"einfinity":{"1,0":1},"lower_bounds":[{"cohomological_degree":3,'
+    '"dim":1,"label":"dim H^3(M_{1,3};Q) >= 1","p":1,"q":0}],'
+    '"pages":{},"topweight":[{"degree":3,"dim":1},'
+    '{"degree":4,"dim":0},{"degree":5,"dim":0}]}\n'
+)
 SPECTRAL_PAGE5 = (
     '{"betti":{"-1":0,"0":0,"1":1},"decomposition_ok":true,'
     '"einfinity":{"1,0":1},"lower_bounds":[{"cohomological_degree":3,'
@@ -139,6 +146,18 @@ class TestChambersCommands:
                                   "--b", "1291/2700,12/27,14/27"])
         assert rc == 0
         assert out == COMPARE_GREATER
+
+    def test_compare_length_mismatch_is_domain_error(self, capsys):
+        rc, out, err = run(capsys, ["chambers", "compare", "--g", "1",
+                                    "--a", "1,1", "--b", "1,1,1"])
+        assert (rc, out) == (1, "")
+        assert err == "error: weight data must share genus and length\n"
+
+    def test_enumerate_above_cap_is_domain_error(self, capsys):
+        rc, out, err = run(capsys, ["chambers", "enumerate",
+                                    "--g", "1", "--n", "6"])
+        assert (rc, out) == (1, "")
+        assert err == "error: chamber enumeration capped at n <= 5\n"
 
     def test_compare_exact_wall_shift(self, capsys):
         rc, out, _ = run(capsys, ["chambers", "compare", "--g", "1",
@@ -224,6 +243,15 @@ class TestHomologyCommand:
         assert [line for line in err.splitlines()
                 if line.startswith("error:")] == [err.splitlines()[-1]]
 
+    def test_empty_cellular_moduli_is_domain_error(self, capsys):
+        rc, out, err = run(capsys, ["homology", "--g", "0",
+                                    "--weights", "1,1,1",
+                                    "--kind", "cellular"])
+        assert (rc, out) == (1, "")
+        # after the gap-zone warning of (1, 1, 1) in genus 0, if it shows
+        assert err.endswith("error: the moduli space is empty: no stable "
+                            "graph has an edge\n")
+
     def test_relative_requires_lower(self, capsys):
         rc, _, err = run(capsys, ["homology", "--g", "1",
                                   "--weights", "1,1,1",
@@ -272,6 +300,11 @@ class TestSpectralCommand:
                                   "--page", "5"])
         assert rc == 0
         assert out == SPECTRAL_PAGE5
+
+    def test_no_page_golden(self, capsys, filtration_file):
+        rc, out, _ = run(capsys, ["spectral", "--input", filtration_file])
+        assert rc == 0
+        assert out == SPECTRAL_NO_PAGES
 
     def test_all_pages(self, capsys, filtration_file):
         rc, out, _ = run(capsys, ["spectral", "--input", filtration_file,

@@ -341,6 +341,26 @@ class TestSplitAB:
             split_AB(build_graph_complex(1, CLASSICAL3))
 
 
+class TestConsistencyChecks:
+    """A hand-built complex whose boundaries do not fit its bases, or do
+    not square to zero, is refused when it is built."""
+
+    @pytest.mark.parametrize("degrees,boundaries,message", [
+        ((0,), (RationalMatrix(0, 2),), "boundary column count mismatch"),
+        ((0, 1), (RationalMatrix(0, 1), RationalMatrix(2, 1)),
+         "boundary row count mismatch"),
+        ((0, 1, 2), (RationalMatrix(0, 1), RationalMatrix(1, 1, [{0: 1}]),
+                     RationalMatrix(1, 1, [{0: 1}])),
+         "boundary squared is nonzero from degree 2"),
+    ])
+    def test_bad_boundary_is_refused(self, degrees, boundaries, message):
+        cg, _ = canonicalize(MarkedGraph((0, 0), ((0, 1), (0, 1)), (0, 1)))
+        with pytest.raises(AssertionError) as info:
+            ChainComplex(CELLULAR, 1, CLASSICAL2, degrees,
+                         ((cg,),) * len(degrees), boundaries)
+        assert str(info.value) == message
+
+
 def classical(g: int, n: int) -> WeightDatum:
     return WeightDatum(g, (Fraction(1),) * n)
 

@@ -467,6 +467,20 @@ class TestCache:
         line = MALFORMED_LINES["relabeled"]
         assert canonicalize(decode_graph(line))[0].encoding == CACHE_LINE
 
+    def test_failed_store_leaves_nothing_behind(self, tmp_path, monkeypatch):
+        classes = enumerate_stable_graphs(1, CLASSICAL3, 3).classes
+        monkeypatch.setattr(enumeration, "_decoded", {})
+        path = tmp_path / "g1_n3_m3_all_x.txt"
+
+        def replace(_src, _dst):
+            raise OSError("disk full")
+        monkeypatch.setattr(enumeration.os, "replace", replace)
+        with pytest.raises(OSError, match="disk full"):
+            enumeration._cache_store(str(path), classes)
+        assert not path.exists()
+        assert list(tmp_path.glob("*.tmp")) == []
+        assert enumeration._decoded == {}
+
     @pytest.mark.parametrize("damage", sorted(MALFORMED_LINES))
     def test_malformed_line_is_recomputed(self, tmp_path, monkeypatch,
                                           damage):

@@ -27,7 +27,7 @@ from tropgc.graphs import (
     is_stable,
 )
 
-from .oracles import (_contract, decode_graph, encode_graph,
+from .oracles import (_contract, _parity, decode_graph, encode_graph,
                       reference_canonicalize, reference_is_stable,
                       relabel_legs)
 
@@ -307,9 +307,11 @@ class TestCanonicalize:
     def test_idempotent(self):
         for graph in (LOOP, LOOP_BRIDGE, BANANA, TRIANGLE, G1_GENUS2):
             cg, _ = canonicalize(graph)
-            again, edge_map = canonicalize(cg.graph)
+            again, sign = canonicalize(cg.graph)
             assert again == cg
             assert again.graph == cg.graph
+            # a form reached by itself
+            assert sign == 1
 
     def test_stable_under_randomized_relabelings(self):
         rng = random.Random(20260814)
@@ -468,18 +470,47 @@ class TestReferenceCanonicalize:
               ()))                                      # one color, 6!
     @example(((1, 0, 2), ((2, 1), (0, 1)), (2, 0, 1)))  # rigid path
     def test_matches_brute_force(self, triple):
-        cg, edge_map = canonicalize(MarkedGraph(*triple))
-        got = ((cg.graph.weights, cg.graph.edges, cg.graph.legs),
-               cg.has_odd_edge_automorphism, cg.automorphism_generators,
-               edge_map)
-        assert got == reference_canonicalize(*triple)
+        assert _canonical_fields(canonicalize(MarkedGraph(*triple))) == \
+            _reference_fields(triple)
+
+    @settings(max_examples=300, deadline=None)
+    @given(connected_graphs(), st.randoms(use_true_random=False))
+    @example(((0, 0, 0), ((0, 1), (0, 2), (1, 2)), (0, 1, 2)),
+             random.Random(0))                         # rigid triangle
+    @example(((0,) * 5, ((3, 4), (0, 1), (2, 3), (1, 2)), ()),
+             random.Random(0))                         # path, even flip
+    def test_edge_shuffle_multiplies_sign_by_its_parity(self, triple, rng):
+        graph = MarkedGraph(*triple)
+        cg, sign = canonicalize(graph)
+        if cg.has_odd_edge_automorphism:
+            return  # no orientation survives, so the sign is arbitrary
+        m = len(graph.edges)
+        shuffled = list(range(m))
+        rng.shuffle(shuffled)
+        swap = [1, 0, *range(2, m)]  # an odd order
+        for order in [shuffled, swap] if m >= 2 else [shuffled]:
+            perm = list(range(len(graph.weights)))
+            rng.shuffle(perm)
+            moved = _permute_vertices(graph, perm)
+            moved = MarkedGraph(moved.weights,
+                                tuple(moved.edges[k] for k in order),
+                                moved.legs)
+            with mock.patch.dict(graphs._canon_cache, clear=True):
+                got, moved_sign = canonicalize(moved)
+            assert got == cg
+            assert moved_sign == sign * _parity(order)
 
 
 def _canonical_fields(result):
-    cg, edge_map = result
+    cg, sign = result
     return ((cg.graph.weights, cg.graph.edges, cg.graph.legs),
-            cg.has_odd_edge_automorphism, cg.automorphism_generators,
-            edge_map)
+            cg.has_odd_edge_automorphism, cg.automorphism_generators, sign)
+
+
+def _reference_fields(triple):
+    """The oracle's canonical form, with its edge map read as its sign."""
+    form, has_odd, generators, edge_map = reference_canonicalize(*triple)
+    return form, has_odd, generators, _parity(edge_map)
 
 
 class TestPartsLookup:
@@ -489,7 +520,7 @@ class TestPartsLookup:
                                                                   triple):
         graph = MarkedGraph(*triple)
         parts = (graph.weights, graph.edges, graph.legs)
-        want = reference_canonicalize(*triple)
+        want = _reference_fields(triple)
         with mock.patch.dict(graphs._canon_cache, clear=True):
             # a miss on the raw and on the normalized parts, then a hit
             assert _canonical_fields(_canonicalize_parts(*triple)) == want

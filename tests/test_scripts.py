@@ -168,3 +168,18 @@ def test_frontier_child_passes_other_warnings(monkeypatch, capsys):
                         lambda case, state: warnings.warn("another warning"))
     FRONTIER.run_child(FRONTIER.CASES[1], "warm")
     assert capsys.readouterr().err == "warning: another warning\n"
+
+
+def test_readme_quick_start(capsys):
+    # the two code blocks of README's "Library quick start", run in order
+    # in one namespace, as a reader would paste them
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library quick start", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"```python\n(.*?)```", section, re.S)
+    assert len(blocks) == 2
+    assert "assert report.ok" in blocks[1]
+    namespace: dict = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+    assert capsys.readouterr().out == "{-1: 0, 0: 0, 1: 1}\n"
+    assert namespace["report"].ok
