@@ -22,19 +22,25 @@ header line with that key, the line count and a SHA-256 of the body, so a
 truncated, damaged or misplaced file is recomputed, not believed. The
 header is checked on every load; the body of a file that passes is checked
 line by line once per process (graphs._decode_canonical), each head and
-legs text its lines share read once for the whole body: the line must
-be exactly the text _encode_parts writes for the parts it names, so no sign,
-space, underscore, leading zero or empty item, markings 1..k in order and a
-genus prefix equal to b1 plus the total weight; and those parts must be a
-valid graph (indices in range, connected) equal to their own canonical
-form, confirmed in place when no two vertices share a colour. A line that
-fails either, a body that does not end in a newline, or one whose lines
-do not strictly increase, as they are written, makes the file recomputed.
-An accepted line is then its form's encoding, and is kept as that when the
+legs text its lines share read and checked once for the whole body: the
+line must be exactly the text _encode_parts writes for the parts it names,
+so no sign, space, underscore, leading zero or empty item, markings 1..k in
+order and a genus prefix equal to b1 plus the total weight; those parts
+must be a valid graph (indices in range, no negative weight, connected)
+with the genus, marking count and edge count of the file's key, and no
+positive weight under a pure key; and they must equal their own canonical
+form, confirmed in place when no two vertices share a colour. So a body
+written under the key of another genus, marking count, edge count or
+purity, its header recomputed, is recomputed too; only a body from another
+chamber of the same (g, n, m, purity) can pass for this one. A line that
+fails, a body that does not end in a newline, or one whose lines do not
+strictly increase, as they are written, makes the file recomputed. An
+accepted line is then its form's encoding, and is kept as that when the
 form is new to the process. Its classes are kept in memory under the
-body's SHA-256, so identical bytes are never decoded twice. A body this
-process wrote is kept in memory when it is written, and is not decoded at
-all.
+file's (g, n, m, purity) and the body's SHA-256, so identical bytes under
+one such key, as chamber-equal files of different chambers may hold, are
+never decoded twice. A body this process wrote is kept in memory when it is
+written, and is not decoded at all.
 """
 
 from __future__ import annotations
@@ -335,15 +341,20 @@ def _cache_header(path: str, body: bytes, digest: str) -> bytes:
     return f"tropgc-cache 2 {key} {count} {digest}".encode()
 
 
-# Classes of every cache body decoded or written so far, by its SHA-256.
-_decoded: dict[str, tuple[CanonicalGraph, ...]] = {}
+# Classes of every cache body decoded or written so far, by its file's key
+# (g, n, m, pure only) and its SHA-256.
+_decoded: dict[tuple[tuple[int, int, int, bool], str],
+               tuple[CanonicalGraph, ...]] = {}
 
 
-def _cache_load(path: str) -> Optional[tuple[CanonicalGraph, ...]]:
-    """Classes stored at path; None, with a warning, when the file's header
-    is missing or does not match its name and body, its lines do not
-    strictly increase (as _cache_store writes them), or a line is not a
-    canonical encoding, so the caller recomputes."""
+def _cache_load(path: str, key: tuple[int, int, int, bool]
+                ) -> Optional[tuple[CanonicalGraph, ...]]:
+    """Classes stored at path, the file of key (g, n, m, pure only); None,
+    with a warning, when the file's header is missing or does not match its
+    name and body, its lines do not strictly increase (as _cache_store
+    writes them), or a line is not a canonical encoding of a graph with the
+    key's genus, marking count and edge count, pure under a pure key, so
+    the caller recomputes."""
     try:
         with open(path, "rb") as fh:
             header, _, body = fh.read().partition(b"\n")
@@ -354,26 +365,28 @@ def _cache_load(path: str) -> Optional[tuple[CanonicalGraph, ...]]:
         if header != _cache_header(path, body, digest):
             raise ValueError("its header is missing or does not match its "
                              "name or contents")
-        if digest not in _decoded:
+        if (key, digest) not in _decoded:
             lines = body.decode("ascii").split("\n")
             if lines.pop():  # text after the last newline
                 raise ValueError("its last line has no newline")
             pieces: dict = {}  # the texts its lines share, read once
-            classes = tuple([_decode_canonical(line, pieces)
+            classes = tuple([_decode_canonical(line, pieces, key)
                              for line in lines])
             if not all(map(str.__lt__, lines, lines[1:])):
                 raise ValueError("its lines are not in increasing order")
-            _decoded[digest] = classes
+            _decoded[key, digest] = classes
     except ValueError as exc:
         warnings.warn(f"ignoring cache file {path}: {exc}; recomputing",
                       stacklevel=2)
         return None
-    return _decoded[digest]
+    return _decoded[key, digest]
 
 
-def _cache_store(path: str, classes: tuple[CanonicalGraph, ...]) -> None:
-    """Write classes to path, and keep them in memory under the SHA-256 of
-    the body written, so that this process never decodes the body it wrote."""
+def _cache_store(path: str, key: tuple[int, int, int, bool],
+                 classes: tuple[CanonicalGraph, ...]) -> None:
+    """Write classes to path, the file of key, and keep them in memory under
+    the key and the SHA-256 of the body written, so that this process never
+    decodes the body it wrote."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     body = "".join(cg.encoding + "\n" for cg in classes).encode("ascii")
     digest = hashlib.sha256(body).hexdigest()
@@ -387,7 +400,7 @@ def _cache_store(path: str, classes: tuple[CanonicalGraph, ...]) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-    _decoded[digest] = classes
+    _decoded[key, digest] = classes
 
 
 def enumerate_stable_graphs(g: int, a: WeightDatum, m: int,
@@ -406,10 +419,11 @@ def enumerate_stable_graphs(g: int, a: WeightDatum, m: int,
     if not (0 <= m <= max_edges(g, n)):
         raise DomainError(f"edge count {m} outside 0..{max_edges(g, n)}")
     path = _cache_path(g, n, m, pure_only, signature_hash(signature(a)))
-    classes = _cache_load(path)
+    key = (g, n, m, pure_only)
+    classes = _cache_load(path, key)
     if classes is None:
         classes = _generate(g, a, m, pure_only)
-        _cache_store(path, classes)
+        _cache_store(path, key, classes)
     return GraphClassSet(classes)
 
 

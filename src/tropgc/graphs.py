@@ -6,12 +6,16 @@ edge order) and a placement of markings 1..n on vertices (each marking is
 a leg), so it hashes and compares as those parts. Connectivity is
 required.
 
-Every constructed graph is normalized and validated once, in one pass:
-the constructor makes its parts tuples, writes each edge low end first and
-checks ints only, at least one vertex, no negative weight, every index in
-range and connectivity. Parts canonicalized without a graph get only a
-range check before their relabeling (_vertex_colors); the other checks run
-when their canonical form is built, once per form (_new_form).
+Every constructed graph is normalized and validated once, by one set of
+checks in two parts. The head part (_checked_head) makes the weights and
+edges tuples, writes each edge low end first and checks ints only, at least
+one vertex, no negative weight, every edge end in range and connectivity;
+the legs part (_on_head) checks that the legs are ints naming vertices. The
+constructor runs both. Parts canonicalized without a graph get only a range
+check before their relabeling (_vertex_colors); the other checks run when
+their canonical form is built, once per form (_new_form). A form read from
+a cache line runs only the legs part, since its head was checked once for
+the whole body (_decode_canonical).
 
 Canonical labeling works by brute-force minimization over vertex
 relabelings that respect the (weight, edge degree, marking multiset) color
@@ -48,10 +52,14 @@ head of a graph's parts (genus prefix, weights and edges; _head_text) and
 their legs (_legs_text) with a ";". _decode_canonical splits a cache line
 at its last ";", reads each piece leniently and accepts it only when its
 writer writes the parts read back as that piece, so a line is accepted
-exactly when _encode_parts writes it. The lines of one cache body share few heads and legs texts, so a load
-passes one dict through all of them and reads each text once. Every line's
-parts are still confirmed to be their own canonical form (in place for a
-graph without tied colors), and the line is kept as the form's encoding.
+exactly when _encode_parts writes it. The lines of one cache body share few
+heads and legs texts, so a load passes one dict through all of them and
+reads each text once. A head becomes a record (_Head) of its parts, which
+passed the head part of the checks and match the file's key, their edge
+degrees and what they decide of the in-place test, and the forms of its
+lines hold its tuples. Every line's parts are still confirmed to be their
+own canonical form (in place for a graph without tied colors), and the line
+is kept as the form's encoding.
 
 A contraction is two steps, which contract_edge composes: its weights and
 edges, and the vertex map that moves its legs, depend only on the weights
@@ -104,29 +112,7 @@ class MarkedGraph(tuple):
 
     def __new__(cls, weights: Iterable[int], edges: Iterable[Edge],
                 legs: Iterable[int]) -> MarkedGraph:
-        weights, edges, legs = tuple(weights), tuple(edges), tuple(legs)
-        for x in chain(weights, chain.from_iterable(edges), legs):
-            # int() would read 1.5, Fraction(3, 2) and True as 1
-            if type(x) is not int:
-                raise TypeError(f"weights, edge ends and legs must be ints, "
-                                f"not {x!r}")
-        edges = tuple([(u, v) if u <= v else (v, u) for u, v in edges])
-        nv = len(weights)
-        if nv < 1:
-            raise ValueError("graph needs at least one vertex")
-        if min(weights) < 0:
-            raise ValueError("vertex weights must be nonnegative")
-        if edges:
-            lows, highs = zip(*edges)
-            if min(lows) < 0 or max(highs) >= nv:
-                u, v = next(e for e in edges if e[0] < 0 or e[1] >= nv)
-                raise ValueError(f"edge ({u},{v}) endpoint out of range")
-        if legs and (min(legs) < 0 or max(legs) >= nv):
-            v = next(x for x in legs if not 0 <= x < nv)
-            raise ValueError(f"leg vertex {v} out of range")
-        if not is_connected(nv, edges):
-            raise ValueError("graph must be connected")
-        return tuple.__new__(cls, (weights, edges, legs))
+        return _on_head(*_checked_head(weights, edges), legs)
 
     def __reduce__(self):
         # every pickle protocol and copy rebuild a graph by the constructor
@@ -134,6 +120,93 @@ class MarkedGraph(tuple):
 
     def __repr__(self):
         return "MarkedGraph(weights=%r, edges=%r, legs=%r)" % self
+
+
+def _not_int(x) -> TypeError:
+    # int() would read 1.5, Fraction(3, 2) and True as 1
+    return TypeError(f"weights, edge ends and legs must be ints, not {x!r}")
+
+
+def _checked_head(weights: Iterable[int], edges: Iterable[Edge]
+                  ) -> tuple[tuple[int, ...], tuple[Edge, ...]]:
+    """The head part of the constructor's checks, those that depend on the
+    weights and edges alone: ints only, at least one vertex, no negative
+    weight, every edge end in range and connectivity. Returns the weights
+    and the edges, each written low end first, as tuples."""
+    weights, edges = tuple(weights), tuple(edges)
+    for x in chain(weights, chain.from_iterable(edges)):
+        if type(x) is not int:
+            raise _not_int(x)
+    edges = tuple([(u, v) if u <= v else (v, u) for u, v in edges])
+    nv = len(weights)
+    if nv < 1:
+        raise ValueError("graph needs at least one vertex")
+    if min(weights) < 0:
+        raise ValueError("vertex weights must be nonnegative")
+    if edges:
+        lows, highs = zip(*edges)
+        if min(lows) < 0 or max(highs) >= nv:
+            u, v = next(e for e in edges if e[0] < 0 or e[1] >= nv)
+            raise ValueError(f"edge ({u},{v}) endpoint out of range")
+    if not is_connected(nv, edges):
+        raise ValueError("graph must be connected")
+    return weights, edges
+
+
+def _on_head(weights: tuple[int, ...], edges: tuple[Edge, ...],
+             legs: Iterable[int]) -> MarkedGraph:
+    """The graph of a head that passed _checked_head, as it returned it, and
+    these legs, after the legs part of the constructor's checks: ints only,
+    each naming a vertex. The graph holds the head's own tuples."""
+    legs = tuple(legs)
+    for x in legs:
+        if type(x) is not int:
+            raise _not_int(x)
+    nv = len(weights)
+    if legs and (min(legs) < 0 or max(legs) >= nv):
+        v = next(x for x in legs if not 0 <= x < nv)
+        raise ValueError(f"leg vertex {v} out of range")
+    return tuple.__new__(MarkedGraph, (weights, edges, legs))
+
+
+@dataclass(frozen=True, slots=True)
+class _Head:
+    """The head (genus prefix, weights and edges) of a cache line, checked
+    once for all the lines of a body that share it (_decode_canonical):
+
+    - weights, edges: as read, and passed by _checked_head;
+    - degrees: each vertex's edge degree, a loop counting twice;
+    - ties: None when parts with this head are never their own form in
+      place, since the edges are not written low end first and sorted or
+      the (weight, degree) pairs decrease along the vertex order; else the
+      vertices v whose pair equals that of v + 1, so that the colours
+      strictly increase exactly when the markings do at each of them;
+    - repeated: whether an edge repeats, which gives every form with this
+      head and no vertex automorphism an odd edge automorphism
+      (_has_odd_edge_automorphism).
+    """
+
+    weights: tuple[int, ...]
+    edges: tuple[Edge, ...]
+    degrees: list[int]
+    ties: Optional[tuple[int, ...]]
+    repeated: bool
+
+
+def _head_record(weights: tuple[int, ...], edges: tuple[Edge, ...]) -> _Head:
+    """The record of a head read from a cache line, once its parts have
+    passed the head part of the constructor's checks (_checked_head)."""
+    _checked_head(weights, edges)
+    degrees = [0] * len(weights)
+    for u, v in edges:
+        degrees[u] += 1
+        degrees[v] += 1
+    pairs = list(zip(weights, degrees))
+    ties = None
+    if _in_order(edges) and all(map(operator.le, pairs, pairs[1:])):
+        ties = tuple([v for v in range(len(pairs) - 1)
+                      if pairs[v] == pairs[v + 1]])
+    return _Head(weights, edges, degrees, ties, len(set(edges)) < len(edges))
 
 
 def genus(graph: MarkedGraph) -> int:
@@ -256,12 +329,21 @@ def _vertex_colors(weights: tuple[int, ...], edges: tuple[Edge, ...],
             return None
         degrees[u] += 1
         degrees[v] += 1
+    markings = _markings(nv, legs)
+    return None if markings is None else list(zip(weights, degrees, markings))
+
+
+def _markings(nv: int, legs: tuple[int, ...]
+              ) -> Optional[list[tuple[int, ...]]]:
+    """The marking part of each colour (_vertex_colors) of a graph with nv
+    vertices: the markings at each vertex, ascending; None when a leg names
+    no vertex 0..nv-1."""
     markings: list[tuple[int, ...]] = [()] * nv
     for i, v in enumerate(legs, 1):
         if not 0 <= v < nv:
             return None
         markings[v] += (i,)
-    return list(zip(weights, degrees, markings))
+    return markings
 
 
 def _permutation_parity(perm: Sequence[int]) -> int:
@@ -302,7 +384,8 @@ def canonicalize(graph: MarkedGraph) -> tuple[CanonicalGraph, int]:
 
 
 def _canonicalize_parts(weights: tuple[int, ...], edges: tuple[Edge, ...],
-                        legs: tuple[int, ...], line: Optional[str] = None
+                        legs: tuple[int, ...], line: Optional[str] = None,
+                        head: Optional[_Head] = None
                         ) -> tuple[CanonicalGraph, int]:
     """canonicalize(MarkedGraph(weights, edges, legs)), without building
     that graph.
@@ -316,6 +399,13 @@ def _canonicalize_parts(weights: tuple[int, ...], edges: tuple[Edge, ...],
     Parts with an index out of range go to the constructor, which raises its
     own error.
 
+    line and head, given together by _decode_canonical, are the cache line
+    the parts were read from and the record of its checked head (_Head),
+    whose weights and edges are the parts' own. The edge degrees, the edge
+    order test and the (weight, degree) part of the colour order are then
+    the record's: only the legs are range-checked and placed (_markings),
+    and their markings compared at the record's ties.
+
     The input edges are assigned to canonical slots by a stable sort, and
     the sign is the parity of the input positions in slot order: that
     permutation is the inverse of the assignment, which has the same
@@ -328,21 +418,27 @@ def _canonicalize_parts(weights: tuple[int, ...], edges: tuple[Edge, ...],
     place too. Then the parts are their own form, the sign is +1, and
     neither is computed.
 
-    line, when given, is the cache line the parts were read from, and
-    becomes the encoding of their form if the parts are that form and it is
-    new.
+    The line becomes the encoding of the parts' form if the parts are that
+    form and it is new; that form is then built on the head (_on_head).
     """
     key = (weights, edges, legs)
     cached = _canon_cache.get(key)
     if cached is not None:
         return cached
-    colors = _vertex_colors(weights, edges, legs)
-    if colors is None:
-        return canonicalize(MarkedGraph(weights, edges, legs))
-    if (all(map(operator.lt, colors, colors[1:]))
-            and all(u <= v for u, v in edges)
-            and all(map(operator.le, edges, edges[1:]))):
-        return _new_form(key, (), line)
+    if head is None:
+        colors = _vertex_colors(weights, edges, legs)
+        if colors is None:
+            return canonicalize(MarkedGraph(weights, edges, legs))
+        if all(map(operator.lt, colors, colors[1:])) and _in_order(edges):
+            return _new_form(key, (), line)
+    else:
+        markings = _markings(len(weights), legs)
+        if markings is None:
+            return canonicalize(MarkedGraph(weights, edges, legs))
+        if head.ties is not None and all([markings[v] < markings[v + 1]
+                                          for v in head.ties]):
+            return _new_form(key, (), line, head)
+        colors = list(zip(weights, head.degrees, markings))
     groups: dict[tuple, list[int]] = {}
     for v, color in enumerate(colors):
         groups.setdefault(color, []).append(v)
@@ -370,15 +466,23 @@ def _canonicalize_parts(weights: tuple[int, ...], edges: tuple[Edge, ...],
     form = (tuple(new_weights), tuple([e for e, _ in mapped]),
             tuple(map(ref.__getitem__, legs)))
     # the form is memoized if another input reached it first
-    cg = (_canon_cache.get(form) or _new_form(
-        form, generators, line if form == key else None))[0]
+    read = (line, head) if form == key else (None, None)
+    cg = (_canon_cache.get(form) or _new_form(form, generators, *read))[0]
     result = (cg, _permutation_parity([k for _, k in mapped]))
     _canon_cache[key] = result
     return result
 
 
+def _in_order(edges: tuple[Edge, ...]) -> bool:
+    """Whether edges are written low end first and sorted, as a canonical
+    form's are."""
+    return (all(u <= v for u, v in edges)
+            and all(map(operator.le, edges, edges[1:])))
+
+
 def _new_form(form: Parts, generators: tuple[Permutation, ...],
-              line: Optional[str] = None) -> tuple[CanonicalGraph, int]:
+              line: Optional[str] = None, head: Optional[_Head] = None
+              ) -> tuple[CanonicalGraph, int]:
     """The canonical graph with these parts and vertex automorphism
     generators, built and validated (once per form), memoized under its own
     graph with the sign +1 of a form reached by itself, and returned with
@@ -387,14 +491,21 @@ def _new_form(form: Parts, generators: tuple[Permutation, ...],
 
     The constructor runs all of its checks here, the index ranges and the
     edge normalization too, although _canonicalize_parts has established
-    both, so that every graph is built by one path. The encoding is written
-    now, not on first use, since every form a program path reaches is a
-    class, and classes are sorted and stored by their encodings.
+    both, so that every graph is built by one path. A form read from a
+    cache line whose head passed the head part of those checks (head, a
+    _Head with the form's weights and edges) runs only their legs part
+    (_on_head), and holds the head's tuples. The encoding is written now,
+    not on first use, since every form a program path reaches is a class,
+    and classes are sorted and stored by their encodings.
     """
-    canon = MarkedGraph(*form)
-    cg = CanonicalGraph(canon, _has_odd_edge_automorphism(canon.edges,
-                                                          generators),
-                        generators,
+    if head is None:
+        canon = MarkedGraph(*form)
+        odd = _has_odd_edge_automorphism(canon.edges, generators)
+    else:
+        canon = _on_head(head.weights, head.edges, form[2])
+        odd = (head.repeated if not generators
+               else _has_odd_edge_automorphism(canon.edges, generators))
+    cg = CanonicalGraph(canon, odd, generators,
                         _encode_parts(*canon) if line is None else line)
     result = (cg, 1)
     _canon_cache[canon] = result
@@ -489,13 +600,17 @@ def _legs_text(legs: tuple[int, ...]) -> str:
     return f"legs=({l})"
 
 
-def _decode_canonical(line: str, pieces: dict) -> CanonicalGraph:
+def _decode_canonical(line: str, pieces: dict,
+                      key: tuple[int, int, int, bool]) -> CanonicalGraph:
     """The class whose canonical encoding is line, byte for byte, with line
-    as its encoding unless the form was built before. ValueError "bad graph
-    encoding" for a line that is not the text _encode_parts writes for the
-    parts it names, or whose parts are not a valid graph (an index out of
-    range, or disconnected); ValueError "encoding is not canonical" for
-    parts other than their own canonical form.
+    as its encoding unless the form was built before, for a cache file
+    whose key (genus, marking count, edge count, pure only) is key.
+    ValueError "bad graph encoding" for a line that is not the text
+    _encode_parts writes for the parts it names, whose parts are not a
+    valid graph (an index out of range, a negative weight, or disconnected),
+    or whose genus, marking count or edge count is not the key's, or that
+    has a positive weight under a pure key; ValueError "encoding is not
+    canonical" for parts other than their own canonical form.
 
     A line is split at its last ";" into a head and a legs text. Each is
     read leniently and accepted only if its writer (_head_text, _legs_text)
@@ -504,35 +619,47 @@ def _decode_canonical(line: str, pieces: dict) -> CanonicalGraph:
     (_encode_parts) gives the line: its numerals are as str() writes them,
     its markings 1..k in order and its genus prefix that of the parts.
 
-    pieces maps each head and legs text accepted so far, among the lines
-    that share it, to its parts: a head, which holds a ";", to its
-    (weights, edges), and a legs text, which holds none, to its legs. A
-    text found there is not read or written again; the parts are still
-    canonicalized and compared with their form line by line.
+    pieces, one dict for the lines of one body, maps each head and legs
+    text accepted so far to what it holds: a head, which holds a ";", to
+    its checked record (_Head), and a legs text, which holds none, to its
+    legs. A head is read, written back, given the head part of the
+    constructor's checks and made a record (_head_record), and compared
+    with the key once; a legs text is read, written back and its marking
+    count compared once. A line then gets only what depends on its legs:
+    in _canonicalize_parts their range check, the marking part of its
+    colours and their order at the head's ties, and the memo lookup; in
+    _new_form the legs part of the checks, for a form built on the head's
+    tuples; and the comparison of that form with its parts.
     """
     head, _, l_text = line.rpartition(";")
     try:
-        known = pieces.get(head)
-        if known is None:
-            _, w_text, e_text = head.split(";")
+        record = pieces.get(head)
+        if record is None:
+            g_text, w_text, e_text = head.split(";")
             ends = e_text[len("edges=("):-1].replace("-", ",").split(",")
-            known = (tuple(map(int, w_text.split(","))),
-                     tuple(zip(map(int, ends[::2]), map(int, ends[1::2])))
+            weights = tuple(map(int, w_text.split(",")))
+            edges = (tuple(zip(map(int, ends[::2]), map(int, ends[1::2])))
                      if ends != [""] else ())
-            if _head_text(*known) != head:
+            if _head_text(weights, edges) != head:
                 raise ValueError("not the text _encode_parts writes")
-            pieces[head] = known
-        weights, edges = known
+            record = _head_record(weights, edges)
+            g, _, m, pure = key
+            if int(g_text) != g or len(edges) != m or pure and any(weights):
+                raise ValueError("not a graph of its file's key")
+            pieces[head] = record
         legs = pieces.get(l_text)
         if legs is None:
             marked = l_text[len("legs=("):-1].replace("@", ",").split(",")
             legs = tuple(map(int, marked[1::2]))
             if _legs_text(legs) != l_text:
                 raise ValueError("not the text _encode_parts writes")
+            if len(legs) != key[1]:
+                raise ValueError("not a graph of its file's key")
             pieces[l_text] = legs
-        cg, _ = _canonicalize_parts(weights, edges, legs, line)
+        parts = (record.weights, record.edges, legs)
+        cg, _ = _canonicalize_parts(*parts, line, record)
     except ValueError as exc:
         raise ValueError(f"bad graph encoding: {line!r}") from exc
-    if cg.graph != (weights, edges, legs):
+    if cg.graph != parts:
         raise ValueError(f"encoding is not canonical: {line!r}")
     return cg

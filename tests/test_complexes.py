@@ -33,6 +33,7 @@ from tropgc.linalg import column_pivots
 
 from .oracles import (decode_graph, dense_rank, encode_graph, graph_betti,
                       to_rows)
+from .test_enumeration import file_key
 
 EPS = Fraction(1, 100)
 CLASSICAL2 = WeightDatum(1, (Fraction(1),) * 2)
@@ -431,8 +432,9 @@ def warm_load(tmp_path, monkeypatch, build):
     monkeypatch.setattr(enumeration, "_decoded", {})
     monkeypatch.setattr(graphs, "_canon_cache", {})
     result = build()
-    bodies = {hashlib.sha256(path.read_bytes().partition(b"\n")[2])
-              .hexdigest() for path in tmp_path.glob("*.txt")}
+    bodies = {(file_key(path),
+               hashlib.sha256(path.read_bytes().partition(b"\n")[2])
+               .hexdigest()) for path in tmp_path.glob("*.txt")}
     assert set(enumeration._decoded) == bodies
     return result
 

@@ -22,7 +22,8 @@ from tropgc.enumeration import (
     filtration_levels,
     generator_basis,
 )
-from tropgc.graphs import MarkedGraph, canonicalize, has_loops, is_stable
+from tropgc.graphs import (MarkedGraph, canonicalize, genus, has_loops,
+                           is_stable)
 
 from .oracles import (canonical_key, decode_graph, encode_graph,
                       enumerate_classes, every_uncontraction,
@@ -418,6 +419,9 @@ MALFORMED_LINES = {
     "plus-sign": "1;0,0,0;edges=(0-1,1-2,2-2);legs=(+1@0,2@0,3@1)",
     "space": "1;0,0,0;edges=(0-1,1-2,2-2);legs=( 1@0,2@0,3@1)",
     "negative-leg": "1;0,0,0;edges=(0-1,1-2,2-2);legs=(1@-1,2@0,3@1)",
+    # a leg at vertex 5 of CACHE_LINE's head, which has 3 vertices: in a
+    # body after CACHE_LINE, its head is a record read before
+    "leg-out-of-range": "1;0,0,0;edges=(0-1,1-2,2-2);legs=(1@0,2@0,3@5)",
     "vertex-out-of-range": "1;0,0,0;edges=(0-1,1-2,2-3);legs=(1@0,2@0,3@1)",
     "three-ended-edge": "1;0,0,0;edges=(0-1-2,1-2,2-2);legs=(1@0,2@0,3@1)",
     "empty-weights": "1;;edges=(0-1,1-2,2-2);legs=(1@0,2@0,3@1)",
@@ -429,12 +433,12 @@ MALFORMED_LINES = {
     # canonical text and vertex order, edges out of order: only the
     # in-place order test rejects it
     "edges-swapped": "1;0,0,0;edges=(1-2,0-1,2-2);legs=(1@0,2@0,3@1)",
-    # written back unchanged, colours and edges in order: only the
-    # connectivity check rejects it
-    "disconnected": "0;0,0;edges=(1-1);legs=(1@0,2@1,3@1)",
-    # written back unchanged, genus prefix right: only the weight check
-    # rejects it
-    "negative-weight": "0;0,0,-1;edges=(0-1,1-2,2-2);legs=(1@0,2@0,3@1)",
+    # written back unchanged, colours and edges in order, the file's genus
+    # and edge count: only the connectivity check rejects it
+    "disconnected": "1;0,0,0;edges=(0-1,0-1,2-2);legs=(1@0,2@1,3@2)",
+    # written back unchanged, colours and edges in order, the file's genus
+    # and edge count: only the weight check rejects it
+    "negative-weight": "1;-1,0,1;edges=(0-1,1-2,2-2);legs=(1@0,2@0,3@1)",
     # written with a CRLF line end
     "carriage-return": CACHE_LINE + "\r",
 }
@@ -443,6 +447,20 @@ MALFORMED_LINES = {
 # in a body after both lines each was read before, so only the check that
 # the parts are their own canonical form rejects it.
 CROSSED_LINE = "1;0,0,0;edges=(0-1,0-2,1-2);legs=(1@0,2@0,3@1)"
+# The key (g, n, m, pure only) of that file.
+CACHE_KEY = (1, 3, 3, False)
+
+
+def file_key(path):
+    """The key (g, n, m, pure only) named by a cache file's name."""
+    g, n, m, kind, _ = path.stem.split("_")
+    return int(g[1:]), int(n[1:]), int(m[1:]), kind == "pure"
+
+
+def class_key(cg):
+    """The key of an all-graphs cache file that holds the class cg."""
+    _, edges, legs = cg.graph
+    return genus(cg.graph), len(legs), len(edges), False
 
 
 def write_body(path, lines):
@@ -476,7 +494,7 @@ class TestCache:
             raise OSError("disk full")
         monkeypatch.setattr(enumeration.os, "replace", replace)
         with pytest.raises(OSError, match="disk full"):
-            enumeration._cache_store(str(path), classes)
+            enumeration._cache_store(str(path), CACHE_KEY, classes)
         assert not path.exists()
         assert list(tmp_path.glob("*.tmp")) == []
         assert enumeration._decoded == {}
@@ -561,6 +579,60 @@ class TestCache:
             f"order; recomputing"]
         assert path.read_bytes() == good
 
+    @pytest.mark.parametrize("source,target", [
+        # classical (1,4): the m = 3 pure body under the m = 4 pure key
+        ("g1_n4_m3_pure", "g1_n4_m4_pure"),
+        # the classical (1,3) m = 3 pure body under the (1,4) m = 3 pure key
+        ("g1_n3_m3_pure", "g1_n4_m3_pure"),
+        # the (1,4) m = 2 body of all graphs under the m = 2 pure key
+        ("g1_n4_m2_all", "g1_n4_m2_pure"),
+    ])
+    def test_body_of_another_key_is_recomputed(self, tmp_path, monkeypatch,
+                                               source, target):
+        """Each body is written over the target file with the header that
+        name gets. Believed, each ends the classical (1,4) homology in a
+        contraction target missing from the basis."""
+        monkeypatch.setenv("TROPGC_CACHE", str(tmp_path))
+        monkeypatch.setattr(enumeration, "_decoded", {})
+        a = WeightDatum(1, (Fraction(1),) * 4)
+        betti = homology(build_graph_complex(1, a)).betti
+        assert betti == {-1: 0, 0: 0, 1: 0, 2: 3}
+        enumerate_stable_graphs(1, a, 2)
+        enumerate_stable_graphs(1, CLASSICAL3, 3, pure_only=True)
+        [src] = tmp_path.glob(f"{source}_*.txt")
+        [path] = tmp_path.glob(f"{target}_*.txt")
+        good = path.read_bytes()
+        write_body(path, src.read_text().split("\n")[1:-1])
+        enumeration._decoded.clear()  # as in a new process
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert homology(build_graph_complex(1, a)).betti == betti
+        assert [str(w.message).split(":")[0] for w in caught] == [
+            f"ignoring cache file {path}"]
+        assert line_was_rejected(caught[0])
+        assert path.read_bytes() == good
+
+    def test_each_head_is_checked_once_per_body(self, tmp_path, monkeypatch):
+        # the bodies of the rank-warm-g0n7-hl4 benchmark workload
+        monkeypatch.setenv("TROPGC_CACHE", str(tmp_path))
+        a = make_heavy_light(0, 7, 4)
+        for m in range(max_edges(0, 7) + 1):
+            enumerate_stable_graphs(0, a, m, pure_only=True)
+        lines = heads = 0
+        for path in sorted(tmp_path.glob("*.txt")):
+            body = path.read_text().split("\n")[1:-1]
+            monkeypatch.setattr(enumeration, "_decoded", {})
+            with mock.patch.dict(graphs._canon_cache, clear=True), \
+                    mock.patch.object(graphs, "_checked_head",
+                                      wraps=graphs._checked_head) as checked:
+                classes = enumeration._cache_load(str(path), file_key(path))
+            assert [cg.encoding for cg in classes] == body
+            assert checked.call_count == len({line.rpartition(";")[0]
+                                              for line in body})
+            lines += len(body)
+            heads += checked.call_count
+        assert (lines, heads) == (2018, 15)
+
     def test_good_bodies_decode_as_reference(self, tmp_path, monkeypatch):
         monkeypatch.setenv("TROPGC_CACHE", str(tmp_path))
         monkeypatch.setattr(enumeration, "_decoded", {})
@@ -572,7 +644,8 @@ class TestCache:
         with mock.patch.dict(graphs._canon_cache, clear=True):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                loaded = [enumeration._cache_load(str(p)) for p in paths]
+                loaded = [enumeration._cache_load(str(p), file_key(p))
+                          for p in paths]
         assert sum(map(len, loaded)) == len(decoder_classes())
         for path, classes in zip(paths, loaded):
             lines = path.read_text().split("\n")[1:-1]
@@ -592,9 +665,9 @@ class TestCache:
         decoded = []
         real_check = enumeration._decode_canonical
 
-        def counting_check(line, pieces):
+        def counting_check(line, pieces, key):
             decoded.append(line)
-            return real_check(line, pieces)
+            return real_check(line, pieces, key)
 
         monkeypatch.setattr(enumeration, "_decode_canonical", counting_check)
         computed = enumerate_stable_graphs(1, CLASSICAL3, 3).classes
@@ -618,7 +691,7 @@ class TestCache:
             assert enumerate_stable_graphs(1, CLASSICAL3, 3).classes == computed
         assert path.read_bytes() == good
 
-        def no_decode(line, pieces):
+        def no_decode(line, pieces, key):
             raise AssertionError(f"decoded again: {line}")
 
         monkeypatch.setattr(enumeration, "_decode_canonical", no_decode)
@@ -669,7 +742,7 @@ def decoder_pieces():
     pieces = {}
     with mock.patch.dict(graphs._canon_cache, clear=True):
         for cg in decoder_classes():
-            graphs._decode_canonical(cg.encoding, pieces)
+            graphs._decode_canonical(cg.encoding, pieces, class_key(cg))
     return pieces
 
 
@@ -677,13 +750,13 @@ def decoder_pieces():
 EDIT_CHARS = "0123456789,;-@()+ _"
 
 
-def decoded_as_reference(line, pieces=None):
-    """graphs._decode_canonical(line, pieces), pieces {} unless given, or
-    None on ValueError, after checking that reference_decode accepts line
+def decoded_as_reference(line, pieces=None, key=CACHE_KEY):
+    """graphs._decode_canonical(line, pieces, key), pieces {} unless given,
+    or None on ValueError, after checking that reference_decode accepts line
     exactly when it does, with the same class."""
     try:
         decoded = graphs._decode_canonical(
-            line, {} if pieces is None else pieces)
+            line, {} if pieces is None else pieces, key)
     except ValueError:
         decoded = None
     try:
@@ -700,7 +773,7 @@ class TestDecodeCanonical:
         with mock.patch.dict(graphs._canon_cache, clear=True):
             for cg in classes:
                 line = cg.encoding
-                decoded = graphs._decode_canonical(line, {})
+                decoded = graphs._decode_canonical(line, {}, class_key(cg))
                 assert decoded is not cg
                 assert decoded == cg
                 assert decoded.encoding is line
@@ -717,7 +790,8 @@ class TestDecodeCanonical:
         # a line becomes the encoding only of the form it is written from
         with mock.patch.dict(graphs._canon_cache, clear=True):
             with pytest.raises(ValueError):
-                graphs._decode_canonical(MALFORMED_LINES[damage], {})
+                graphs._decode_canonical(MALFORMED_LINES[damage], {},
+                                         CACHE_KEY)
             for cg, _ in graphs._canon_cache.values():
                 assert cg.encoding == encode_graph(cg.graph)
 
@@ -726,7 +800,8 @@ class TestDecodeCanonical:
     def test_edited_line_is_rejected_or_its_own_encoding(self, data):
         # The reference acceptor decides which edits are accepted, and
         # encode_graph confirms that an accepted edit is its form's encoding.
-        line = data.draw(st.sampled_from(decoder_classes())).encoding
+        cg = data.draw(st.sampled_from(decoder_classes()))
+        line = cg.encoding
         edit = data.draw(st.sampled_from(("insert", "delete", "replace")))
         at = data.draw(st.integers(0, len(line) - (edit != "insert")))
         new = ("" if edit == "delete"
@@ -737,7 +812,7 @@ class TestDecodeCanonical:
         read = data.draw(st.booleans(), label="pieces read")
         pieces = dict(decoder_pieces()) if read else {}
         with mock.patch.dict(graphs._canon_cache, clear=cold):
-            decoded = decoded_as_reference(edited, pieces)
+            decoded = decoded_as_reference(edited, pieces, class_key(cg))
         if decoded is None:
             return
         assert encode_graph(decoded.graph) == edited
@@ -748,13 +823,17 @@ class TestDecodeCanonical:
     def test_crossed_line_is_decoded_as_by_reference(self, data):
         # the head of one line and the legs of another, both read before:
         # the pieces are found, and the parts decide
-        head, legs = (data.draw(st.sampled_from(decoder_classes())).encoding
+        head, legs = (data.draw(st.sampled_from(decoder_classes()))
                       for _ in range(2))
+        # the key of the crossed line's own genus, markings and edges
+        g, _, m, _ = class_key(head)
+        key = (g, len(legs.graph.legs), m, False)
+        head, legs = head.encoding, legs.encoding
         crossed = head[:head.rindex(";")] + legs[legs.rindex(";"):]
         pieces = dict(decoder_pieces())
         cold = data.draw(st.booleans(), label="cold memo")
         with mock.patch.dict(graphs._canon_cache, clear=cold):
-            decoded = decoded_as_reference(crossed, pieces)
+            decoded = decoded_as_reference(crossed, pieces, key)
         assert pieces == decoder_pieces()
         if decoded is not None:
             assert decoded.encoding == crossed

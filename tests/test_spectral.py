@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from tropgc import (
+    ChamberSignature,
     DomainError,
     WeightDatum,
     align_chain,
@@ -258,6 +259,67 @@ class TestE1RelativeCheck:
 
     def test_heavy_light(self):
         assert e1_relative_check(filtered_from_raw(1, HEAVY_LIGHT_RAW))
+
+
+def elementary_crossings(g, n):
+    """(S, a-, a+, A_S) for every elementary wall crossing up from a census
+    orbit representative of (g, n): for orbit[0] and each of its Minus walls
+    S whose flip to Plus leaves a monotone, feasible signature, a- is
+    feasible_point(orbit[0]), a+ the feasible point of the flipped
+    signature, and A_S a+'s entries off S followed by one entry 1."""
+    for orbit in enumerate_chambers(g, n).orbits:
+        rep = orbit[0]
+        ws = rep.wall_set
+        lower = feasible_point(rep)
+        for k, (wall, plus) in enumerate(zip(ws.subsets, rep.signs)):
+            if plus:
+                continue
+            try:
+                flipped = ChamberSignature(
+                    ws, rep.signs[:k] + (True,) + rep.signs[k + 1:])
+            except ValueError:
+                continue  # not monotone
+            upper = feasible_point(flipped)
+            if upper is None:
+                continue
+            merged = tuple(x for i, x in enumerate(upper.entries, 1)
+                           if i not in wall) + (Fraction(1),)
+            yield wall, lower, upper, merged
+
+
+def shifted_down(values):
+    """A degree-keyed dict moved down one degree."""
+    return {k - 1: v for k, v in values.items()}
+
+
+def nonzero(values):
+    return {k: v for k, v in values.items() if v}
+
+
+class TestWallCrossing:
+    """The relative complex of one elementary crossing is the graph complex
+    of the merged datum A_S one degree lower: its Betti numbers and its
+    generators per degree, each shifted up one."""
+
+    # crossings per case, computed by this program
+    CROSSINGS = {(0, 4): 9, (1, 3): 7, (1, 4): 44, (2, 3): 7, (0, 5): 131}
+
+    @pytest.mark.parametrize("g,n", sorted(CROSSINGS))
+    def test_relative_complex_is_the_merged_complex(self, g, n):
+        count = 0
+        for wall, lower, upper, merged in elementary_crossings(g, n):
+            # A_S is always a datum here: at g = 0 the complement of S is a
+            # wall Plus at both data, else a- would sum to at most 2
+            a_s = WeightDatum(g, merged)
+            relative = homology(build_relative_complex(g, upper, lower))
+            want = homology(build_graph_complex(g, a_s))
+            where = (sorted(wall), str(lower), str(upper))
+            assert nonzero(shifted_down(relative.betti)) == \
+                nonzero(want.betti), where
+            assert nonzero(shifted_down(relative.dims)) == \
+                nonzero(want.dims), where
+            count += 1
+        assert count == self.CROSSINGS[(g, n)]
 
 
 class TestRandomChains:
