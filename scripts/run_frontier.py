@@ -15,7 +15,9 @@ the case, the state, the expected and the got value on stderr, and the
 script exits nonzero. So does a child that recomputes a cache file (an
 "ignoring cache file" warning): a cold run reads only files it wrote, and
 a warm one the files the cold run wrote, so the reader rejected what the
-writer wrote, and a warm line would have timed generation.
+writer wrote, and a warm line would have timed generation. So does a child
+that runs past CHILD_TIMEOUT seconds, which is then terminated, so a hung
+child cannot stop the run.
 
     PYTHONPATH=src python scripts/run_frontier.py
 """
@@ -45,6 +47,11 @@ CASES = [
     (3, 3, 3, [1, 35, 297, 1079, 1904, 1621, 535], {3: 1}),
     (4, 1, 1, [1, 12, 65, 173, 260, 193, 67], {}),
 ]
+
+
+# Seconds a child may run: more than ten times the slowest case, cold (2,5)
+# at about 7 s on a shared 2-CPU host.
+CHILD_TIMEOUT = 300
 
 
 def case_name(g: int, n: int, heavy: int) -> str:
@@ -118,18 +125,31 @@ def peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
+def start_and_join(child: multiprocessing.Process, case: tuple, state: str,
+                   timeout: float = CHILD_TIMEOUT) -> None:
+    """Start child and wait for it; exit 1, naming the case and the state,
+    if it exits nonzero or is still running after timeout seconds, when it
+    is terminated."""
+    child.start()
+    child.join(timeout)
+    if child.is_alive():
+        child.terminate()
+        child.join()
+        raise SystemExit(f"{case_name(*case[:3])} {state}: the child ran "
+                         f"past {timeout} s and was terminated")
+    if child.exitcode != 0:
+        raise SystemExit(f"{case_name(*case[:3])} {state}: the child "
+                         f"exited with {child.exitcode}")
+
+
 def main() -> None:
     spawn = multiprocessing.get_context("spawn")
     with tempfile.TemporaryDirectory(prefix="tropgc-frontier-") as cache:
         os.environ["TROPGC_CACHE"] = cache
         for case in CASES:
             for state in ("cold", "warm"):
-                child = spawn.Process(target=run_child, args=(case, state))
-                child.start()
-                child.join()
-                if child.exitcode != 0:
-                    raise SystemExit(f"{case_name(*case[:3])} {state}: the "
-                                     f"child exited with {child.exitcode}")
+                start_and_join(spawn.Process(target=run_child,
+                                             args=(case, state)), case, state)
 
 
 if __name__ == "__main__":

@@ -21,6 +21,13 @@ with an odd edge automorphism are dropped. Coefficients are summed as
 integers. The composite of two boundaries is asserted to vanish for every
 complex, assembled or sliced.
 
+A boundary computes each contraction shape (the weights and edges left,
+and the vertex map that moves the legs) once, and gives each contracted
+head one checked record (graphs._Head) that every contraction landing on it
+is canonicalized with: the relabeling of a contraction that misses the
+canonical memo is derived once per (head, ordered colour classes) and
+reused by every later contraction with the same classes.
+
 Ranks come from one column reduction per boundary, top degree first, with
 clearing (Chen and Kerber, "Persistent homology computation with a twist",
 EuroCG 2011): a pivot row of the reduced boundary out of degree k + 1 names
@@ -35,7 +42,7 @@ from typing import Iterator, Optional, Sequence
 
 from .chambers import DomainError, WeightDatum, format_rational
 from .graphs import (CanonicalGraph, _canonicalize_parts, _contracted_shape,
-                     _moved_legs, has_loops, is_pure)
+                     _Head, _head_record, _moved_legs, has_loops, is_pure)
 from .enumeration import CELLULAR, GRAPH, degree_range, generator_basis
 from .linalg import RationalMatrix, column_pivots
 
@@ -93,22 +100,32 @@ class ChainComplex:
 def _boundary_columns(basis_high: tuple[CanonicalGraph, ...],
                       row_of: dict[str, int], contract_loops: bool
                       ) -> list[dict[int, int]]:
-    # (edge index, contracted shape) of each edge contracted, for each
-    # (weights, edges) seen so far: the legs do not change the shape
+    # (edge index, record of the contracted head, vertex map) of each edge
+    # contracted, for each (weights, edges) seen so far: the legs do not
+    # change the shape. One record per contracted head, shared by every
+    # shape that contracts to it, holds its relabelings.
     shapes: dict[tuple, list] = {}
+    records: dict[tuple, _Head] = {}
     columns = []
     for cg in basis_high:
         weights, edges, legs = cg.graph
         by_edge = shapes.get((weights, edges))
         if by_edge is None:
-            by_edge = shapes[weights, edges] = [
-                (i, _contracted_shape(weights, edges, i))
-                for i, (u, v) in enumerate(edges)
-                if u != v or contract_loops]
+            by_edge = shapes[weights, edges] = []
+            for i, (u, v) in enumerate(edges):
+                if u != v or contract_loops:
+                    new_weights, new_edges, remap = _contracted_shape(
+                        weights, edges, i)
+                    head = (new_weights, new_edges)
+                    record = records.get(head)
+                    if record is None:
+                        record = records[head] = _head_record(*head)
+                    by_edge.append((i, record, remap))
         col: dict[int, int] = {}
-        for i, (new_weights, new_edges, remap) in by_edge:
-            target, sign = _canonicalize_parts(new_weights, new_edges,
-                                               _moved_legs(remap, legs))
+        for i, record, remap in by_edge:
+            target, sign = _canonicalize_parts(
+                record.weights, record.edges, _moved_legs(remap, legs),
+                head=record)
             if target.has_odd_edge_automorphism:
                 continue
             row = row_of.get(target.encoding)

@@ -15,7 +15,8 @@ constructor runs both. Parts canonicalized without a graph get only a range
 check before their relabeling (_vertex_colors); the other checks run when
 their canonical form is built, once per form (_new_form). A form read from
 a cache line runs only the legs part, since its head was checked once for
-the whole body (_decode_canonical).
+the whole body (_decode_canonical); so does the form of a contraction that
+is its own form, its contracted shape's head checked once per boundary.
 
 Canonical labeling works by brute-force minimization over vertex
 relabelings that respect the (weight, edge degree, marking multiset) color
@@ -42,7 +43,10 @@ every other input under its range-checked parts, whose relabeling is a
 validated form. Contractions, uncontractions and cache lines are
 canonicalized from their parts: on a memo miss the color classes and the
 relabeling are computed from the parts, and a graph is built (and
-validated) only when the canonical form is new, once per form. Parts whose
+validated) only when the canonical form is new, once per form. The
+relabeling depends on the legs only through the ordered colour classes, so
+parts given with a head record (_Head: cache lines and contractions) take
+it from the record's memo, derived once per (head, classes). Parts whose
 colors strictly increase along the vertex order, with their edges sorted
 low end first, are confirmed to be their own form in place, with no color
 classes, relabeling or sort.
@@ -65,7 +69,8 @@ A contraction is two steps, which contract_edge composes: its weights and
 edges, and the vertex map that moves its legs, depend only on the weights
 and edges contracted and the edge index (_contracted_shape); then the legs
 are moved (_moved_legs). So boundary assembly computes each such shape once
-per boundary and maps only the legs of each generator.
+per boundary, gives each contracted head one record, and maps only the legs
+of each generator.
 """
 
 from __future__ import annotations
@@ -171,10 +176,12 @@ def _on_head(weights: tuple[int, ...], edges: tuple[Edge, ...],
 
 @dataclass(frozen=True, slots=True)
 class _Head:
-    """The head (genus prefix, weights and edges) of a cache line, checked
-    once for all the lines of a body that share it (_decode_canonical):
+    """The head (weights and edges) of parts canonicalized with it, checked
+    once for all of them: the head of a cache line, for all the lines of a
+    body that share it (_decode_canonical), or a contracted shape, for all
+    the contractions of a boundary that give it (complexes):
 
-    - weights, edges: as read, and passed by _checked_head;
+    - weights, edges: passed by _checked_head;
     - degrees: each vertex's edge degree, a loop counting twice;
     - ties: None when parts with this head are never their own form in
       place, since the edges are not written low end first and sorted or
@@ -183,7 +190,11 @@ class _Head:
       strictly increase exactly when the markings do at each of them;
     - repeated: whether an edge repeats, which gives every form with this
       head and no vertex automorphism an odd edge automorphism
-      (_has_odd_edge_automorphism).
+      (_has_odd_edge_automorphism);
+    - relabelings: for each ordered colour-class partition met so far, what
+      _canonicalize_parts derives from the head and the classes alone (the
+      relabeling, the form's weights and edges, the sign and the vertex
+      automorphism generators), so it is derived once per (head, classes).
     """
 
     weights: tuple[int, ...]
@@ -191,11 +202,12 @@ class _Head:
     degrees: list[int]
     ties: Optional[tuple[int, ...]]
     repeated: bool
+    relabelings: dict = field(default_factory=dict)
 
 
 def _head_record(weights: tuple[int, ...], edges: tuple[Edge, ...]) -> _Head:
-    """The record of a head read from a cache line, once its parts have
-    passed the head part of the constructor's checks (_checked_head)."""
+    """The record of a head, once its parts have passed the head part of the
+    constructor's checks (_checked_head)."""
     _checked_head(weights, edges)
     degrees = [0] * len(weights)
     for u, v in edges:
@@ -399,12 +411,28 @@ def _canonicalize_parts(weights: tuple[int, ...], edges: tuple[Edge, ...],
     Parts with an index out of range go to the constructor, which raises its
     own error.
 
-    line and head, given together by _decode_canonical, are the cache line
-    the parts were read from and the record of its checked head (_Head),
-    whose weights and edges are the parts' own. The edge degrees, the edge
-    order test and the (weight, degree) part of the colour order are then
-    the record's: only the legs are range-checked and placed (_markings),
-    and their markings compared at the record's ties.
+    head is the record of the parts' checked head (_Head), whose weights
+    and edges are the parts' own: given by _decode_canonical with line, the
+    cache line the parts were read from, and by boundary assembly for a
+    contracted shape. The edge degrees, the edge order test and the
+    (weight, degree) part of the colour order are then the record's: only
+    the legs are range-checked and placed (_markings), and their markings
+    compared at the record's ties.
+
+    What the relabeling gives besides the form's legs depends on the head
+    and the ordered colour classes alone, not on the legs, so with a head
+    it is derived once per classes and kept on the record (its
+    relabelings). Proof: marking i sits at one vertex, so a vertex carrying
+    a leg has a marking tuple no other vertex has, and its colour class is
+    that one vertex. Every arrangement of the classes puts it at the start
+    of its class, so the mapped legs, the second part of the key (sorted
+    mapped edges, mapped legs) that a canonical form minimizes, are the
+    same for every arrangement, and _minimal_relabeling compares the edges
+    alone. The arrangements reaching the least key, the first of them (the
+    relabeling ref) and the automorphisms they give are thus fixed by the
+    edges and the classes; the form's weights, its edges and the sign by
+    ref, the weights and the edges. Only the form's legs, ref applied to
+    the legs, depend on the legs.
 
     The input edges are assigned to canonical slots by a stable sort, and
     the sign is the parity of the input positions in slot order: that
@@ -418,8 +446,8 @@ def _canonicalize_parts(weights: tuple[int, ...], edges: tuple[Edge, ...],
     place too. Then the parts are their own form, the sign is +1, and
     neither is computed.
 
-    The line becomes the encoding of the parts' form if the parts are that
-    form and it is new; that form is then built on the head (_on_head).
+    If the parts are their form and it is new, the line becomes its
+    encoding, and a head given holds its tuples (_on_head).
     """
     key = (weights, edges, legs)
     cached = _canon_cache.get(key)
@@ -442,33 +470,39 @@ def _canonicalize_parts(weights: tuple[int, ...], edges: tuple[Edge, ...],
     groups: dict[tuple, list[int]] = {}
     for v, color in enumerate(colors):
         groups.setdefault(color, []).append(v)
-    classes = [groups[color] for color in sorted(groups)]
-    nv = len(weights)
-    if len(classes) == nv:
-        # Singleton colors: one arrangement, and only the identity fixes it.
-        ref = [0] * nv  # old vertex -> new position
-        for new, (old,) in enumerate(classes):
-            ref[old] = new
-        generators: tuple[Permutation, ...] = ()
-    else:
-        ref, generators = _minimal_relabeling(edges, legs, classes)
-
-    # Stable assignment of input edges to canonical slots: sort by mapped
-    # edge, breaking ties by input position.
-    mapped = []
-    for k, (u, v) in enumerate(edges):
-        pu, pv = ref[u], ref[v]
-        mapped.append(((pu, pv) if pu <= pv else (pv, pu), k))
-    mapped.sort()
-    new_weights = [0] * nv
-    for old, w in enumerate(weights):
-        new_weights[ref[old]] = w
-    form = (tuple(new_weights), tuple([e for e, _ in mapped]),
-            tuple(map(ref.__getitem__, legs)))
+    classes = tuple([tuple(groups[color]) for color in sorted(groups)])
+    relabeling = None if head is None else head.relabelings.get(classes)
+    if relabeling is None:
+        nv = len(weights)
+        if len(classes) == nv:
+            # Singleton colors: one arrangement, and only the identity
+            # fixes it.
+            ref = [0] * nv  # old vertex -> new position
+            for new, (old,) in enumerate(classes):
+                ref[old] = new
+            generators: tuple[Permutation, ...] = ()
+        else:
+            ref, generators = _minimal_relabeling(edges, classes)
+        # Stable assignment of input edges to canonical slots: sort by
+        # mapped edge, breaking ties by input position.
+        mapped = []
+        for k, (u, v) in enumerate(edges):
+            pu, pv = ref[u], ref[v]
+            mapped.append(((pu, pv) if pu <= pv else (pv, pu), k))
+        mapped.sort()
+        placed = [0] * nv
+        for old, w in enumerate(weights):
+            placed[ref[old]] = w
+        relabeling = (ref, tuple(placed), tuple([e for e, _ in mapped]),
+                      _permutation_parity([k for _, k in mapped]), generators)
+        if head is not None:
+            head.relabelings[classes] = relabeling
+    ref, new_weights, new_edges, sign, generators = relabeling
+    form = (new_weights, new_edges, tuple(map(ref.__getitem__, legs)))
     # the form is memoized if another input reached it first
     read = (line, head) if form == key else (None, None)
     cg = (_canon_cache.get(form) or _new_form(form, generators, *read))[0]
-    result = (cg, _permutation_parity([k for _, k in mapped]))
+    result = (cg, sign)
     _canon_cache[key] = result
     return result
 
@@ -533,12 +567,14 @@ def _has_odd_edge_automorphism(edges: tuple[Edge, ...],
     return False
 
 
-def _minimal_relabeling(edges: tuple[Edge, ...], legs: tuple[int, ...],
-                        classes: list[list[int]]
+def _minimal_relabeling(edges: tuple[Edge, ...],
+                        classes: tuple[tuple[int, ...], ...]
                         ) -> tuple[Permutation, tuple[Permutation, ...]]:
     """Brute force over the arrangements of the color classes: the first
-    relabeling (old vertex -> new position) reaching the least (edges, legs)
-    key, and the vertex automorphisms of that form, identity excluded."""
+    relabeling (old vertex -> new position) reaching the least sorted
+    mapped edges, and the vertex automorphisms of that form, identity
+    excluded. The mapped legs, the rest of a form's key, are the same for
+    every arrangement (_canonicalize_parts), so they are not compared."""
     starts = []
     pos = 0
     for cls in classes:
@@ -557,7 +593,7 @@ def _minimal_relabeling(edges: tuple[Edge, ...], legs: tuple[int, ...],
         for u, v in edges:
             pu, pv = relabel[u], relabel[v]
             mapped.append((pu, pv) if pu <= pv else (pv, pu))
-        key = (tuple(sorted(mapped)), tuple(relabel[x] for x in legs))
+        key = sorted(mapped)
         if best_key is None or key < best_key:
             best_key = key
             best_perms = [tuple(relabel)]

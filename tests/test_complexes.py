@@ -2,6 +2,7 @@
 
 import hashlib
 from fractions import Fraction
+from unittest import mock
 from math import factorial
 
 import pytest
@@ -21,6 +22,7 @@ from tropgc import (
     make_floor,
     make_heavy_light,
     make_minimal,
+    max_edges,
     moduli_label,
     rank,
     split_AB,
@@ -28,11 +30,12 @@ from tropgc import (
 from tropgc import complexes, enumeration, graphs
 from tropgc.complexes import boundary_pivots
 from tropgc.enumeration import CELLULAR, generator_basis
-from tropgc.graphs import MarkedGraph, canonicalize, has_loops, is_pure
+from tropgc.graphs import (MarkedGraph, canonicalize, contract_edge,
+                          has_loops, is_pure)
 from tropgc.linalg import column_pivots
 
-from .oracles import (decode_graph, dense_rank, encode_graph, graph_betti,
-                      to_rows)
+from .oracles import (_parity, decode_graph, dense_rank, encode_graph,
+                      graph_betti, reference_canonicalize, to_rows)
 from .test_enumeration import file_key
 
 EPS = Fraction(1, 100)
@@ -513,6 +516,152 @@ def spectral_warm_chain():
     """The chain shape of the spectral-warm-g1n5 benchmark workload."""
     return filtered_from_raw(1, [make_minimal(1, 5), make_floor(1, 5, 4),
                                  make_heavy_light(1, 5, 2)])
+
+
+ORACLE_COMPLEXES = {
+    "graph-1-4": lambda: build_graph_complex(1, CLASSICAL4),
+    "graph-2-3": lambda: build_graph_complex(2, classical(2, 3)),
+    "graph-3-2": lambda: build_graph_complex(3, classical(3, 2)),
+    "cellular-1-3": lambda: build_cellular_complex(1, CLASSICAL3),
+}
+
+
+def _colour_classes(parts):
+    """The ordered colour classes of parts, as _canonicalize_parts groups
+    their vertices: by (weight, edge degree, markings), colours ascending."""
+    groups = {}
+    for v, color in enumerate(graphs._vertex_colors(*parts)):
+        groups.setdefault(color, []).append(v)
+    return tuple(tuple(groups[color]) for color in sorted(groups))
+
+
+def _recording_parts(monkeypatch):
+    """Patch complexes._canonicalize_parts to append (parts, head, missed,
+    result) to the list returned, missed telling whether the parts were
+    not memoized."""
+    calls = []
+    real = complexes._canonicalize_parts
+
+    def recording(*parts, head):
+        missed = parts not in graphs._canon_cache
+        result = real(*parts, head=head)
+        calls.append((parts, head, missed, result))
+        return result
+
+    monkeypatch.setattr(complexes, "_canonicalize_parts", recording)
+    return calls
+
+
+def _counting_relabelings(monkeypatch):
+    """Patch graphs._minimal_relabeling to append its (edges, classes) to
+    the list returned."""
+    calls = []
+    real = graphs._minimal_relabeling
+
+    def counting(edges, classes):
+        calls.append((edges, classes))
+        return real(edges, classes)
+
+    monkeypatch.setattr(graphs, "_minimal_relabeling", counting)
+    return calls
+
+
+class TestHeadRelabelings:
+    """Contractions are canonicalized on the record of their contracted
+    head, which derives each relabeling once per (head, ordered colour
+    classes); cache lines likewise on the record of their head."""
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_COMPLEXES))
+    def test_record_path_matches_reference(self, name, monkeypatch):
+        """Every contraction, with an empty memo so that each one is first
+        met on the record path, has the reference form, automorphisms and
+        the parity of its edge map as its sign; each boundary column is the
+        signed sum of exactly the targets without an odd edge
+        automorphism."""
+        build = ORACLE_COMPLEXES[name]
+        build()  # the bases, held in memory from here on
+        monkeypatch.setattr(graphs, "_canon_cache", {})
+        calls = _recording_parts(monkeypatch)
+        c = build()
+        assert calls and any(missed for _, _, missed, _ in calls)
+        for parts, head, _, (cg, sign) in calls:
+            assert (head.weights, head.edges) == parts[:2]
+            form, odd, generators, edge_map = reference_canonicalize(*parts)
+            assert (cg.graph, cg.has_odd_edge_automorphism,
+                    cg.automorphism_generators, sign) == \
+                (form, odd, generators, _parity(edge_map))
+        contract_loops = c.kind == CELLULAR
+        for i in range(len(c.degrees)):
+            row_of = {cg.graph: r for r, cg in
+                      enumerate(c.bases[i - 1] if i else ())}
+            for j, cg in enumerate(c.bases[i]):
+                column = {}
+                for e, (u, v) in enumerate(cg.graph.edges):
+                    if u == v and not contract_loops:
+                        continue
+                    form, odd, _, edge_map = reference_canonicalize(
+                        *contract_edge(cg.graph, e))
+                    if not odd:
+                        row = row_of[form]
+                        column[row] = column.get(row, 0) + \
+                            _parity(edge_map) * (1 if e % 2 else -1)
+                assert c.boundaries[i].columns[j] == \
+                    {r: x for r, x in column.items() if x}
+
+    def test_warm_load_relabels_once_per_head_and_classes(self, tmp_path,
+                                                          monkeypatch):
+        """A warm load of classical pure (2,4), whose bodies hold 1,239
+        lines with tied colours over 309 (head, classes) pairs, runs the
+        brute force once per pair of each body, and every class it loads is
+        its own fresh-memo canonical form."""
+        a = classical(2, 4)
+        monkeypatch.setenv("TROPGC_CACHE", str(tmp_path))
+        monkeypatch.setattr(enumeration, "_decoded", {})
+        ms = range(2, max_edges(2, 4) + 1)
+        cold = [enumerate_stable_graphs(2, a, m, True).classes for m in ms]
+        monkeypatch.setattr(enumeration, "_decoded", {})
+        monkeypatch.setattr(graphs, "_canon_cache", {})
+        calls = _counting_relabelings(monkeypatch)
+        warm = [enumerate_stable_graphs(2, a, m, True).classes for m in ms]
+        assert warm == cold
+        tied = pairs = 0
+        for body in warm:
+            lines = [(cg.graph[:2], classes) for cg in body
+                     for classes in [_colour_classes(cg.graph)]
+                     if len(classes) < len(cg.graph.weights)]
+            tied += len(lines)
+            pairs += len(set(lines))
+        assert (tied, pairs) == (1239, 309)
+        assert len(calls) == pairs
+        for body in warm:
+            for cg in body:
+                with mock.patch.dict(graphs._canon_cache, clear=True):
+                    assert canonicalize(cg.graph) == (cg, 1)
+
+    def test_boundary_relabels_once_per_head_and_classes(self, monkeypatch):
+        """One boundary of the classical pure (2,4) graph complex, built
+        with an empty memo, runs the brute force once per (contracted head,
+        ordered classes) among the contractions that miss the memo with
+        tied colours, and no more; its column equals the one built before,
+        and each target its fresh-memo canonical form."""
+        c = build_graph_complex(2, classical(2, 4))
+        i = max(range(len(c.degrees)), key=lambda i: len(c.bases[i]))
+        row_of = {cg.encoding: r for r, cg in enumerate(c.bases[i - 1])}
+        monkeypatch.setattr(graphs, "_canon_cache", {})
+        calls = _recording_parts(monkeypatch)
+        relabelings = _counting_relabelings(monkeypatch)
+        columns = complexes._boundary_columns(c.bases[i], row_of, False)
+        assert tuple(columns) == c.boundaries[i].columns
+        tied_misses = [(parts[:2], classes) for parts, _, missed, _ in calls
+                       for classes in [_colour_classes(parts)]
+                       if missed and len(classes) < len(parts[0])]
+        expected = set(tied_misses)
+        assert len(relabelings) == len(expected) < len(tied_misses)
+        assert sorted(relabelings) == sorted((head[1], classes)
+                                             for head, classes in expected)
+        for parts, _, _, result in calls:
+            with mock.patch.dict(graphs._canon_cache, clear=True):
+                assert canonicalize(MarkedGraph(*parts)) == result
 
 
 class TestColumnPath:

@@ -5,10 +5,12 @@ tested on its own, since the full run takes 23 to 30 s (two runs on a shared
 
 import hashlib
 import importlib.util
+import multiprocessing
 import os
 import re
 import subprocess
 import sys
+import time
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -168,6 +170,18 @@ def test_frontier_child_passes_other_warnings(monkeypatch, capsys):
                         lambda case, state: warnings.warn("another warning"))
     FRONTIER.run_child(FRONTIER.CASES[1], "warm")
     assert capsys.readouterr().err == "warning: another warning\n"
+
+
+def test_frontier_child_past_timeout_is_terminated():
+    """A child still running at the timeout is terminated, and the run
+    exits naming the case and the state."""
+    child = multiprocessing.get_context("spawn").Process(target=time.sleep,
+                                                         args=(60,))
+    with pytest.raises(SystemExit) as info:
+        FRONTIER.start_and_join(child, FRONTIER.CASES[1], "cold", timeout=0.5)
+    assert str(info.value) == ("(3,2) cold: the child ran past 0.5 s and was "
+                               "terminated")
+    assert not child.is_alive() and child.exitcode != 0
 
 
 def test_readme_quick_start(capsys):
